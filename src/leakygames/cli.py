@@ -184,7 +184,8 @@ def cmd_leaky_value(args) -> int:
     model = _build_model(args)
     budget = args.budget or leakage.DEFAULT_LEAKY_BUDGET
     value, witness = leakage.leaky_value_exact(g, model, budget)
-    cap = leakage.leaky_value_upper_bound(g, model.total_bits)
+    cap = leakage.leaky_value_upper_bound(
+        g, model.total_bits, args.budget or games.DEFAULT_PAIR_BUDGET)
     pq, fl = _frac_cols(value)
     cq, cf = _frac_cols(cap)
     rows = [{"instance": harness.instance_id(g), "model": args.model,

@@ -13,6 +13,7 @@ second.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -401,6 +402,11 @@ def optimal_cheat(c: CspInstance, leak_bits: int,
         raise InvalidInputError("leak_bits must be non-negative")
     slots = 1 << leak_bits
     n_assignments = c.alphabet_size ** c.num_vars
+    # n_assignments ** slots is built only once its log shows it is small
+    log2_profiles = slots * math.log2(n_assignments)
+    if log2_profiles > budget.bit_length() + 1:
+        raise BudgetExceededError(None, budget, "cheat-profile enumeration",
+                                  log2_profiles)
     profiles = n_assignments ** slots
     if profiles > budget:
         raise BudgetExceededError(profiles, budget, "cheat-profile enumeration")

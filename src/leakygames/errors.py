@@ -24,11 +24,17 @@ class BudgetExceededError(RuntimeError):
     """An exact enumeration would exceed the configured budget.
 
     Callers can retry with a larger budget, or fall back to Monte Carlo /
-    upper-bound methods.
+    upper-bound methods.  A count too large to build comes as its log2.
     """
 
-    def __init__(self, required: int, budget: int, what: str = "enumeration"):
-        super().__init__(f"{what} needs {required} steps, budget is {budget}")
+    def __init__(self, required: int | None, budget: int,
+                 what: str = "enumeration",
+                 log2_required: float | None = None):
+        if log2_required is None and required.bit_length() > 64:
+            log2_required = required.bit_length() - 1
+        shown = (required if log2_required is None
+                 else f"about 2^{int(log2_required)}")
+        super().__init__(f"{what} needs {shown} steps, budget is {budget}")
         self.required = required
         self.budget = budget
 

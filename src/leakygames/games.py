@@ -274,6 +274,8 @@ def load_game(text: str) -> Game:
         x_size, y_size, a_size, b_size = (int(p) for p in parts[2:])
     except ValueError:
         raise FormatError(no, "alphabet sizes must be integers") from None
+    if min(x_size, y_size, a_size, b_size) < 1:
+        raise FormatError(no, "alphabet sizes must be >= 1")
 
     pos = 1
     if pos >= len(lines) or lines[pos][1] != "dist":

@@ -18,8 +18,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetExceededError, InvalidInputError
-from .games import DEFAULT_PAIR_BUDGET, StrategyPair, classical_value
+from .games import (DEFAULT_PAIR_BUDGET, StrategyPair, _index_to_tuple,
+                    classical_value)
 
 MAX_TOTAL_BITS = 30
 DEFAULT_LEAKY_BUDGET = 10**7
@@ -110,11 +113,6 @@ class LeakyStrategy:
         if any(b < 0 or b >= g.b_size for row in self.bob_ans for b in row):
             raise InvalidInputError("bob answer out of range")
 
-    def embedded_pair(self) -> StrategyPair:
-        """The zero-leakage strategy pair (message column 0 on both sides)."""
-        return StrategyPair(tuple(row[0] for row in self.alice_ans),
-                            tuple(row[0] for row in self.bob_ans))
-
 
 def from_strategy_pair(s: StrategyPair) -> LeakyStrategy:
     """Embed a plain strategy pair as a zero-message leaky strategy."""
@@ -141,16 +139,110 @@ def leaky_strategy_value(g, m: LeakageModel, s: LeakyStrategy) -> Fraction:
     return total
 
 
-def leaky_enumeration_size(g, m: LeakageModel) -> int:
-    """Outer enumeration size: message tables times alice answer tables.
+def _answer_scores(c: np.ndarray) -> np.ndarray:
+    """scores[i, y, b]: weight won when the questions on c's first axis get
+    the i-th answer table in lex order and y gets answer b."""
+    scores = np.zeros((1,) + c.shape[2:], dtype=c.dtype)
+    for cx in c:
+        scores = (scores[:, None] + cx).reshape((-1,) + c.shape[2:])
+    return scores
 
-    Bob's answer table is resolved by an exact best response inside the
-    solver, so it does not enter the budget.  The naive strategy count is
-    this times b_size ** (y_size * msgs_ab).
+
+def _blocks(g, ab: bool) -> tuple[list[tuple[int, list, list]], int]:
+    """Per subset (bitmask) of the sender's questions: the best weight on the
+    block, alice's lex-smallest optimal answers (0 off the block) and bob's
+    smallest best responses; plus the weights' denominator."""
+    weights, denom = g.int_weights()
+    rows = g.win_rows()
+    # c[x, a, y, b] = weight of (x, y) if (a, b) wins; Python ints past int64
+    c = np.array([[[[weights[x * g.y_size + y] * (rows[x][y][a] >> b & 1)
+                     for b in range(g.b_size)] for y in range(g.y_size)]
+                   for a in range(g.a_size)] for x in range(g.x_size)],
+                 dtype=np.int64 if denom < 2**63 else object)
+    every_x = None if ab else _answer_scores(c)
+    out = []
+    for mask in range(1 << (g.x_size if ab else g.y_size)):
+        block = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        xs, ys = (block, range(g.y_size)) if ab else (range(g.x_size), block)
+        scores = _answer_scores(c[xs]) if ab else every_x
+        totals = scores[:, ys].max(axis=2).sum(axis=1)
+        i = int(totals.argmax())  # first maximum: lex-smallest table
+        alice = dict(zip(xs, _index_to_tuple(i, g.a_size, len(xs))))
+        out.append((int(totals[i]), [alice.get(x, 0) for x in range(g.x_size)],
+                    scores[i].argmax(axis=1).tolist()))
+    return out, denom
+
+
+def _best_partition(value: list[int], k: int) -> int:
+    """Max over partitions of the full set into at most k blocks of the
+    summed block values; ``value`` is indexed by bitmask."""
+    best = value
+    for _ in range(k - 1):
+        prev, best = best, [0] * len(value)
+        for s in range(1, len(value)):
+            low, rest = s & -s, s & (s - 1)  # low's block is low | t
+            t, best[s] = rest, value[s]
+            while t:
+                t = (t - 1) & rest
+                best[s] = max(best[s], value[low | t] + prev[rest ^ t])
+    return best[-1]
+
+
+def _label_strings(n: int, k: int, prefix: tuple[int, ...] = ()):
+    """Length-n strings over <= k labels, new blocks taking the next label."""
+    if len(prefix) == n:
+        yield prefix
+    else:
+        for label in range(min(max(prefix, default=-1) + 2, k)):
+            yield from _label_strings(n, k, prefix + (label,))
+
+
+def leaky_enumeration_size(g, m: LeakageModel) -> int:
+    """Steps `leaky_value_exact` takes, checked against its budget.
+
+    Simultaneous: message tables times alice answer tables.  One-way, with
+    n sender questions and k = min(2^bits, n): subset tables ((A+1)^X for
+    ab, A^X * 2^Y for ba) + 3^n * (k - 1) DP steps + message strings
+    scanned + receiver answer cells.
     """
-    return (m.msgs_ab ** g.x_size
-            * m.msgs_ba ** g.y_size
-            * g.a_size ** (g.x_size * m.msgs_ba))
+    if m.kind is LeakageKind.SIMULTANEOUS:
+        return (m.msgs_ab ** g.x_size
+                * m.msgs_ba ** g.y_size
+                * g.a_size ** (g.x_size * m.msgs_ba))
+    ab = m.kind is LeakageKind.ONE_WAY_AB
+    n, msgs = (g.x_size, m.msgs_ab) if ab else (g.y_size, m.msgs_ba)
+    k = min(msgs, n)
+    strings = [1] + [0] * k  # strings[j]: label-string prefixes using j labels
+    for _ in range(n):
+        strings = [0] + [j * strings[j] + strings[j - 1]
+                         for j in range(1, k + 1)]
+    tables = ((g.a_size + 1) ** g.x_size if ab
+              else g.a_size ** g.x_size << g.y_size)
+    return (tables + 3 ** n * (k - 1) + sum(strings)
+            + (g.y_size if ab else g.x_size) * msgs)
+
+
+def _one_way_exact(g, m: LeakageModel) -> tuple[Fraction, LeakyStrategy]:
+    ab = m.kind is LeakageKind.ONE_WAY_AB
+    n, msgs = (g.x_size, m.msgs_ab) if ab else (g.y_size, m.msgs_ba)
+    k = min(msgs, n)
+    blocks, denom = _blocks(g, ab)
+    best = _best_partition([v for v, _, _ in blocks], k)
+
+    def label_blocks(labels):
+        return [blocks[sum(1 << i for i, v in enumerate(labels) if v == label)]
+                for label in range(k)]
+
+    labels = next(s for s in _label_strings(n, k)
+                  if sum(v for v, _, _ in label_blocks(s)) == best)
+    used = label_blocks(labels) + [blocks[0]] * (msgs - k)
+    rows = [(a, b) if ab else (b, a) for _, a, b in used]  # sender, receiver
+    sender = tuple((rows[v][0][i],) for i, v in enumerate(labels))
+    receiver = tuple(zip(*(r for _, r in rows)))
+    silent = (0,) * len(receiver)
+    return Fraction(best, denom), (
+        LeakyStrategy(labels, silent, sender, receiver) if ab
+        else LeakyStrategy(silent, labels, receiver, sender))
 
 
 def leaky_value_exact(g, m: LeakageModel,
@@ -158,15 +250,20 @@ def leaky_value_exact(g, m: LeakageModel,
                       ) -> tuple[Fraction, LeakyStrategy]:
     """Exact optimum over deterministic leaky strategies for the model.
 
-    Enumerates (alice_msg, bob_msg, alice_ans) in lexicographic order and
-    completes each with bob's exact best response, taking the smallest
-    maximizing answer per (y, incoming message) cell.  The returned witness
-    is therefore the lexicographically smallest maximizer in field order
-    (alice_msg, bob_msg, alice_ans, bob_ans).
+    The witness is the lexicographically smallest maximizer in field order
+    (alice_msg, bob_msg, alice_ans, bob_ans); bob gives the smallest best
+    response.  One-way: a fixed message table splits the sender's questions
+    into at most 2^bits blocks, each its own classical game; a subset DP
+    over partitions gives the value, and the first restricted-growth
+    message string reaching it, with each block's lex-smallest optimal
+    answers (0 for unused labels), the witness.  Simultaneous: enumerates
+    (alice_msg, bob_msg, alice_ans) in lex order.
     """
     outer = leaky_enumeration_size(g, m)
     if outer > budget:
         raise BudgetExceededError(outer, budget, "leaky-strategy enumeration")
+    if m.kind is not LeakageKind.SIMULTANEOUS:
+        return _one_way_exact(g, m)
 
     x_size, y_size, a_size, b_size = g.x_size, g.y_size, g.a_size, g.b_size
     m1, m2 = m.msgs_ab, m.msgs_ba

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import random
 import sys
 from importlib import resources
 from pathlib import Path
@@ -13,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from leakygames.cli import (EXIT_BUDGET, EXIT_GENERATOR_CAP, EXIT_INVALID,
                             EXIT_OK, compute_params, main, parse_fraction)
 from leakygames.errors import InvalidInputError
+from leakygames.games import save_game
 
 FIXTURES = resources.files("leakygames") / "fixtures"
 CHSH_PATH = str(FIXTURES / "chsh.game")
@@ -221,6 +224,31 @@ def test_budget_honored_everywhere(argv, tmp_path):
     out = tmp_path / "x"
     assert main(["--out", str(out), *argv]) == EXIT_BUDGET
     assert not out.exists()  # graceful: nothing half-written
+
+
+@pytest.mark.parametrize("argv", [
+    ["leaky-value", CHSH_PATH, "--model", "simultaneous",
+     "--bits-ab", "15", "--bits-ba", "15"],
+    ["repeat", CHSH_PATH, "-n", "22"],
+    ["cheat", LOWVAL_PATH, "--leak-bits", "12"],
+    ["cheat", LOWVAL_PATH, "--leak-bits", "16"],
+    ["cheat", LOWVAL_PATH, "--leak-bits", "24"],
+])
+def test_astronomical_requests_exit_budget(argv, capsys):
+    # the required count is far past 64 bits: reported as a power of two
+    assert main(argv) == EXIT_BUDGET
+    assert "needs about 2^" in capsys.readouterr().err
+
+
+def test_leaky_value_budget_covers_upper_bound(tmp_path):
+    # a 4x4x4x4 game solves one-way in a few hundred steps, but its
+    # classical upper bound needs 4^4 * 4^4 strategy pairs
+    game = tmp_path / "g.game"
+    game.write_text(save_game(
+        helpers.random_game_exact(random.Random(3), 4, 4, 4, 4)))
+    argv = ["leaky-value", str(game), "--bits-ab", "1"]
+    assert main(["--budget", "10000", *argv]) == EXIT_BUDGET
+    assert main(["--budget", "100000", *argv]) == EXIT_OK
 
 
 def test_run_honors_budget(tmp_path):

@@ -70,6 +70,13 @@ def test_loader_errors(mutation, message):
         load_game(mutation(CHSH_TEXT))
 
 
+@pytest.mark.parametrize("sizes", ["0 1 1 1", "1 1 1 0", "2 -1 2 2"])
+def test_loader_rejects_empty_alphabets(sizes):
+    with pytest.raises(FormatError, match=">= 1") as err:
+        load_game(f"# header on line 2\ngame g {sizes}\ndist\npred\n")
+    assert err.value.line_no == 2
+
+
 def test_loader_reports_line_numbers():
     with pytest.raises(FormatError) as err:
         load_game("game g 1 1 1 1\ndist\nbogus\npred\n1\n")

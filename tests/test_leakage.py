@@ -19,6 +19,7 @@ from leakygames.leakage import (LeakageKind, LeakageModel, LeakyStrategy,
                                 leaky_enumeration_size, leaky_strategy_value,
                                 leaky_value_exact, leaky_value_upper_bound,
                                 one_way_ab, one_way_ba, simultaneous)
+from leakygames.repetition import repeat_game
 
 ZEROS = make_game("zeros", 2, 2, 2, 2, [1, 1, 1, 1], lambda *_: False)
 
@@ -168,9 +169,70 @@ def test_exact_below_upper_bound():
 
 def test_budget_guard():
     g = make_game("wide", 3, 3, 3, 3, [1] * 9, lambda *_: True)
-    assert leaky_enumeration_size(g, one_way_ab(2)) > 1000
+    # 4^3 subset tables, 3^3 * 2 DP steps, 5 label strings, 3 * 4 bob cells
+    assert leaky_enumeration_size(g, one_way_ab(2)) == 64 + 54 + 5 + 12
+    assert leaky_enumeration_size(g, one_way_ab(2)) > 100
     with pytest.raises(BudgetExceededError):
-        leaky_value_exact(g, one_way_ab(2), budget=1000)
+        leaky_value_exact(g, one_way_ab(2), budget=100)
+
+
+def _zero_row_game(rng, x, y, a, b):
+    """Random game whose question x = 0 has weight 0 against every y."""
+    g = helpers.random_game_exact(rng, x, y, a, b)
+    weights = [0 if i < y else rng.randint(0, 3) for i in range(x * y)]
+    if not sum(weights):
+        weights[-1] = 1
+    return make_game("zero-row", x, y, a, b, weights, g.wins)
+
+
+@pytest.mark.parametrize("model", [
+    one_way_ab(0), one_way_ab(1), one_way_ab(2), one_way_ba(1), one_way_ba(2),
+])
+def test_one_way_dp_matches_naive_oracle(model):
+    # two or fewer sender questions under 2 bits leave labels unused
+    rng = random.Random(47)
+    for i in range(8):
+        g = (_zero_row_game(rng, 2, 2, 2, 2) if i % 2
+             else helpers.random_game(rng, 2, 2, 2, 2))
+        assert leaky_value_exact(g, model) == \
+            oracles.naive_leaky_value(g, model)
+
+
+@pytest.mark.parametrize("shape, model, generic", [
+    ((4, 4, 3, 3), one_way_ab(1), simultaneous(1, 0)),
+    ((4, 4, 2, 2), one_way_ab(2), simultaneous(2, 0)),
+    ((3, 3, 2, 3), one_way_ab(3), simultaneous(3, 0)),
+    ((4, 4, 2, 2), one_way_ba(1), simultaneous(0, 1)),
+    ((2, 3, 2, 2), one_way_ba(2), simultaneous(0, 2)),
+])
+def test_one_way_dp_matches_generic_enumerator(shape, model, generic):
+    # simultaneous(L, 0) and simultaneous(0, L) are the same strategy space
+    # with the same field order, solved by the generic enumerator
+    rng = random.Random(53)
+    for i in range(3):
+        g = (_zero_row_game(rng, *shape) if i == 2
+             else helpers.random_game_exact(rng, *shape))
+        assert leaky_value_exact(g, model) == leaky_value_exact(g, generic)
+
+
+def test_one_way_dp_weights_past_int64():
+    # a weight total of 2^64 + 10 cannot be summed in int64
+    rng = random.Random(59)
+    base = helpers.random_game_exact(rng, 3, 3, 2, 2)
+    g = make_game("heavy", 3, 3, 2, 2, [2**64, 1, 2, 3, 0, 1, 0, 2, 1],
+                  base.wins)
+    for model, generic in ((one_way_ab(1), simultaneous(1, 0)),
+                           (one_way_ba(1), simultaneous(0, 1))):
+        assert leaky_value_exact(g, model) == leaky_value_exact(g, generic)
+
+
+def test_chsh_squared_two_bits():
+    # two bits carry alice's whole question, so bob wins every round
+    rg = repeat_game(chsh(), 2)
+    value, witness = leaky_value_exact(rg, one_way_ab(2))
+    assert value == 1 == merged_prover_value(rg)
+    assert witness.alice_msg == (0, 1, 2, 3)
+    assert leaky_strategy_value(rg, one_way_ab(2), witness) == 1
 
 
 def test_strategy_shape_validation():
