@@ -124,12 +124,18 @@ def _load_csp(path: str) -> csp_mod.CspInstance | csp_mod.LabelCover:
 
 
 def _build_model(args) -> leakage.LeakageModel:
-    kind = {
-        "one-way-ab": leakage.LeakageKind.ONE_WAY_AB,
-        "one-way-ba": leakage.LeakageKind.ONE_WAY_BA,
-        "simultaneous": leakage.LeakageKind.SIMULTANEOUS,
-    }[args.model]
+    kind = next((k for k in leakage.LeakageKind if k.value == args.model),
+                None)
+    if kind is None:
+        raise InvalidInputError(f"unknown model kind {args.model!r}")
     return leakage.LeakageModel(kind, args.bits_ab, args.bits_ba)
+
+
+def _config_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInputError(f"config {what} must be an integer, "
+                                f"got {value!r}")
+    return value
 
 
 def _emit(args, command: str, columns: list[str], rows: list[dict]) -> None:
@@ -296,14 +302,20 @@ def cmd_run(args) -> int:
         config = json.loads(_read_file(args.config))
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"bad config json: {exc}") from None
+    if not isinstance(config, dict):
+        raise InvalidInputError("config must be a json object")
     for key in ("kind", "path", "sessions"):
         if key not in config:
             raise InvalidInputError(f"config missing {key!r}")
+    if not isinstance(config["path"], str):
+        raise InvalidInputError("config path must be a string")
     model_spec = config.get("model", {})
+    if not isinstance(model_spec, dict):
+        raise InvalidInputError("config model must be a json object")
     ns = argparse.Namespace(
         model=model_spec.get("kind", "one-way-ab"),
-        bits_ab=model_spec.get("bits_ab", 0),
-        bits_ba=model_spec.get("bits_ba", 0))
+        bits_ab=_config_int(model_spec.get("bits_ab", 0), "model.bits_ab"),
+        bits_ba=_config_int(model_spec.get("bits_ba", 0), "model.bits_ba"))
     model = _build_model(ns)
     if config["kind"] == "game":
         target = games.load_game(_read_file(config["path"]))
@@ -313,8 +325,8 @@ def cmd_run(args) -> int:
                   if isinstance(loaded, csp_mod.LabelCover) else loaded)
     else:
         raise InvalidInputError("config kind must be 'game' or 'csp'")
-    seed = config.get("seed", args.seed)
-    sessions = int(config["sessions"])
+    seed = _config_int(config.get("seed", args.seed), "seed")
+    sessions = _config_int(config["sessions"], "sessions")
     behaviors, label = _behaviors_for_run(config, target, model, args.budget)
     record = harness.estimate_acceptance(target, behaviors, model,
                                          sessions, seed)

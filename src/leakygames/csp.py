@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (BudgetExceededError, FormatError, GeneratorCapError,
-                     InvalidInputError)
+                     InvalidInputError, check_budget)
 from .games import Game, make_game
 
 DEFAULT_ASSIGNMENT_BUDGET = 10**7
@@ -137,9 +137,9 @@ def csp_value_exact(c: CspInstance,
                     budget: int = DEFAULT_ASSIGNMENT_BUDGET
                     ) -> tuple[Fraction, tuple[int, ...]]:
     """Max satisfied-constraint fraction, exact, with lex-smallest witness."""
-    count = c.alphabet_size ** c.num_vars
-    if count > budget:
-        raise BudgetExceededError(count, budget, "assignment enumeration")
+    check_budget(budget, "assignment enumeration",
+                 lambda: c.num_vars * math.log2(c.alphabet_size),
+                 lambda: c.alphabet_size ** c.num_vars)
     best = -1
     witness: tuple[int, ...] = ()
     for assignment in itertools.product(range(c.alphabet_size),
@@ -401,15 +401,10 @@ def optimal_cheat(c: CspInstance, leak_bits: int,
     if leak_bits < 0:
         raise InvalidInputError("leak_bits must be non-negative")
     slots = 1 << leak_bits
+    check_budget(budget, "cheat-profile enumeration",
+                 lambda: slots * c.num_vars * math.log2(c.alphabet_size),
+                 lambda: c.alphabet_size ** (c.num_vars * slots))
     n_assignments = c.alphabet_size ** c.num_vars
-    # n_assignments ** slots is built only once its log shows it is small
-    log2_profiles = slots * math.log2(n_assignments)
-    if log2_profiles > budget.bit_length() + 1:
-        raise BudgetExceededError(None, budget, "cheat-profile enumeration",
-                                  log2_profiles)
-    profiles = n_assignments ** slots
-    if profiles > budget:
-        raise BudgetExceededError(profiles, budget, "cheat-profile enumeration")
     cells = n_assignments * len(c.constraints)
     if cells > 5 * 10**7:
         raise BudgetExceededError(cells, 5 * 10**7, "cheat score table")

@@ -7,6 +7,8 @@ distinction matters to a caller.
 
 from __future__ import annotations
 
+import math
+
 
 class InvalidInputError(ValueError):
     """Malformed file, table, or argument."""
@@ -33,10 +35,28 @@ class BudgetExceededError(RuntimeError):
         if log2_required is None and required.bit_length() > 64:
             log2_required = required.bit_length() - 1
         shown = (required if log2_required is None
-                 else f"about 2^{int(log2_required)}")
+                 else f"about 2^{int(log2_required)}"
+                 if math.isfinite(log2_required) else "more than 2^1024")
         super().__init__(f"{what} needs {shown} steps, budget is {budget}")
         self.required = required
         self.budget = budget
+
+
+def check_budget(budget: int, what: str, log2_count, count) -> None:
+    """Raise BudgetExceededError when ``count()`` exceeds ``budget``.
+
+    ``count()`` is only built once ``log2_count()``, a lower bound on its
+    log2, shows it is near the budget, so no guard builds a huge number.
+    """
+    try:
+        log2 = log2_count()
+    except OverflowError:  # a size past float range: far over any budget
+        log2 = math.inf
+    if log2 > budget.bit_length() + 1:
+        raise BudgetExceededError(None, budget, what, log2)
+    required = count()
+    if required > budget:
+        raise BudgetExceededError(required, budget, what)
 
 
 class GeneratorCapError(RuntimeError):

@@ -8,15 +8,20 @@ index sets 0..size-1 throughout; semantic labels belong in file comments.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BudgetExceededError, FormatError, InvalidInputError
+import numpy as np
+
+from .errors import FormatError, InvalidInputError, check_budget
 
 # Default cap on (alice strategies) x (bob strategies) for exact solves.
 DEFAULT_PAIR_BUDGET = 10**8
+# Cells of the suffix score table in best_tables (about 256 kB of int64).
+FOLD_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -139,64 +144,6 @@ def merged_prover_value(g) -> Fraction:
     return total
 
 
-def _fold_alice_range(g, weights: list[int], rows, start: int, stop: int):
-    """Best (numerator, alice, bob) over alice strategy indices [start, stop).
-
-    Alice strategy ``i`` is the i-th tuple of A^X in lexicographic order
-    (x = 0 is the most significant digit).  For each alice table, bob's
-    best response decomposes per question y; the smallest maximizing b is
-    kept so the witness is the lexicographically smallest optimal pair.
-    Pure function of its arguments: ranges can be folded on any worker and
-    merged with :func:`_merge_best`.
-    """
-    x_size, y_size, a_size, b_size = g.x_size, g.y_size, g.a_size, g.b_size
-    best_num = -1
-    best_alice: tuple[int, ...] = ()
-    best_bob: tuple[int, ...] = ()
-
-    # columns[y] = list of (x, weight) with nonzero weight
-    columns = [[(x, weights[x * y_size + y]) for x in range(x_size)
-                if weights[x * y_size + y]] for y in range(y_size)]
-
-    alice = _index_to_tuple(start, a_size, x_size)
-    alice = list(alice)
-    for _ in range(start, stop):
-        total = 0
-        bob = []
-        for y in range(y_size):
-            col = columns[y]
-            best_b_score = -1
-            best_b = 0
-            for b in range(b_size):
-                score = 0
-                for x, w in col:
-                    if (rows[x][y][alice[x]] >> b) & 1:
-                        score += w
-                if score > best_b_score:
-                    best_b_score = score
-                    best_b = b
-            total += best_b_score
-            bob.append(best_b)
-        if total > best_num:
-            best_num = total
-            best_alice = tuple(alice)
-            best_bob = tuple(bob)
-        # increment alice tuple in lexicographic order (last digit fastest)
-        for pos in range(x_size - 1, -1, -1):
-            alice[pos] += 1
-            if alice[pos] < a_size:
-                break
-            alice[pos] = 0
-    return best_num, best_alice, best_bob
-
-
-def _merge_best(r1, r2):
-    """Deterministic max-reduction: larger value, then lexicographic witness."""
-    if r1[0] != r2[0]:
-        return r1 if r1[0] > r2[0] else r2
-    return r1 if (r1[1], r1[2]) <= (r2[1], r2[2]) else r2
-
-
 def _index_to_tuple(index: int, radix: int, length: int) -> tuple[int, ...]:
     digits = [0] * length
     for pos in range(length - 1, -1, -1):
@@ -204,36 +151,70 @@ def _index_to_tuple(index: int, radix: int, length: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def classical_value(g, budget: int = DEFAULT_PAIR_BUDGET,
-                    chunks: int = 1) -> tuple[Fraction, StrategyPair]:
+def gain_tensor(g) -> tuple[np.ndarray, int]:
+    """c[x, a, y, b] = integer weight of (x, y) if (a, b) wins there, plus
+    the weights' denominator; int64 while it fits, Python ints past that."""
+    weights, denom = g.int_weights()
+    rows = g.win_rows()
+    c = np.array([[[[weights[x * g.y_size + y] * (rows[x][y][a] >> b & 1)
+                     for b in range(g.b_size)] for y in range(g.y_size)]
+                   for a in range(g.a_size)] for x in range(g.x_size)],
+                 dtype=np.int64 if denom < 2**63 else object)
+    return c, denom
+
+
+def _answer_scores(c: np.ndarray) -> np.ndarray:
+    """scores[i, y, b]: weight won when the questions on c's first axis get
+    the i-th answer table in lex order and y gets answer b."""
+    scores = np.zeros((1,) + c.shape[2:], dtype=c.dtype)
+    for cx in c:
+        scores = (scores[:, None] + cx).reshape((-1,) + c.shape[2:])
+    return scores
+
+
+def best_tables(c: np.ndarray) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Best (numerator, alice, bob) for the gain tensor ``c``.
+
+    Alice's table is the first maximizer in lex order (x = 0 most
+    significant) and bob's is the smallest best response per y.  The
+    trailing questions whose score table fits FOLD_CELLS are scored once;
+    each prefix of the leading questions, in lex order, then adds its (y, b)
+    vector to that table, so memory stays bounded for any game.
+    """
+    x_size, a_size, y_size, b_size = c.shape
+    split, cells = x_size, y_size * b_size
+    while split and cells * a_size <= FOLD_CELLS:
+        split, cells = split - 1, cells * a_size
+    suffix = _answer_scores(c[split:])
+    best = (-1, (), ())
+    for prefix in itertools.product(range(a_size), repeat=split):
+        scores = suffix + sum(c[x, a] for x, a in enumerate(prefix))
+        totals = scores.max(axis=2).sum(axis=1)
+        i = int(totals.argmax())  # first maximum: lex-smallest suffix
+        if totals[i] > best[0]:
+            best = (int(totals[i]),
+                    prefix + _index_to_tuple(i, a_size, x_size - split),
+                    tuple(scores[i].argmax(axis=1).tolist()))
+    return best
+
+
+def classical_value(g, budget: int = DEFAULT_PAIR_BUDGET
+                    ) -> tuple[Fraction, StrategyPair]:
     """Exact classical value with a lexicographically smallest witness.
 
-    Enumerates alice's answer tables; bob's best response is exact and
-    decomposes per question.  The witness tie-break is the smallest
-    (alice, bob) table pair.  ``chunks`` > 1 folds the alice index range
-    in pieces and merges, exercising the partitionable-reduction contract;
-    the result is identical for any chunking.
+    Scores every alice answer table with numpy (:func:`best_tables`); bob's
+    best response is exact and decomposes per question.  The witness
+    tie-break is the smallest (alice, bob) table pair.
 
     Raises BudgetExceededError when the strategy-pair count
     a_size**x_size * b_size**y_size exceeds ``budget``.
     """
-    pairs = g.a_size ** g.x_size * g.b_size ** g.y_size
-    if pairs > budget:
-        raise BudgetExceededError(pairs, budget, "strategy-pair enumeration")
-
-    weights, denom = g.int_weights()
-    rows = g.win_rows()
-    n_alice = g.a_size ** g.x_size
-
-    bounds = [n_alice * i // chunks for i in range(chunks + 1)]
-    best = None
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo == hi:
-            continue
-        part = _fold_alice_range(g, weights, rows, lo, hi)
-        best = part if best is None else _merge_best(best, part)
-    assert best is not None
-    num, alice, bob = best
+    check_budget(budget, "strategy-pair enumeration",
+                 lambda: (g.x_size * math.log2(g.a_size)
+                          + g.y_size * math.log2(g.b_size)),
+                 lambda: g.a_size ** g.x_size * g.b_size ** g.y_size)
+    c, denom = gain_tensor(g)
+    num, alice, bob = best_tables(c)
     return Fraction(num, denom), StrategyPair(alice, bob)
 
 

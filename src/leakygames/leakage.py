@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvalidInputError
-from .games import (DEFAULT_PAIR_BUDGET, StrategyPair, _index_to_tuple,
-                    classical_value)
+from .errors import InvalidInputError, check_budget
+from .games import (DEFAULT_PAIR_BUDGET, StrategyPair, _answer_scores,
+                    _index_to_tuple, best_tables, classical_value,
+                    gain_tensor)
 
 MAX_TOTAL_BITS = 30
 DEFAULT_LEAKY_BUDGET = 10**7
@@ -139,26 +141,11 @@ def leaky_strategy_value(g, m: LeakageModel, s: LeakyStrategy) -> Fraction:
     return total
 
 
-def _answer_scores(c: np.ndarray) -> np.ndarray:
-    """scores[i, y, b]: weight won when the questions on c's first axis get
-    the i-th answer table in lex order and y gets answer b."""
-    scores = np.zeros((1,) + c.shape[2:], dtype=c.dtype)
-    for cx in c:
-        scores = (scores[:, None] + cx).reshape((-1,) + c.shape[2:])
-    return scores
-
-
 def _blocks(g, ab: bool) -> tuple[list[tuple[int, list, list]], int]:
     """Per subset (bitmask) of the sender's questions: the best weight on the
     block, alice's lex-smallest optimal answers (0 off the block) and bob's
     smallest best responses; plus the weights' denominator."""
-    weights, denom = g.int_weights()
-    rows = g.win_rows()
-    # c[x, a, y, b] = weight of (x, y) if (a, b) wins; Python ints past int64
-    c = np.array([[[[weights[x * g.y_size + y] * (rows[x][y][a] >> b & 1)
-                     for b in range(g.b_size)] for y in range(g.y_size)]
-                   for a in range(g.a_size)] for x in range(g.x_size)],
-                 dtype=np.int64 if denom < 2**63 else object)
+    c, denom = gain_tensor(g)
     every_x = None if ab else _answer_scores(c)
     out = []
     for mask in range(1 << (g.x_size if ab else g.y_size)):
@@ -222,6 +209,17 @@ def leaky_enumeration_size(g, m: LeakageModel) -> int:
             + (g.y_size if ab else g.x_size) * msgs)
 
 
+def _log2_enumeration_size(g, m: LeakageModel) -> float:
+    """log2 of `leaky_enumeration_size`: exact for simultaneous, the subset
+    tables alone (a lower bound) for one-way."""
+    if m.kind is LeakageKind.SIMULTANEOUS:
+        return (g.x_size * m.bits_ab + g.y_size * m.bits_ba
+                + g.x_size * m.msgs_ba * math.log2(g.a_size))
+    if m.kind is LeakageKind.ONE_WAY_AB:
+        return g.x_size * math.log2(g.a_size + 1)
+    return g.x_size * math.log2(g.a_size) + g.y_size
+
+
 def _one_way_exact(g, m: LeakageModel) -> tuple[Fraction, LeakyStrategy]:
     ab = m.kind is LeakageKind.ONE_WAY_AB
     n, msgs = (g.x_size, m.msgs_ab) if ab else (g.y_size, m.msgs_ba)
@@ -245,6 +243,10 @@ def _one_way_exact(g, m: LeakageModel) -> tuple[Fraction, LeakyStrategy]:
         else LeakyStrategy(silent, labels, receiver, sender))
 
 
+def _rows(flat: tuple[int, ...], width: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(flat[i:i + width] for i in range(0, len(flat), width))
+
+
 def leaky_value_exact(g, m: LeakageModel,
                       budget: int = DEFAULT_LEAKY_BUDGET
                       ) -> tuple[Fraction, LeakyStrategy]:
@@ -256,55 +258,34 @@ def leaky_value_exact(g, m: LeakageModel,
     into at most 2^bits blocks, each its own classical game; a subset DP
     over partitions gives the value, and the first restricted-growth
     message string reaching it, with each block's lex-smallest optimal
-    answers (0 for unused labels), the witness.  Simultaneous: enumerates
-    (alice_msg, bob_msg, alice_ans) in lex order.
+    answers (0 for unused labels), the witness.  Simultaneous: each
+    (alice_msg, bob_msg) pair, in lex order, leaves a classical game whose
+    alice table is alice_ans flattened; :func:`best_tables` solves it.
     """
-    outer = leaky_enumeration_size(g, m)
-    if outer > budget:
-        raise BudgetExceededError(outer, budget, "leaky-strategy enumeration")
+    check_budget(budget, "leaky-strategy enumeration",
+                 lambda: _log2_enumeration_size(g, m),
+                 lambda: leaky_enumeration_size(g, m))
     if m.kind is not LeakageKind.SIMULTANEOUS:
         return _one_way_exact(g, m)
 
-    x_size, y_size, a_size, b_size = g.x_size, g.y_size, g.a_size, g.b_size
+    # Fixed message tables leave a classical game: alice answers
+    # (x, bob's message), bob answers (y, alice's message).
+    c, denom = gain_tensor(g)
     m1, m2 = m.msgs_ab, m.msgs_ba
-    weights, denom = g.int_weights()
-    rows = g.win_rows()
-
-    best_num = -1
-    best: LeakyStrategy | None = None
-    for alice_msg in itertools.product(range(m1), repeat=x_size):
-        # x-indices grouped by the message bob would receive
-        groups = [[x for x in range(x_size) if alice_msg[x] == v]
-                  for v in range(m1)]
-        for bob_msg in itertools.product(range(m2), repeat=y_size):
-            for flat in itertools.product(range(a_size), repeat=x_size * m2):
-                alice_ans = tuple(flat[x * m2:(x + 1) * m2]
-                                  for x in range(x_size))
-                total = 0
-                bob_ans = []
-                for y in range(y_size):
-                    row = []
-                    for v in range(m1):
-                        best_score = -1
-                        best_b = 0
-                        for b in range(b_size):
-                            score = 0
-                            for x in groups[v]:
-                                w = weights[x * y_size + y]
-                                if w and (rows[x][y][alice_ans[x][bob_msg[y]]]
-                                          >> b) & 1:
-                                    score += w
-                            if score > best_score:
-                                best_score = score
-                                best_b = b
-                        row.append(best_b)
-                        total += best_score
-                    bob_ans.append(tuple(row))
-                if total > best_num:
-                    best_num = total
-                    best = LeakyStrategy(alice_msg, bob_msg, alice_ans,
-                                         tuple(bob_ans))
-    assert best is not None
+    best_num, best = -1, None
+    for alice_msg in itertools.product(range(m1), repeat=g.x_size):
+        to_bob = np.equal.outer(alice_msg, range(m1))  # [x, bob hears]
+        for bob_msg in itertools.product(range(m2), repeat=g.y_size):
+            to_alice = np.equal.outer(range(m2), bob_msg)  # [alice hears, y]
+            eff = (c[:, None, :, :, None, :]
+                   * to_alice[None, :, None, :, None, None]
+                   * to_bob[:, None, None, None, :, None])
+            num, alice, bob = best_tables(eff.reshape(
+                g.x_size * m2, g.a_size, g.y_size * m1, g.b_size))
+            if num > best_num:
+                best_num = num
+                best = LeakyStrategy(alice_msg, bob_msg,
+                                     _rows(alice, m2), _rows(bob, m1))
     return Fraction(best_num, denom), best
 
 

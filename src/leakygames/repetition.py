@@ -4,7 +4,7 @@ A repeated game plays N independent copies at once and wins only when all
 coordinates win.  The product is represented implicitly through mixed-radix
 index tuples (first coordinate most significant), exposing the same
 evaluation interface as a plain Game so every exact solver works on it
-unchanged.  Tables are only materialized on request, under a memory cap.
+unchanged.  Weight and win tables are built under a memory cap.
 """
 
 from __future__ import annotations
@@ -14,19 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, InvalidInputError
-from .games import (DEFAULT_PAIR_BUDGET, Game, StrategyPair, classical_value,
-                    strategy_value)
+from .games import (DEFAULT_PAIR_BUDGET, Game, StrategyPair, _index_to_tuple,
+                    classical_value, strategy_value)
 from .leakage import (DEFAULT_LEAKY_BUDGET, LeakageModel, LeakyStrategy,
                       leaky_value_exact)
 
 DEFAULT_TABLE_CELLS = 10**7
-
-
-def _to_digits(index: int, radix: int, length: int) -> tuple[int, ...]:
-    digits = [0] * length
-    for pos in range(length - 1, -1, -1):
-        index, digits[pos] = divmod(index, radix)
-    return tuple(digits)
 
 
 def _from_digits(digits, radix: int) -> int:
@@ -70,10 +63,10 @@ class RepeatedGame:
     # index <-> coordinate tuples (first copy most significant)
 
     def x_coords(self, x: int) -> tuple[int, ...]:
-        return _to_digits(x, self.base.x_size, self.copies)
+        return _index_to_tuple(x, self.base.x_size, self.copies)
 
     def y_coords(self, y: int) -> tuple[int, ...]:
-        return _to_digits(y, self.base.y_size, self.copies)
+        return _index_to_tuple(y, self.base.y_size, self.copies)
 
     def a_index(self, coords) -> int:
         return _from_digits(coords, self.base.a_size)
@@ -88,8 +81,8 @@ class RepeatedGame:
         return out
 
     def wins(self, x: int, y: int, a: int, b: int) -> bool:
-        an = _to_digits(a, self.base.a_size, self.copies)
-        bn = _to_digits(b, self.base.b_size, self.copies)
+        an = _index_to_tuple(a, self.base.a_size, self.copies)
+        bn = _index_to_tuple(b, self.base.b_size, self.copies)
         return all(self.base.wins(xi, yi, ai, bi)
                    for xi, yi, ai, bi in zip(self.x_coords(x),
                                              self.y_coords(y), an, bn))
@@ -126,7 +119,7 @@ class RepeatedGame:
                 yc = self.y_coords(y)
                 per_a = []
                 for a in range(self.a_size):
-                    ac = _to_digits(a, self.base.a_size, self.copies)
+                    ac = _index_to_tuple(a, self.base.a_size, self.copies)
                     # combine least-significant coordinate first
                     mask, width = 1, 1
                     for xi, yi, ai in zip(reversed(xc), reversed(yc),
@@ -144,22 +137,6 @@ class RepeatedGame:
                 per_y.append(per_a)
             rows.append(per_y)
         return rows
-
-    def materialize(self, max_cells: int = DEFAULT_TABLE_CELLS) -> Game:
-        """Explicit product Game; value-equivalent to the implicit form."""
-        pred_cells = (self.x_size * self.y_size * self.a_size * self.b_size)
-        if pred_cells > max_cells:
-            raise BudgetExceededError(pred_cells, max_cells, "product table")
-        weights, denom = self.int_weights(max_cells)
-        dist = tuple(Fraction(w, denom) for w in weights)
-        bits = []
-        for x in range(self.x_size):
-            for y in range(self.y_size):
-                for a in range(self.a_size):
-                    for b in range(self.b_size):
-                        bits.append(1 if self.wins(x, y, a, b) else 0)
-        return Game(self.name, self.x_size, self.y_size, self.a_size,
-                    self.b_size, dist, tuple(bits))
 
 
 def repeat_game(g: Game, copies: int) -> RepeatedGame:

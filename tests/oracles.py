@@ -12,7 +12,10 @@ import itertools
 import math
 from fractions import Fraction
 
+from leakygames.errors import BudgetExceededError
+from leakygames.games import Game
 from leakygames.leakage import LeakageModel, LeakyStrategy
+from leakygames.repetition import DEFAULT_TABLE_CELLS
 
 
 def _weight_table(g):
@@ -24,6 +27,20 @@ def _weight_table(g):
                for x in range(g.x_size) for y in range(g.y_size)
                if ints[x * g.y_size + y]]
     return support, denom
+
+
+def materialize(rg, max_cells: int = DEFAULT_TABLE_CELLS) -> Game:
+    """Explicit product Game of a RepeatedGame, cell by cell from ``wins``."""
+    pred_cells = rg.x_size * rg.y_size * rg.a_size * rg.b_size
+    if pred_cells > max_cells:
+        raise BudgetExceededError(pred_cells, max_cells, "product table")
+    weights, denom = rg.int_weights(max_cells)
+    dist = tuple(Fraction(w, denom) for w in weights)
+    bits = tuple(int(rg.wins(x, y, a, b))
+                 for x in range(rg.x_size) for y in range(rg.y_size)
+                 for a in range(rg.a_size) for b in range(rg.b_size))
+    return Game(rg.name, rg.x_size, rg.y_size, rg.a_size, rg.b_size,
+                dist, bits)
 
 
 def naive_classical_value(g):

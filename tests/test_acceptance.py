@@ -56,7 +56,7 @@ def test_criterion_1_exact_values_with_oracles():
     rep_value, rep_witness = repeated_exact_value(rg)
     assert rep_value == Fraction(10, 16)
     oracle_rep, oracle_rep_pair = oracles.naive_classical_value(
-        rg.materialize())
+        oracles.materialize(rg))
     assert rep_value == oracle_rep
     assert (rep_witness.alice, rep_witness.bob) == oracle_rep_pair
 

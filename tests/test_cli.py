@@ -233,10 +233,33 @@ def test_budget_honored_everywhere(argv, tmp_path):
     ["cheat", LOWVAL_PATH, "--leak-bits", "12"],
     ["cheat", LOWVAL_PATH, "--leak-bits", "16"],
     ["cheat", LOWVAL_PATH, "--leak-bits", "24"],
+    ["repeat", CHSH_PATH, "-n", "30"],
+    ["leaky-value", CHSH_PATH, "--model", "simultaneous",
+     "--bits-ab", "0", "--bits-ba", "30"],
 ])
 def test_astronomical_requests_exit_budget(argv, capsys):
     # the required count is far past 64 bits: reported as a power of two
     assert main(argv) == EXIT_BUDGET
+    assert "needs about 2^" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["repeat", CHSH_PATH, "-n", "2000"],
+    ["cheat", LOWVAL_PATH, "--leak-bits", "2000"],
+])
+def test_requests_past_float_range_exit_budget(argv, capsys):
+    # log2 of the count no longer fits a float
+    assert main(argv) == EXIT_BUDGET
+    assert "needs more than 2^1024" in capsys.readouterr().err
+
+
+def test_astronomical_simultaneous_request_on_wider_game(tmp_path, capsys):
+    # 3^(3 * 2^30) alice answer tables: the guard must not build the count
+    game = tmp_path / "g.game"
+    game.write_text(save_game(
+        helpers.random_game_exact(random.Random(5), 3, 3, 3, 3)))
+    assert main(["leaky-value", str(game), "--model", "simultaneous",
+                 "--bits-ab", "0", "--bits-ba", "30"]) == EXIT_BUDGET
     assert "needs about 2^" in capsys.readouterr().err
 
 
@@ -257,3 +280,18 @@ def test_run_honors_budget(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main(["--budget", "3", "run", str(cfg)]) == EXIT_BUDGET
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": "x"}, {"seed": 1.5}, {"seed": True}, {"sessions": "abc"},
+    {"sessions": 2.5}, {"model": {"kind": "bogus"}}, {"model": {"kind": []}},
+    {"model": "one-way-ab"}, {"model": {"bits_ab": "1"}},
+    {"model": {"kind": "simultaneous", "bits_ba": 0.5}}, {"path": 3},
+])
+def test_run_rejects_malformed_config(change, tmp_path, capsys):
+    config = {"kind": "game", "path": CHSH_PATH, "behavior": "honest",
+              "sessions": 100, "seed": 4, **change}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg)]) == EXIT_INVALID
+    assert "error (invalid input)" in capsys.readouterr().err

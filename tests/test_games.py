@@ -9,6 +9,7 @@ import pytest
 
 import helpers
 import oracles
+from leakygames import games
 from leakygames.errors import BudgetExceededError, FormatError
 from leakygames.games import (Game, StrategyPair, chsh, classical_value,
                               load_game, make_game, merged_prover_value,
@@ -149,13 +150,20 @@ def test_classical_matches_naive_on_random_games():
         assert strategy_value(g, witness) == value
 
 
-def test_chunked_fold_matches_single_fold():
+def test_blocked_fold_matches_single_block(monkeypatch):
+    # a tiny cap splits the questions into a scored suffix and a walk over
+    # many prefixes; value and witness must not move
     rng = random.Random(3)
-    for _ in range(10):
-        g = helpers.random_game(rng, 2, 2, 3, 3)
-        reference = classical_value(g)
-        for chunks in (2, 3, 7):
-            assert classical_value(g, chunks=chunks) == reference
+    cases = [helpers.random_game_exact(rng, 4, 3, 3, 2) for _ in range(6)]
+    cases += [helpers.random_game(rng, 3, 3, 3, 3) for _ in range(6)]
+    reference = [classical_value(g) for g in cases]
+    for cap in (1, 40, 200):
+        monkeypatch.setattr(games, "FOLD_CELLS", cap)
+        for g, (value, witness) in zip(cases, reference):
+            assert classical_value(g) == (value, witness)
+            oracle_value, oracle_pair = oracles.naive_classical_value(g)
+            assert value == oracle_value
+            assert (witness.alice, witness.bob) == oracle_pair
 
 
 def test_value_ordering_invariants():

@@ -215,6 +215,19 @@ def test_one_way_dp_matches_generic_enumerator(shape, model, generic):
         assert leaky_value_exact(g, model) == leaky_value_exact(g, generic)
 
 
+@pytest.mark.parametrize("model", [
+    simultaneous(1, 0), simultaneous(0, 1), simultaneous(1, 1),
+])
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 2, 2, 2)])
+def test_simultaneous_fold_matches_naive_oracle(shape, model):
+    rng = random.Random(67)
+    for i in range(3):
+        g = (_zero_row_game(rng, *shape) if i == 2
+             else helpers.random_game_exact(rng, *shape))
+        assert leaky_value_exact(g, model) == \
+            oracles.naive_leaky_value(g, model)
+
+
 def test_one_way_dp_weights_past_int64():
     # a weight total of 2^64 + 10 cannot be summed in int64
     rng = random.Random(59)

@@ -9,6 +9,7 @@ import pytest
 
 import helpers
 import oracles
+from leakygames import games
 from leakygames.errors import BudgetExceededError, InvalidInputError
 from leakygames.games import (StrategyPair, chsh, classical_value, make_game,
                               strategy_value)
@@ -36,7 +37,8 @@ def test_chsh_two_copies_exact():
     value, witness = repeated_exact_value(rg)
     assert value == Fraction(10, 16)
     # independent full-pair scan on the materialized product
-    oracle_value, oracle_pair = oracles.naive_classical_value(rg.materialize())
+    oracle_value, oracle_pair = oracles.naive_classical_value(
+        oracles.materialize(rg))
     assert value == oracle_value
     assert (witness.alice, witness.bob) == oracle_pair
 
@@ -59,7 +61,7 @@ def test_implicit_matches_materialized():
     for _ in range(6):
         g = helpers.random_game(rng, 2, 2, 2, 2)
         rg = repeat_game(g, 2)
-        mat = rg.materialize()
+        mat = oracles.materialize(rg)
         assert rg.int_weights() == mat.int_weights()
         for _ in range(5):
             pair = StrategyPair(
@@ -184,15 +186,31 @@ def test_leaky_exact_on_implicit_product():
     from leakygames.leakage import leaky_value_exact
     rg = repeat_game(chsh(), 2)
     implicit = leaky_value_exact(rg, one_way_ab(1), budget=10**7)
-    explicit = leaky_value_exact(rg.materialize(), one_way_ab(1),
+    explicit = leaky_value_exact(oracles.materialize(rg), one_way_ab(1),
                                  budget=10**7)
     assert implicit == explicit
+
+
+@pytest.mark.parametrize("cap", [None, 4, 16])
+def test_repeated_weights_past_int64(cap, monkeypatch):
+    # the squared denominator (2^40 + 3)^2 passes 2^63, so the fold runs on
+    # Python ints; small caps walk it in several prefix blocks
+    if cap is not None:
+        monkeypatch.setattr(games, "FOLD_CELLS", cap)
+    base = helpers.random_game_exact(random.Random(61), 2, 1, 2, 2)
+    rg = repeat_game(make_game("heavy", 2, 1, 2, 2, [2**40, 3], base.wins), 2)
+    assert rg.int_weights()[1] >= 2**63
+    value, witness = repeated_exact_value(rg)
+    oracle_value, oracle_pair = oracles.naive_classical_value(
+        oracles.materialize(rg))
+    assert value == oracle_value
+    assert (witness.alice, witness.bob) == oracle_pair
 
 
 def test_materialize_and_table_guards():
     rg = repeat_game(chsh(), 2)
     with pytest.raises(BudgetExceededError):
-        rg.materialize(max_cells=100)
+        oracles.materialize(rg, max_cells=100)
     # degenerate wide-question product: strategy space is trivial but the
     # weight table itself is over budget
     wide = make_game("wide", 3, 3, 1, 1, [1] * 9, lambda *_: True)
