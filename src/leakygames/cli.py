@@ -103,7 +103,7 @@ def parse_fraction(text: str) -> Fraction:
 def _read_file(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad utf-8, NUL byte
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
 
 
@@ -298,9 +298,10 @@ def _behaviors_for_run(config: dict, target, model, budget):
 
 
 def cmd_run(args) -> int:
+    text = _read_file(args.config)
     try:
-        config = json.loads(_read_file(args.config))
-    except json.JSONDecodeError as exc:
+        config = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ints past 4300 digits too
         raise InvalidInputError(f"bad config json: {exc}") from None
     if not isinstance(config, dict):
         raise InvalidInputError("config must be a json object")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (BudgetExceededError, FormatError, GeneratorCapError,
                      InvalidInputError, check_budget)
-from .games import Game, make_game
+from .games import Game, _content_lines, make_game
 
 DEFAULT_ASSIGNMENT_BUDGET = 10**7
 DEFAULT_CHEAT_BUDGET = 10**8
@@ -462,11 +462,7 @@ def _parse_int(no: int, tok: str, what: str) -> int:
 
 def load_instance(text: str) -> CspInstance | LabelCover:
     """Parse a CSP file; returns a LabelCover when an ``lc`` line is present."""
-    lines = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((no, line))
+    lines = _content_lines(text)
     if not lines:
         raise FormatError(1, "empty csp file")
 

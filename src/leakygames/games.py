@@ -71,31 +71,27 @@ class Game:
         idx = ((x * self.y_size + y) * self.a_size + a) * self.b_size + b
         return self.pred[idx] == 1
 
-    def int_weights(self) -> tuple[list[int], int]:
-        """Question weights as integers plus their common denominator.
+    def int_weights(self) -> tuple[np.ndarray, int]:
+        """Question weights as an [X, Y] integer matrix plus their common
+        denominator (int64 while it fits, Python ints past that).
 
         The denominator equals the weight total, so value numerators from
         the solvers divide by it exactly.
         """
         denom = math.lcm(*(w.denominator for w in self.dist))
-        return [int(w * denom) for w in self.dist], denom
+        weights = np.array([int(w * denom) for w in self.dist],
+                           dtype=_int_dtype(denom))
+        return weights.reshape(self.x_size, self.y_size), denom
 
-    def win_rows(self) -> list[list[list[int]]]:
-        """rows[x][y][a] = bitmask over b of winning answers."""
-        rows = []
-        for x in range(self.x_size):
-            per_y = []
-            for y in range(self.y_size):
-                per_a = []
-                for a in range(self.a_size):
-                    mask = 0
-                    for b in range(self.b_size):
-                        if self.wins(x, y, a, b):
-                            mask |= 1 << b
-                    per_a.append(mask)
-                per_y.append(per_a)
-            rows.append(per_y)
-        return rows
+    def win_rows(self) -> np.ndarray:
+        """wins[x, y, a, b]: the acceptance predicate as a bool tensor."""
+        return np.array(self.pred, dtype=bool).reshape(
+            self.x_size, self.y_size, self.a_size, self.b_size)
+
+
+def _int_dtype(bound: int):
+    """int64 for integers up to ``bound`` while it fits, Python ints past."""
+    return np.int64 if bound < 2**63 else object
 
 
 @dataclass(frozen=True)
@@ -132,16 +128,9 @@ def merged_prover_value(g) -> Fraction:
     This is sum over (x,y) of pi(x,y) * max_{a,b} V(a,b|x,y): the ceiling
     for any bounded-leakage value once the leaked bits cover the question.
     """
-    total = Fraction(0)
-    for x in range(g.x_size):
-        for y in range(g.y_size):
-            w = g.weight(x, y)
-            if not w:
-                continue
-            if any(g.wins(x, y, a, b)
-                   for a in range(g.a_size) for b in range(g.b_size)):
-                total += w
-    return total
+    weights, denom = g.int_weights()
+    return Fraction(int((weights * g.win_rows().any(axis=(2, 3))).sum()),
+                    denom)
 
 
 def _index_to_tuple(index: int, radix: int, length: int) -> tuple[int, ...]:
@@ -155,12 +144,8 @@ def gain_tensor(g) -> tuple[np.ndarray, int]:
     """c[x, a, y, b] = integer weight of (x, y) if (a, b) wins there, plus
     the weights' denominator; int64 while it fits, Python ints past that."""
     weights, denom = g.int_weights()
-    rows = g.win_rows()
-    c = np.array([[[[weights[x * g.y_size + y] * (rows[x][y][a] >> b & 1)
-                     for b in range(g.b_size)] for y in range(g.y_size)]
-                   for a in range(g.a_size)] for x in range(g.x_size)],
-                 dtype=np.int64 if denom < 2**63 else object)
-    return c, denom
+    wins = g.win_rows().transpose(0, 2, 1, 3)
+    return weights[:, None, :, None] * wins, denom
 
 
 def _answer_scores(c: np.ndarray) -> np.ndarray:
@@ -172,29 +157,34 @@ def _answer_scores(c: np.ndarray) -> np.ndarray:
     return scores
 
 
-def best_tables(c: np.ndarray) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Best (numerator, alice, bob) for the gain tensor ``c``.
+def best_tables(c: np.ndarray, y_sets=(slice(None),)
+                ) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Best (numerator, alice, bob) for the gain tensor ``c``, counting only
+    the questions y in each of ``y_sets`` (index lists; default all of Y).
 
     Alice's table is the first maximizer in lex order (x = 0 most
-    significant) and bob's is the smallest best response per y.  The
-    trailing questions whose score table fits FOLD_CELLS are scored once;
-    each prefix of the leading questions, in lex order, then adds its (y, b)
-    vector to that table, so memory stays bounded for any game.
+    significant) and bob's is the smallest best response per y, over all
+    of Y.  The trailing questions whose score table fits FOLD_CELLS are
+    scored once; each prefix of the leading questions, in lex order, then
+    adds its (y, b) vector to that table, so memory stays bounded for any
+    game.
     """
     x_size, a_size, y_size, b_size = c.shape
     split, cells = x_size, y_size * b_size
     while split and cells * a_size <= FOLD_CELLS:
         split, cells = split - 1, cells * a_size
     suffix = _answer_scores(c[split:])
-    best = (-1, (), ())
+    best = [(-1, (), ())] * len(y_sets)
     for prefix in itertools.product(range(a_size), repeat=split):
         scores = suffix + sum(c[x, a] for x, a in enumerate(prefix))
-        totals = scores.max(axis=2).sum(axis=1)
-        i = int(totals.argmax())  # first maximum: lex-smallest suffix
-        if totals[i] > best[0]:
-            best = (int(totals[i]),
-                    prefix + _index_to_tuple(i, a_size, x_size - split),
-                    tuple(scores[i].argmax(axis=1).tolist()))
+        per_y = scores.max(axis=2)
+        for k, ys in enumerate(y_sets):
+            totals = per_y[:, ys].sum(axis=1)
+            i = int(totals.argmax())  # first maximum: lex-smallest suffix
+            if totals[i] > best[k][0]:
+                best[k] = (int(totals[i]),
+                           prefix + _index_to_tuple(i, a_size, x_size - split),
+                           tuple(scores[i].argmax(axis=1).tolist()))
     return best
 
 
@@ -214,7 +204,7 @@ def classical_value(g, budget: int = DEFAULT_PAIR_BUDGET
                           + g.y_size * math.log2(g.b_size)),
                  lambda: g.a_size ** g.x_size * g.b_size ** g.y_size)
     c, denom = gain_tensor(g)
-    num, alice, bob = best_tables(c)
+    num, alice, bob = best_tables(c)[0]
     return Fraction(num, denom), StrategyPair(alice, bob)
 
 

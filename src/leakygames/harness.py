@@ -15,10 +15,12 @@ master seed and the session index) and reproducible across platforms.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from bisect import bisect_right
+from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
@@ -289,6 +291,14 @@ class Transcript:
 
 def instance_id(target) -> str:
     """Stable identifier: name plus hash of the canonical serialization."""
+    if not isinstance(target, Hashable):
+        raise InvalidInputError(f"cannot identify {type(target).__name__}")
+    return _serialized_id(target)
+
+
+@functools.lru_cache(maxsize=16)
+def _serialized_id(target) -> str:
+    # cached per target: every session and every replay asks for it
     if isinstance(target, CspInstance):
         name, body = "csp", save_csp(target)
     elif isinstance(target, LabelCover):
@@ -316,17 +326,10 @@ def _check_answer(value, size: int, what: str) -> int:
 def _game_support(g) -> tuple[list[tuple[int, int]], list[int], int]:
     """Support cells, cumulative integer weights, and the weight total."""
     weights, total = g.int_weights()
-    cells = []
-    cums = []
-    acc = 0
-    for x in range(g.x_size):
-        for y in range(g.y_size):
-            w = weights[x * g.y_size + y]
-            if w:
-                cells.append((x, y))
-                acc += w
-                cums.append(acc)
-    return cells, cums, total
+    support = np.flatnonzero(weights)
+    xs, ys = np.divmod(support, g.y_size)
+    cums = np.cumsum(weights.ravel()[support]).tolist()  # Python ints
+    return list(zip(xs.tolist(), ys.tolist())), cums, total
 
 
 def _play_game(g, behaviors, model: LeakageModel, x: int, y: int):

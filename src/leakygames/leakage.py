@@ -22,9 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError, check_budget
-from .games import (DEFAULT_PAIR_BUDGET, StrategyPair, _answer_scores,
-                    _index_to_tuple, best_tables, classical_value,
-                    gain_tensor)
+from .games import (DEFAULT_PAIR_BUDGET, StrategyPair, best_tables,
+                    classical_value, gain_tensor)
 
 MAX_TOTAL_BITS = 30
 DEFAULT_LEAKY_BUDGET = 10**7
@@ -141,22 +140,21 @@ def leaky_strategy_value(g, m: LeakageModel, s: LeakyStrategy) -> Fraction:
     return total
 
 
-def _blocks(g, ab: bool) -> tuple[list[tuple[int, list, list]], int]:
+def _blocks(g, ab: bool) -> tuple[list[tuple[int, tuple, tuple]], int]:
     """Per subset (bitmask) of the sender's questions: the best weight on the
     block, alice's lex-smallest optimal answers (0 off the block) and bob's
     smallest best responses; plus the weights' denominator."""
     c, denom = gain_tensor(g)
-    every_x = None if ab else _answer_scores(c)
+    n = g.x_size if ab else g.y_size
+    subsets = [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
+    if not ab:  # one fold over alice's tables scores every subset of Y
+        return best_tables(c, subsets), denom
     out = []
-    for mask in range(1 << (g.x_size if ab else g.y_size)):
-        block = [i for i in range(mask.bit_length()) if mask >> i & 1]
-        xs, ys = (block, range(g.y_size)) if ab else (range(g.x_size), block)
-        scores = _answer_scores(c[xs]) if ab else every_x
-        totals = scores[:, ys].max(axis=2).sum(axis=1)
-        i = int(totals.argmax())  # first maximum: lex-smallest table
-        alice = dict(zip(xs, _index_to_tuple(i, g.a_size, len(xs))))
-        out.append((int(totals[i]), [alice.get(x, 0) for x in range(g.x_size)],
-                    scores[i].argmax(axis=1).tolist()))
+    for xs in subsets:
+        num, alice, bob = best_tables(c[xs])[0]
+        on_block = dict(zip(xs, alice))
+        out.append((num, tuple(on_block.get(x, 0) for x in range(g.x_size)),
+                    bob))
     return out, denom
 
 
@@ -281,7 +279,7 @@ def leaky_value_exact(g, m: LeakageModel,
                    * to_alice[None, :, None, :, None, None]
                    * to_bob[:, None, None, None, :, None])
             num, alice, bob = best_tables(eff.reshape(
-                g.x_size * m2, g.a_size, g.y_size * m1, g.b_size))
+                g.x_size * m2, g.a_size, g.y_size * m1, g.b_size))[0]
             if num > best_num:
                 best_num = num
                 best = LeakyStrategy(alice_msg, bob_msg,

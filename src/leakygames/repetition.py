@@ -4,7 +4,8 @@ A repeated game plays N independent copies at once and wins only when all
 coordinates win.  The product is represented implicitly through mixed-radix
 index tuples (first coordinate most significant), exposing the same
 evaluation interface as a plain Game so every exact solver works on it
-unchanged.  Weight and win tables are built under a memory cap.
+unchanged.  Its weight and win tables are outer powers of the base game's
+tables, built under a cell cap.
 """
 
 from __future__ import annotations
@@ -13,20 +14,27 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetExceededError, InvalidInputError
 from .games import (DEFAULT_PAIR_BUDGET, Game, StrategyPair, _index_to_tuple,
-                    classical_value, strategy_value)
+                    _int_dtype, classical_value, strategy_value)
 from .leakage import (DEFAULT_LEAKY_BUDGET, LeakageModel, LeakyStrategy,
                       leaky_value_exact)
 
 DEFAULT_TABLE_CELLS = 10**7
 
 
-def _from_digits(digits, radix: int) -> int:
-    index = 0
-    for d in digits:
-        index = index * radix + d
-    return index
+def _outer_power(table: np.ndarray, copies: int) -> np.ndarray:
+    """``table`` tensored with itself ``copies`` times: every axis of size n
+    becomes one of size n**copies, the first copy its most significant
+    digit, and entries multiply (logical and for bool tables)."""
+    out = table
+    for _ in range(copies - 1):
+        out = np.multiply.outer(out, table)
+    d = table.ndim
+    out = out.transpose([c * d + k for k in range(d) for c in range(copies)])
+    return out.reshape([n ** copies for n in table.shape])
 
 
 @dataclass(frozen=True)
@@ -60,83 +68,37 @@ class RepeatedGame:
     def b_size(self) -> int:
         return self.base.b_size ** self.copies
 
-    # index <-> coordinate tuples (first copy most significant)
-
-    def x_coords(self, x: int) -> tuple[int, ...]:
-        return _index_to_tuple(x, self.base.x_size, self.copies)
-
-    def y_coords(self, y: int) -> tuple[int, ...]:
-        return _index_to_tuple(y, self.base.y_size, self.copies)
-
-    def a_index(self, coords) -> int:
-        return _from_digits(coords, self.base.a_size)
-
-    def b_index(self, coords) -> int:
-        return _from_digits(coords, self.base.b_size)
-
     def weight(self, x: int, y: int) -> Fraction:
         out = Fraction(1)
-        for xi, yi in zip(self.x_coords(x), self.y_coords(y)):
+        for xi, yi in zip(_index_to_tuple(x, self.base.x_size, self.copies),
+                          _index_to_tuple(y, self.base.y_size, self.copies)):
             out *= self.base.weight(xi, yi)
         return out
 
     def wins(self, x: int, y: int, a: int, b: int) -> bool:
-        an = _index_to_tuple(a, self.base.a_size, self.copies)
-        bn = _index_to_tuple(b, self.base.b_size, self.copies)
-        return all(self.base.wins(xi, yi, ai, bi)
-                   for xi, yi, ai, bi in zip(self.x_coords(x),
-                                             self.y_coords(y), an, bn))
+        coords = (_index_to_tuple(x, self.base.x_size, self.copies),
+                  _index_to_tuple(y, self.base.y_size, self.copies),
+                  _index_to_tuple(a, self.base.a_size, self.copies),
+                  _index_to_tuple(b, self.base.b_size, self.copies))
+        return all(self.base.wins(*cell) for cell in zip(*coords))
 
-    def int_weights(self, max_cells: int = DEFAULT_TABLE_CELLS
-                    ) -> tuple[list[int], int]:
+    def int_weights(self) -> tuple[np.ndarray, int]:
+        """[X, Y] weights: the outer power of the base game's weights."""
         cells = self.x_size * self.y_size
-        if cells > max_cells:
-            raise BudgetExceededError(cells, max_cells, "weight table")
+        if cells > DEFAULT_TABLE_CELLS:
+            raise BudgetExceededError(cells, DEFAULT_TABLE_CELLS,
+                                      "weight table")
         base_w, base_denom = self.base.int_weights()
-        ys = self.base.y_size
-        weights = []
-        for x in range(self.x_size):
-            xc = self.x_coords(x)
-            for y in range(self.y_size):
-                w = 1
-                for xi, yi in zip(xc, self.y_coords(y)):
-                    w *= base_w[xi * ys + yi]
-                weights.append(w)
-        return weights, base_denom ** self.copies
+        denom = base_denom ** self.copies
+        return _outer_power(base_w.astype(_int_dtype(denom)),
+                            self.copies), denom
 
-    def win_rows(self, max_cells: int = DEFAULT_TABLE_CELLS):
-        """rows[x][y][a] = bitmask over b; tensor of the base masks."""
-        cells = self.x_size * self.y_size * self.a_size
-        if cells > max_cells:
-            raise BudgetExceededError(cells, max_cells, "predicate table")
-        base_rows = self.base.win_rows()
-        bs = self.base.b_size
-        rows = []
-        for x in range(self.x_size):
-            xc = self.x_coords(x)
-            per_y = []
-            for y in range(self.y_size):
-                yc = self.y_coords(y)
-                per_a = []
-                for a in range(self.a_size):
-                    ac = _index_to_tuple(a, self.base.a_size, self.copies)
-                    # combine least-significant coordinate first
-                    mask, width = 1, 1
-                    for xi, yi, ai in zip(reversed(xc), reversed(yc),
-                                          reversed(ac)):
-                        m = base_rows[xi][yi][ai]
-                        new = 0
-                        for bi in range(bs):
-                            if (m >> bi) & 1:
-                                new |= mask << (bi * width)
-                        mask = new
-                        width *= bs
-                        if not mask:
-                            break
-                    per_a.append(mask)
-                per_y.append(per_a)
-            rows.append(per_y)
-        return rows
+    def win_rows(self) -> np.ndarray:
+        """[X, Y, A, B] bool wins: the outer power of the base game's."""
+        cells = self.x_size * self.y_size * self.a_size * self.b_size
+        if cells > DEFAULT_TABLE_CELLS:
+            raise BudgetExceededError(cells, DEFAULT_TABLE_CELLS, "win table")
+        return _outer_power(self.base.win_rows(), self.copies)
 
 
 def repeat_game(g: Game, copies: int) -> RepeatedGame:

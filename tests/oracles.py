@@ -34,8 +34,8 @@ def materialize(rg, max_cells: int = DEFAULT_TABLE_CELLS) -> Game:
     pred_cells = rg.x_size * rg.y_size * rg.a_size * rg.b_size
     if pred_cells > max_cells:
         raise BudgetExceededError(pred_cells, max_cells, "product table")
-    weights, denom = rg.int_weights(max_cells)
-    dist = tuple(Fraction(w, denom) for w in weights)
+    dist = tuple(rg.weight(x, y)
+                 for x in range(rg.x_size) for y in range(rg.y_size))
     bits = tuple(int(rg.wins(x, y, a, b))
                  for x in range(rg.x_size) for y in range(rg.y_size)
                  for a in range(rg.a_size) for b in range(rg.b_size))

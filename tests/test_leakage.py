@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import helpers
 import oracles
+from leakygames import games
 from leakygames.errors import BudgetExceededError, InvalidInputError
 from leakygames.games import (StrategyPair, chsh, classical_value, make_game,
                               merged_prover_value, strategy_value)
@@ -226,6 +228,33 @@ def test_simultaneous_fold_matches_naive_oracle(shape, model):
              else helpers.random_game_exact(rng, *shape))
         assert leaky_value_exact(g, model) == \
             oracles.naive_leaky_value(g, model)
+
+
+@pytest.mark.parametrize("cells", [1, 40])
+@pytest.mark.parametrize("model", [one_way_ab(1), one_way_ba(1)])
+def test_one_way_blocks_match_naive_oracle(model, cells, monkeypatch):
+    # small fold caps walk alice's tables in several blocks (every table its
+    # own block at 1), so the first strict maximum must carry across blocks
+    monkeypatch.setattr(games, "FOLD_CELLS", cells)
+    rng = random.Random(71)
+    for i in range(4):
+        g = (_zero_row_game(rng, 4, 2, 2, 2) if i % 2
+             else helpers.random_game_exact(rng, 4, 2, 2, 2))
+        assert leaky_value_exact(g, model) == \
+            oracles.naive_leaky_value(g, model)
+
+
+def test_one_way_ba_memory_is_bounded():
+    # 3^13 alice tables: scoring them all at once peaked near 100 MB
+    g = helpers.random_game_exact(random.Random(5), 13, 1, 3, 3)
+    tracemalloc.start()
+    try:
+        value, _ = leaky_value_exact(g, one_way_ba(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert value == classical_value(g)[0]  # one y: the bit tells alice nothing
 
 
 def test_one_way_dp_weights_past_int64():

@@ -9,7 +9,7 @@ import pytest
 
 import helpers
 import oracles
-from leakygames import games
+from leakygames import games, repetition
 from leakygames.errors import BudgetExceededError, InvalidInputError
 from leakygames.games import (StrategyPair, chsh, classical_value, make_game,
                               strategy_value)
@@ -48,21 +48,15 @@ def test_trivial_predicates_repeat():
     assert repeated_exact_value(repeat_game(ZEROS, 2))[0] == 0
 
 
-def test_index_tuple_round_trip():
-    rg = repeat_game(chsh(), 3)
-    for x in (0, 3, 5, 7):
-        coords = rg.x_coords(x)
-        assert len(coords) == 3
-        assert rg.a_index(coords) == x  # a_size == x_size for chsh
-
-
 def test_implicit_matches_materialized():
     rng = random.Random(13)
     for _ in range(6):
         g = helpers.random_game(rng, 2, 2, 2, 2)
         rg = repeat_game(g, 2)
         mat = oracles.materialize(rg)
-        assert rg.int_weights() == mat.int_weights()
+        (w1, d1), (w2, d2) = rg.int_weights(), mat.int_weights()
+        assert (w1 == w2).all() and d1 == d2
+        assert (rg.win_rows() == mat.win_rows()).all()
         for _ in range(5):
             pair = StrategyPair(
                 tuple(rng.randrange(rg.a_size) for _ in range(rg.x_size)),
@@ -168,18 +162,24 @@ def test_product_strategy_all_ones_base():
 
 
 def test_win_rows_match_direct_predicate():
+    # the dense tables against the implicit per-coordinate reference, for
+    # plain games and 1-3 copies; random_game_exact draws zero weights
     rng = random.Random(59)
-    g = helpers.random_game_exact(rng, 2, 2, 2, 2)
-    rg = repeat_game(g, 2)
-    rows = rg.win_rows()
-    for x in range(rg.x_size):
-        for y in range(rg.y_size):
-            for a in range(rg.a_size):
-                direct = 0
-                for b in range(rg.b_size):
-                    if rg.wins(x, y, a, b):
-                        direct |= 1 << b
-                assert rows[x][y][a] == direct
+    for shape in ((2, 2, 2, 2), (2, 3, 3, 2), (3, 1, 1, 2)):
+        g = helpers.random_game_exact(rng, *shape)
+        for target in (g, *(repeat_game(g, n) for n in (1, 2, 3))):
+            wins = target.win_rows()
+            assert wins.dtype == bool
+            assert wins.tolist() == [
+                [[[target.wins(x, y, a, b) for b in range(target.b_size)]
+                  for a in range(target.a_size)]
+                 for y in range(target.y_size)]
+                for x in range(target.x_size)]
+            weights, denom = target.int_weights()
+            assert [[Fraction(w, denom) for w in row]
+                    for row in weights.tolist()] == [
+                [target.weight(x, y) for y in range(target.y_size)]
+                for x in range(target.x_size)]
 
 
 def test_leaky_exact_on_implicit_product():
@@ -217,6 +217,20 @@ def test_materialize_and_table_guards():
     big = repeat_game(wide, 12)
     with pytest.raises(BudgetExceededError):
         big.int_weights()
+
+
+def test_win_table_guard_counts_answers_before_building(monkeypatch):
+    # X*Y*A = 1 cell, but X*Y*A*B = 16^6 cells pass the cap: the guard must
+    # count bob's answers too, and raise before the outer products run
+    def refuse(*_args):
+        raise AssertionError("table built past the guard")
+
+    monkeypatch.setattr(repetition, "_outer_power", refuse)
+    g = make_game("answers", 1, 1, 1, 16, [1], lambda *_: True)
+    rg = repeat_game(g, 6)
+    assert rg.b_size > repetition.DEFAULT_TABLE_CELLS
+    with pytest.raises(BudgetExceededError, match="win table"):
+        rg.win_rows()
 
 
 def test_params_for_game():
