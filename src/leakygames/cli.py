@@ -119,8 +119,10 @@ def _load_game(path: str) -> games.Game:
     return games.load_game(_read_file(path))
 
 
-def _load_csp(path: str) -> csp_mod.CspInstance | csp_mod.LabelCover:
-    return csp_mod.load_instance(_read_file(path))
+def _load_csp(path: str) -> csp_mod.CspInstance:
+    """A CSP file as an instance; a label cover as its k=2 embedding."""
+    inst = csp_mod.load_instance(_read_file(path))
+    return inst.to_csp() if isinstance(inst, csp_mod.LabelCover) else inst
 
 
 def _build_model(args) -> leakage.LeakageModel:
@@ -232,8 +234,7 @@ def cmd_repeat(args) -> int:
 
 
 def cmd_csp_val(args) -> int:
-    loaded = _load_csp(args.csp)
-    c = loaded.to_csp() if isinstance(loaded, csp_mod.LabelCover) else loaded
+    c = _load_csp(args.csp)
     budget = args.budget or csp_mod.DEFAULT_ASSIGNMENT_BUDGET
     if args.local_search:
         value, witness = csp_mod.csp_value_local_search(
@@ -251,8 +252,7 @@ def cmd_csp_val(args) -> int:
 
 
 def cmd_cheat(args) -> int:
-    loaded = _load_csp(args.csp)
-    c = loaded.to_csp() if isinstance(loaded, csp_mod.LabelCover) else loaded
+    c = _load_csp(args.csp)
     budget = args.budget or csp_mod.DEFAULT_CHEAT_BUDGET
     value, profile = csp_mod.optimal_cheat(c, args.leak_bits, budget)
     cap = 1 - Fraction(1, 2 * c.arity)
@@ -321,9 +321,7 @@ def cmd_run(args) -> int:
     if config["kind"] == "game":
         target = games.load_game(_read_file(config["path"]))
     elif config["kind"] == "csp":
-        loaded = csp_mod.load_instance(_read_file(config["path"]))
-        target = (loaded.to_csp()
-                  if isinstance(loaded, csp_mod.LabelCover) else loaded)
+        target = _load_csp(config["path"])
     else:
         raise InvalidInputError("config kind must be 'game' or 'csp'")
     seed = _config_int(config.get("seed", args.seed), "seed")

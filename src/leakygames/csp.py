@@ -17,13 +17,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .errors import (BudgetExceededError, FormatError, GeneratorCapError,
                      InvalidInputError, check_budget)
-from .games import Game, _content_lines, make_game
+from .games import Game, _content_lines, _index_to_tuple, make_game
 
 DEFAULT_ASSIGNMENT_BUDGET = 10**7
 DEFAULT_CHEAT_BUDGET = 10**8
@@ -40,10 +39,6 @@ class Constraint:
 
     scope: tuple[int, ...]
     allowed: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def allowed_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.allowed)
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,7 @@ class CspInstance:
     def satisfied_count(self, assignment: tuple[int, ...]) -> int:
         count = 0
         for con in self.constraints:
-            if tuple(assignment[v] for v in con.scope) in con.allowed_set:
+            if tuple(assignment[v] for v in con.scope) in con.allowed:
                 count += 1
         return count
 
@@ -133,6 +128,45 @@ class LabelCover:
                            2, tuple(cons))
 
 
+# The exact solvers compare the values an assignment puts on each scope with
+# every allowed tuple: the agreeing positions are the cheating score, and k
+# of them satisfy the constraint.  No alphabet**arity table is ever built.
+AGREEMENT_CELLS = 2**20  # cells of one block's [rows, m, T_max, k] compare
+
+
+def _agreement(c: CspInstance):
+    """(agree, T_max): agree maps assignment rows [r, num_vars] to
+    [r, m, T_max], the positions where constraint e's t-th allowed tuple
+    agrees with row r (-1 past the end of e's allowed tuples)."""
+    sizes = [len(con.allowed) for con in c.constraints]
+    t_max = max(1, *sizes)
+    allowed = np.array([con.allowed + ((0,) * c.arity,) * (t_max - size)
+                        for con, size in zip(c.constraints, sizes)])
+    valid = np.arange(t_max) < np.array(sizes)[:, None]
+    scopes = np.array([con.scope for con in c.constraints])
+
+    def agree(rows: np.ndarray) -> np.ndarray:
+        same = rows[:, scopes][:, :, None, :] == allowed  # [r, m, T_max, k]
+        return np.where(valid, same.sum(axis=3), -1)
+    return agree, t_max
+
+
+def _agreement_blocks(c: CspInstance):
+    """Yield (start, satisfied, agreement), each [rows, m], per block of
+    assignments in ``itertools.product`` order: whether assignment start + r
+    satisfies e, and the most positions any allowed tuple of e agrees on."""
+    agree, t_max = _agreement(c)
+    n = c.alphabet_size ** c.num_vars
+    rows = max(1, AGREEMENT_CELLS // (len(c.constraints) * t_max * c.arity))
+    for start in range(0, n, rows):
+        index = np.arange(start, min(n, start + rows))
+        digits = np.empty((len(index), c.num_vars), dtype=np.int64)
+        for v in range(c.num_vars - 1, -1, -1):  # the first most significant
+            index, digits[:, v] = np.divmod(index, c.alphabet_size)
+        best = agree(digits).max(axis=2)
+        yield start, best == c.arity, np.maximum(best, 0)
+
+
 def csp_value_exact(c: CspInstance,
                     budget: int = DEFAULT_ASSIGNMENT_BUDGET
                     ) -> tuple[Fraction, tuple[int, ...]]:
@@ -140,15 +174,14 @@ def csp_value_exact(c: CspInstance,
     check_budget(budget, "assignment enumeration",
                  lambda: c.num_vars * math.log2(c.alphabet_size),
                  lambda: c.alphabet_size ** c.num_vars)
-    best = -1
-    witness: tuple[int, ...] = ()
-    for assignment in itertools.product(range(c.alphabet_size),
-                                        repeat=c.num_vars):
-        sat = c.satisfied_count(assignment)
-        if sat > best:
-            best = sat
-            witness = assignment
-    return Fraction(best, len(c.constraints)), witness
+    best, witness = -1, 0
+    for start, satisfied, _ in _agreement_blocks(c):
+        counts = satisfied.sum(axis=1)
+        i = int(counts.argmax())  # first maximum: lex-smallest in the block
+        if counts[i] > best:
+            best, witness = int(counts[i]), start + i
+    return (Fraction(best, len(c.constraints)),
+            _index_to_tuple(witness, c.alphabet_size, c.num_vars))
 
 
 def csp_value_local_search(c: CspInstance, seed: int, restarts: int = 10
@@ -161,31 +194,24 @@ def csp_value_local_search(c: CspInstance, seed: int, restarts: int = 10
     its value is always a valid lower bound.
     """
     rng = random.Random(seed)
-    best_sat = -1
-    best: tuple[int, ...] = ()
+    agree, _ = _agreement(c)
+    best_sat, best = -1, ()
     for _ in range(max(1, restarts)):
-        current = [rng.randrange(c.alphabet_size) for _ in range(c.num_vars)]
-        sat = c.satisfied_count(tuple(current))
+        current = np.array([rng.randrange(c.alphabet_size)
+                            for _ in range(c.num_vars)])
         improved = True
         while improved:
             improved = False
             for var in range(c.num_vars):
-                original = current[var]
-                local_best, local_val = sat, original
-                for val in range(c.alphabet_size):
-                    if val == original:
-                        continue
-                    current[var] = val
-                    s = c.satisfied_count(tuple(current))
-                    if s > local_best:
-                        local_best, local_val = s, val
-                current[var] = local_val
-                if local_best > sat:
-                    sat = local_best
-                    improved = True
+                trials = np.repeat(current[None], c.alphabet_size, axis=0)
+                trials[:, var] = np.arange(c.alphabet_size)
+                counts = (agree(trials).max(axis=2) == c.arity).sum(axis=1)
+                val = int(counts.argmax())  # smallest best value
+                if counts[val] > counts[current[var]]:
+                    current[var], improved = val, True
+        sat = c.satisfied_count(tuple(current.tolist()))
         if sat > best_sat:
-            best_sat = sat
-            best = tuple(current)
+            best_sat, best = sat, tuple(current.tolist())
     return Fraction(best_sat, len(c.constraints)), best
 
 
@@ -324,21 +350,6 @@ class CheatProfile:
                 raise InvalidInputError("assignment value out of range")
 
 
-def _agreement_score(con: Constraint, assignment: tuple[int, ...]) -> int:
-    """Best over satisfying tuples of positions agreeing with assignment.
-
-    0 when no tuple satisfies the constraint (the verifier then always
-    rejects, whatever the first prover answers).
-    """
-    best = 0
-    for t in con.allowed:
-        agree = sum(1 for pos, var in enumerate(con.scope)
-                    if t[pos] == assignment[var])
-        if agree > best:
-            best = agree
-    return best
-
-
 def best_response(c: CspInstance, profile: CheatProfile
                   ) -> list[tuple[int, tuple[int, ...], int]]:
     """First prover's optimal per-constraint (message, tuple, agreement).
@@ -348,18 +359,15 @@ def best_response(c: CspInstance, profile: CheatProfile
     the all-zero tuple, and agreement 0.
     """
     profile.check_shapes(c)
+    agree = _agreement(c)[0](np.array(profile.assignments))
+    # per constraint, (message, tuple) pairs in lex order: message major
+    per_con = agree.transpose(1, 0, 2).reshape(len(c.constraints), -1)
     out = []
-    for con in c.constraints:
-        best = (-1, 0, (0,) * c.arity)
-        for m, assignment in enumerate(profile.assignments):
-            for t in con.allowed:
-                agree = sum(1 for pos, var in enumerate(con.scope)
-                            if t[pos] == assignment[var])
-                if agree > best[0]:
-                    best = (agree, m, t)
-        if best[0] < 0:
-            best = (0, 0, (0,) * c.arity)
-        out.append((best[1], best[2], best[0]))
+    for con, row in zip(c.constraints, per_con):
+        pick = int(row.argmax())  # first maximum
+        message, t = divmod(pick, agree.shape[2])
+        out.append((message, con.allowed[t], int(row[pick])) if con.allowed
+                   else (0, (0,) * c.arity, 0))
     return out
 
 
@@ -369,22 +377,19 @@ def cheat_acceptance(c: CspInstance, profile: CheatProfile) -> Fraction:
     return Fraction(total, c.arity * len(c.constraints))
 
 
-def _score_matrix(c: CspInstance) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """All assignments (lex order) and their per-constraint agreement scores."""
-    assignments = list(itertools.product(range(c.alphabet_size),
-                                         repeat=c.num_vars))
-    scores = np.zeros((len(assignments), len(c.constraints)), dtype=np.int64)
-    for e, con in enumerate(c.constraints):
-        # score depends only on the assignment's restriction to the scope
-        cache: dict[tuple[int, ...], int] = {}
-        for i, assignment in enumerate(assignments):
-            key = tuple(assignment[v] for v in con.scope)
-            score = cache.get(key)
-            if score is None:
-                score = _agreement_score(con, assignment)
-                cache[key] = score
-            scores[i, e] = score
-    return assignments, scores
+def _score_matrix(c: CspInstance) -> np.ndarray:
+    """scores[i, e]: agreement of the i-th assignment (lex order) with
+    constraint e's best satisfying tuple (0 when e has none)."""
+    return np.concatenate([agr for _, _, agr in _agreement_blocks(c)])
+
+
+def _log2_tuples(n: float, slots: float) -> float:
+    """log2 C(n + slots - 1, slots), nondecreasing slots-tuples over n items;
+    at least k*log2((n+slots-1)/k), k = min(slots, n-1), if lgamma cancels."""
+    k = min(slots, n - 1)
+    exact = (math.lgamma(n + slots) - math.lgamma(slots + 1)
+             - math.lgamma(n)) / math.log(2)
+    return max(exact, k * math.log2((n + slots - 1) / max(k, 1)))
 
 
 def optimal_cheat(c: CspInstance, leak_bits: int,
@@ -393,48 +398,52 @@ def optimal_cheat(c: CspInstance, leak_bits: int,
     """Exact max acceptance over all 2^leak_bits-tuples of assignments.
 
     The witness profile is the lexicographically smallest maximizer (an
-    ordered tuple of assignments, one per message value).  Profiles are
-    scanned in lexicographic order with the per-constraint maxima carried
-    down the prefix tree and the innermost slot vectorized, so the cost is
-    one array pass per profile prefix rather than per profile.
+    ordered tuple of assignments, one per message value).  Slots are
+    interchangeable, so a sorted maximizer is no larger in lex order: only
+    nondecreasing index tuples are scanned, in lex order, with per-constraint
+    maxima carried down the prefix tree and the last slot vectorized.  A
+    prefix ending at index i is pruned when the maxima over it and every
+    assignment from i on cannot beat the best total.
     """
     if leak_bits < 0:
         raise InvalidInputError("leak_bits must be non-negative")
-    slots = 1 << leak_bits
     check_budget(budget, "cheat-profile enumeration",
-                 lambda: slots * c.num_vars * math.log2(c.alphabet_size),
-                 lambda: c.alphabet_size ** (c.num_vars * slots))
-    n_assignments = c.alphabet_size ** c.num_vars
-    cells = n_assignments * len(c.constraints)
+                 lambda: _log2_tuples(float(c.alphabet_size) ** c.num_vars,
+                                      2.0 ** leak_bits),
+                 lambda: math.comb(c.alphabet_size ** c.num_vars
+                                   + (1 << leak_bits) - 1, 1 << leak_bits))
+    slots, n = 1 << leak_bits, c.alphabet_size ** c.num_vars
+    cells = n * len(c.constraints)
     if cells > 5 * 10**7:
         raise BudgetExceededError(cells, 5 * 10**7, "cheat score table")
 
-    assignments, scores = _score_matrix(c)
-    denom = c.arity * len(c.constraints)
-
-    best_total = -1
-    best_idx: tuple[int, ...] = ()
-
-    def scan(prefix: tuple[int, ...], prefix_max: np.ndarray | None) -> None:
-        nonlocal best_total, best_idx
-        if len(prefix) == slots - 1:
-            combined = (scores if prefix_max is None
-                        else np.maximum(prefix_max, scores))
-            sums = combined.sum(axis=1)
-            last = int(np.argmax(sums))  # first occurrence: lex-smallest
-            total = int(sums[last])
-            if total > best_total:
-                best_total = total
-                best_idx = prefix + (last,)
-            return
-        for i in range(n_assignments):
-            child = (scores[i] if prefix_max is None
-                     else np.maximum(prefix_max, scores[i]))
-            scan(prefix + (i,), child)
-
-    scan((), None)
-    profile = CheatProfile(tuple(assignments[i] for i in best_idx))
-    return Fraction(best_total, denom), profile
+    scores = _score_matrix(c)
+    suffix_max = np.maximum.accumulate(scores[::-1])[::-1]
+    best_total, best = -1, []
+    idx = [0] * slots
+    maxes = [np.zeros(len(c.constraints), dtype=scores.dtype)] * slots
+    depth, i = 0, 0  # idx[:depth] is fixed; i is the candidate for slot depth
+    while True:
+        if depth == slots - 1:  # every last index from i on, at once
+            sums = np.maximum(maxes[depth], scores[i:]).sum(axis=1)
+            last = int(sums.argmax())  # first maximum: lex-smallest
+            if sums[last] > best_total:
+                best_total, best = int(sums[last]), idx[:depth] + [i + last]
+        if depth == slots - 1 or i == n:
+            depth -= 1
+            if depth < 0:
+                break
+            i = idx[depth] + 1
+            continue
+        child = np.maximum(maxes[depth], scores[i])
+        if np.maximum(child, suffix_max[i]).sum() > best_total:
+            idx[depth], maxes[depth + 1] = i, child
+            depth += 1  # the next slot starts at i: tuples are nondecreasing
+        else:
+            i += 1
+    profile = CheatProfile(tuple(
+        _index_to_tuple(j, c.alphabet_size, c.num_vars) for j in best))
+    return Fraction(best_total, c.arity * len(c.constraints)), profile
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,11 @@ class Game:
         return np.array(self.pred, dtype=bool).reshape(
             self.x_size, self.y_size, self.a_size, self.b_size)
 
+    def float_sizes(self) -> tuple[float, float, float, float]:
+        """(X, Y, A, B) as floats, for budget guards."""
+        return (float(self.x_size), float(self.y_size),
+                float(self.a_size), float(self.b_size))
+
 
 def _int_dtype(bound: int):
     """int64 for integers up to ``bound`` while it fits, Python ints past."""
@@ -199,9 +204,11 @@ def classical_value(g, budget: int = DEFAULT_PAIR_BUDGET
     Raises BudgetExceededError when the strategy-pair count
     a_size**x_size * b_size**y_size exceeds ``budget``.
     """
-    check_budget(budget, "strategy-pair enumeration",
-                 lambda: (g.x_size * math.log2(g.a_size)
-                          + g.y_size * math.log2(g.b_size)),
+    def log2_pairs():
+        x, y, a, b = g.float_sizes()
+        return x * math.log2(a) + y * math.log2(b)
+
+    check_budget(budget, "strategy-pair enumeration", log2_pairs,
                  lambda: g.a_size ** g.x_size * g.b_size ** g.y_size)
     c, denom = gain_tensor(g)
     num, alice, bob = best_tables(c)[0]

@@ -21,18 +21,20 @@ import json
 import math
 from bisect import bisect_right
 from collections.abc import Hashable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
 import numpy as np
 
 from .csp import CheatProfile, CspInstance, LabelCover, best_response, save_csp, save_label_cover
-from .errors import InvalidInputError
+from .errors import BudgetExceededError, InvalidInputError
 from .games import Game, StrategyPair, save_game
 from .leakage import LeakageKind, LeakageModel, LeakyStrategy
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
+SESSION_CAP = 10**9     # most sessions estimate_acceptance samples
+SESSION_CHUNK = 2**20   # sessions per numpy chunk (a few 8-byte arrays)
 
 
 class MalformedBehaviorError(InvalidInputError):
@@ -270,22 +272,9 @@ class Transcript:
     verdict: bool
 
     def to_json(self) -> str:
-        doc = {
-            "seed": self.seed,
-            "instance": self.instance,
-            "protocol": self.protocol,
-            "question_first": self.question_first,
-            "question_second": self.question_second,
-            "position": self.position,
-            "leaks": [[e.direction, e.payload] for e in self.leaks],
-            "rejected": [[e.direction, e.payload] for e in self.rejected],
-            "answer_first": (list(self.answer_first)
-                             if isinstance(self.answer_first, tuple)
-                             else self.answer_first),
-            "answer_second": self.answer_second,
-            "overflow": self.overflow,
-            "verdict": self.verdict,
-        }
+        doc = asdict(self)
+        for key in ("leaks", "rejected"):
+            doc[key] = [[e.direction, e.payload] for e in getattr(self, key)]
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -374,7 +363,7 @@ def _play_csp(c: CspInstance, behaviors, model: LeakageModel,
     label = _check_answer(second.answer_rule(var, delivered or ""),
                           c.alphabet_size, "second answer")
     verdict = ((not channel.overflowed)
-               and tup in con.allowed_set and tup[pos] == label)
+               and tup in con.allowed and tup[pos] == label)
     return tup, label, channel, verdict
 
 
@@ -414,7 +403,7 @@ def replay_verify(t: Transcript, target) -> bool:
             f"transcript is for {t.instance}, got {instance_id(target)}")
     if t.protocol == "csp":
         con = target.constraints[t.question_first]
-        fresh = (t.answer_first in con.allowed_set
+        fresh = (t.answer_first in con.allowed
                  and t.answer_first[t.position] == t.answer_second)
     else:
         fresh = target.wins(t.question_first, t.question_second,
@@ -448,20 +437,7 @@ class ExperimentRecord:
         return Fraction(self.accepted, self.sessions)
 
     def to_json(self) -> str:
-        doc = {
-            "sessions": self.sessions,
-            "accepted": self.accepted,
-            "estimate": self.estimate,
-            "half_width": self.half_width,
-            "config": self.config,
-            "master_seed": self.master_seed,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def _half_width(accepted: int, sessions: int) -> float:
-    p = accepted / sessions
-    return Z_99 * math.sqrt(p * (1.0 - p) / sessions)
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
 def estimate_acceptance(target, behaviors, model: LeakageModel,
@@ -471,65 +447,67 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
 
     Session i is keyed by ``session_seed(master_seed, i)`` and samples its
     questions exactly as :func:`run_session` does.  Because behaviors are
-    deterministic, the verdict per question cell is fixed, so the fast path
-    precomputes the verdict for every support cell once and vector-samples
-    the cells; it is draw-for-draw identical to running scalar sessions.
+    deterministic, the verdict per question cell is computed once and
+    sessions only sample cells: with numpy in chunks of SESSION_CHUNK on
+    the fast path, draw-for-draw identical to scalar sessions.  Counts
+    above SESSION_CAP are refused before anything is allocated.
     """
     if sessions < 1:
         raise InvalidInputError("sessions must be >= 1")
+    if sessions > SESSION_CAP:
+        raise BudgetExceededError(sessions, SESSION_CAP, "session sampling")
 
     if isinstance(target, CspInstance):
-        m = len(target.constraints)
-        k = target.arity
-        verdicts = np.zeros((m, k), dtype=bool)
-        for e in range(m):
-            for pos in range(k):
-                verdicts[e, pos] = _play_csp(target, behaviors, model,
-                                             e, pos)[3]
-        config = {"protocol": "csp", "instance": instance_id(target),
-                  "model": model.kind.value, "bits_ab": model.bits_ab,
-                  "bits_ba": model.bits_ba, "sessions": sessions}
-        if fast:
-            seeds = _session_seeds_np(master_seed, sessions)
-            counters = np.zeros(sessions, dtype=np.uint64)
-            es = _below_np(seeds, counters, m).astype(np.int64)
-            ps = _below_np(seeds, counters, k).astype(np.int64)
-            accepted = int(verdicts[es, ps].sum())
-        else:
-            accepted = 0
-            for i in range(sessions):
-                stream = SplitMixStream(session_seed(master_seed, i))
-                e = stream.below(m)
-                pos = stream.below(k)
-                accepted += bool(verdicts[e, pos])
+        protocol, m, k = "csp", len(target.constraints), target.arity
+        verdicts = np.array([_play_csp(target, behaviors, model, e, pos)[3]
+                             for e in range(m) for pos in range(k)],
+                            dtype=bool)
+        vector = True
+
+        def cells_np(seeds, counters):  # constraint first, then position
+            return (_below_np(seeds, counters, m) * np.uint64(k)
+                    + _below_np(seeds, counters, k))
+
+        def cell(stream):
+            return stream.below(m) * k + stream.below(k)
     else:
-        cells, cums, total = _game_support(target)
+        support, cums, total = _game_support(target)
+        protocol = "game"
         verdicts = np.array(
             [_play_game(target, behaviors, model, x, y)[3]
-             for x, y in cells], dtype=bool)
-        config = {"protocol": "game", "instance": instance_id(target),
-                  "model": model.kind.value, "bits_ab": model.bits_ab,
-                  "bits_ba": model.bits_ba, "sessions": sessions}
-        if fast and total < (1 << 63):
-            seeds = _session_seeds_np(master_seed, sessions)
-            counters = np.zeros(sessions, dtype=np.uint64)
-            rs = _below_np(seeds, counters, total)
-            idx = np.searchsorted(np.array(cums, dtype=np.uint64), rs,
-                                  side="right")
-            accepted = int(verdicts[idx].sum())
-        else:
-            accepted = 0
-            for i in range(sessions):
-                stream = SplitMixStream(session_seed(master_seed, i))
-                r = stream.below(total)
-                accepted += bool(verdicts[bisect_right(cums, r)])
+             for x, y in support], dtype=bool)
+        vector = total < (1 << 63)
+        if vector:
+            bounds = np.array(cums, dtype=np.uint64)
 
-    return ExperimentRecord(sessions, accepted, accepted / sessions,
-                            _half_width(accepted, sessions), config,
-                            master_seed)
+        def cells_np(seeds, counters):
+            return np.searchsorted(bounds, _below_np(seeds, counters, total),
+                                   side="right")
+
+        def cell(stream):
+            return bisect_right(cums, stream.below(total))
+
+    if fast and vector:
+        accepted = 0
+        for start in range(0, sessions, SESSION_CHUNK):
+            seeds = _session_seeds_np(master_seed, start,
+                                      min(sessions, start + SESSION_CHUNK))
+            counters = np.zeros(len(seeds), dtype=np.uint64)
+            accepted += int(verdicts[cells_np(seeds, counters)].sum())
+    else:
+        accepted = sum(
+            bool(verdicts[cell(SplitMixStream(session_seed(master_seed, i)))])
+            for i in range(sessions))
+    config = {"protocol": protocol, "instance": instance_id(target),
+              "model": model.kind.value, "bits_ab": model.bits_ab,
+              "bits_ba": model.bits_ba, "sessions": sessions}
+    p = accepted / sessions
+    return ExperimentRecord(sessions, accepted, p,
+                            Z_99 * math.sqrt(p * (1.0 - p) / sessions),
+                            config, master_seed)
 
 
-def _session_seeds_np(master_seed: int, sessions: int) -> np.ndarray:
-    indices = np.arange(sessions, dtype=np.uint64)
-    master = np.full(sessions, master_seed & _MASK64, dtype=np.uint64)
-    return _splitmix64_np(master, indices)
+def _session_seeds_np(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """session_seed(master_seed, i) for i in [start, stop)."""
+    return _splitmix64_np(np.uint64(master_seed & _MASK64),
+                          np.arange(start, stop, dtype=np.uint64))

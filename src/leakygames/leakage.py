@@ -210,12 +210,13 @@ def leaky_enumeration_size(g, m: LeakageModel) -> int:
 def _log2_enumeration_size(g, m: LeakageModel) -> float:
     """log2 of `leaky_enumeration_size`: exact for simultaneous, the subset
     tables alone (a lower bound) for one-way."""
+    x, y, a, _ = g.float_sizes()
     if m.kind is LeakageKind.SIMULTANEOUS:
-        return (g.x_size * m.bits_ab + g.y_size * m.bits_ba
-                + g.x_size * m.msgs_ba * math.log2(g.a_size))
+        return (x * m.bits_ab + y * m.bits_ba
+                + x * m.msgs_ba * math.log2(a))
     if m.kind is LeakageKind.ONE_WAY_AB:
-        return g.x_size * math.log2(g.a_size + 1)
-    return g.x_size * math.log2(g.a_size) + g.y_size
+        return x * math.log2(a + 1)
+    return x * math.log2(a) + y
 
 
 def _one_way_exact(g, m: LeakageModel) -> tuple[Fraction, LeakyStrategy]:

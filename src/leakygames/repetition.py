@@ -68,6 +68,11 @@ class RepeatedGame:
     def b_size(self) -> int:
         return self.base.b_size ** self.copies
 
+    def float_sizes(self) -> tuple[float, float, float, float]:
+        """(X, Y, A, B) as floats, never built as ints: OverflowError
+        past float range."""
+        return tuple(n ** self.copies for n in self.base.float_sizes())
+
     def weight(self, x: int, y: int) -> Fraction:
         out = Fraction(1)
         for xi, yi in zip(_index_to_tuple(x, self.base.x_size, self.copies),

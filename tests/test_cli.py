@@ -253,6 +253,21 @@ def test_requests_past_float_range_exit_budget(argv, capsys):
     assert "needs more than 2^1024" in capsys.readouterr().err
 
 
+def test_repeat_guard_builds_no_sizes():
+    # 2^(10^9) questions per side: the guard compares float sizes, and
+    # never builds the integer sizes of the repeated game
+    assert main(["repeat", CHSH_PATH, "-n", "1000000000"]) == EXIT_BUDGET
+
+
+def test_run_refuses_sessions_past_cap(tmp_path, capsys):
+    config = {"kind": "game", "path": CHSH_PATH, "behavior": "honest",
+              "sessions": 10**12, "seed": 4}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg)]) == EXIT_BUDGET
+    assert "session sampling" in capsys.readouterr().err
+
+
 def test_astronomical_simultaneous_request_on_wider_game(tmp_path, capsys):
     # 3^(3 * 2^30) alice answer tables: the guard must not build the count
     game = tmp_path / "g.game"

@@ -4,6 +4,7 @@ cheating under one-way leakage."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 
 import helpers
 import oracles
+from leakygames import csp
 from leakygames.csp import (CheatProfile, Constraint, CspInstance, LabelCover,
                             best_response, cheat_acceptance, consistency_game,
                             csp_value_exact, csp_value_local_search,
@@ -56,6 +58,47 @@ def test_value_triangle():
     oracle_value, oracle_witness = oracles.naive_csp_value(TRIANGLE)
     assert value == oracle_value
     assert witness == oracle_witness
+
+
+def test_value_blocks_match_naive_oracle(monkeypatch):
+    # tiny block caps split the assignments into many blocks; values and
+    # lex-smallest witnesses must match the plain scan
+    rng = random.Random(23)
+    cases = [helpers.satisfiable_csp(rng, num_vars=5, alphabet=3,
+                                     arity=k, num_constraints=7)[0]
+             for k in (1, 2, 3)]
+    cases += [CspInstance(4, 2, 3, tuple(make_constraint(
+        (rng.randrange(4), rng.randrange(2), 1),
+        rng.sample(list(itertools.product(range(2), repeat=3)),
+                   rng.randrange(3))) for _ in range(6)))
+        for _ in range(3)]
+    for cap in (1, 7):
+        monkeypatch.setattr(csp, "AGREEMENT_CELLS", cap)
+        for c in cases:
+            assert csp_value_exact(c) == oracles.naive_csp_value(c)
+
+
+def test_wide_repeated_scope_builds_no_tuple_table():
+    # arity 30 over alphabet 10: 10^30 possible tuples, but one variable,
+    # so 10 assignments are all the solvers compare
+    allowed = [(d,) * 30 for d in (3, 7)] + [(1,) * 29 + (2,)]
+    c = CspInstance(1, 10, 30, (make_constraint((0,) * 30, allowed),
+                                make_constraint((0,) * 30, [(7,) * 30])))
+    assert csp_value_exact(c) == (1, (7,))
+    assert optimal_cheat(c, 0) == (1, CheatProfile(((7,),)))
+    value, profile = optimal_cheat(c, 1)
+    assert value == 1 and profile.assignments == ((0,), (7,))
+    assert best_response(c, profile) == [(1, (7,) * 30, 30),
+                                         (1, (7,) * 30, 30)]
+
+
+def test_single_letter_alphabet_over_many_variables():
+    # one assignment of 100 variables: more digits than numpy has axes
+    c = CspInstance(100, 1, 2, (make_constraint((0, 99), [(0, 0)]),
+                                make_constraint((5, 6), [])))
+    assert csp_value_exact(c) == (Fraction(1, 2), (0,) * 100)
+    value, profile = optimal_cheat(c, 3)  # C(1 + 8 - 1, 8) = 1 profile
+    assert value == Fraction(1, 2) and profile.assignments == ((0,) * 100,) * 8
 
 
 def test_value_empty_allowed_sets():
@@ -215,7 +258,7 @@ def test_best_response_reproduces_acceptance():
     for (msg, tup, _), con in zip(response, c.constraints):
         assert msg in (0, 1)
         if con.allowed:
-            assert tup in con.allowed_set
+            assert tup in con.allowed
 
 
 def test_optimal_cheat_satisfiable_instance():
@@ -284,12 +327,73 @@ def test_optimal_cheat_pair_scan_matches_plain_pair_loop():
         assert value == best
         assert profile.leak_bits == 1
         assert cheat_acceptance(c, profile) == best
+        assert profile.assignments == best_pair
+
+
+@pytest.mark.parametrize("alphabet", [2, 3])
+def test_optimal_cheat_leak2_matches_every_ordered_tuple(alphabet):
+    # the nondecreasing pruned scan against every ordered 4-tuple of
+    # assignments: same value, same (lex-first) maximizer
+    rng = random.Random(43 + alphabet)
+    # 2 variables and arity 2: assignments and tuples are the same pairs
+    pairs = list(itertools.product(range(alphabet), repeat=2))
+    for _ in range(2):
+        cons = tuple(make_constraint(
+            (rng.randrange(2), rng.randrange(2)),
+            rng.sample(pairs, rng.randrange(3))) for _ in range(5))
+        c = CspInstance(2, alphabet, 2, cons)
+        best, best_profile = Fraction(-1), None
+        for profile in itertools.product(pairs, repeat=4):
+            acc = cheat_acceptance(c, CheatProfile(profile))
+            if acc > best:
+                best, best_profile = acc, profile
+        value, profile = optimal_cheat(c, 2)
+        assert value == best
+        assert profile.assignments == best_profile
+
+
+def test_optimal_cheat_witness_on_mixed_instances():
+    # arity 1-4 with repeated scope variables and empty allowed sets: the
+    # pruned scan keeps the lex-first maximizer over all ordered pairs
+    rng = random.Random(47)
+    for _ in range(40):
+        nv, alphabet = rng.randint(1, 3), rng.randint(1, 2)
+        k = rng.randint(1, 4)
+        space = list(itertools.product(range(alphabet), repeat=k))
+        c = CspInstance(nv, alphabet, k, tuple(make_constraint(
+            [rng.randrange(nv) for _ in range(k)],
+            rng.sample(space, min(len(space), rng.choice([0, 1, 2, 3]))))
+            for _ in range(rng.randint(1, 6))))
+        assignments = list(itertools.product(range(alphabet), repeat=nv))
+        best, best_pair = Fraction(-1), None
+        for pair in itertools.product(assignments, repeat=2):
+            acc = cheat_acceptance(c, CheatProfile(pair))
+            if acc > best:
+                best, best_pair = acc, pair
+        assert optimal_cheat(c, 1) == (best, CheatProfile(best_pair))
 
 
 def test_optimal_cheat_budget():
+    # the scan visits nondecreasing 4-tuples of the 2^8 assignments
     c, _ = helpers.satisfiable_csp(random.Random(5), num_vars=8)
     with pytest.raises(BudgetExceededError):
         optimal_cheat(c, 2, budget=1000)
+    with pytest.raises(BudgetExceededError) as err:
+        optimal_cheat(c, 2, budget=10**8)  # near the count: built exactly
+    assert err.value.required == math.comb(256 + 3, 4)
+    # exactly at the count the scan runs: C(4 + 3, 4) = 35 on 2 binary vars
+    small = CspInstance(2, 2, 2, (make_constraint((0, 1), NE),))
+    assert optimal_cheat(small, 2, budget=35)[0] == 1
+    with pytest.raises(BudgetExceededError):
+        optimal_cheat(small, 2, budget=34)
+
+
+def test_optimal_cheat_budget_guard_builds_no_huge_count():
+    # 2^1000 assignments and 2^900 slots: lgamma alone cancels to garbage
+    # here; the guard must still refuse without calling math.comb
+    c = CspInstance(1000, 2, 2, (make_constraint((0, 1), NE),))
+    with pytest.raises(BudgetExceededError, match="about 2"):
+        optimal_cheat(c, 900)
 
 
 def test_profile_validation():

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import helpers
+from leakygames import harness
 from leakygames.csp import (CheatProfile, cheat_acceptance, csp_value_exact,
                             optimal_cheat)
-from leakygames.errors import InvalidInputError
+from leakygames.errors import BudgetExceededError, InvalidInputError
 from leakygames.games import StrategyPair, chsh, classical_value
 from leakygames.harness import (ChannelEvent, ExperimentRecord,
                                 IdentifierMismatchError,
@@ -243,6 +244,27 @@ def test_estimator_fast_matches_scalar_csp():
     slow = estimate_acceptance(c, behaviors, one_way_ab(1), 2000, 11,
                                fast=False)
     assert fast == slow
+
+
+def test_estimator_chunks_match_one_chunk(monkeypatch):
+    # sessions sampled in many small chunks draw exactly as in one chunk
+    behaviors = best_chsh_behaviors()
+    c, _ = helpers.satisfiable_csp(random.Random(6))
+    csp_behaviors = behaviors_from_cheat_profile(c, optimal_cheat(c, 1)[1])
+    cases = [(chsh(), behaviors, NO_LEAK),
+             (c, csp_behaviors, one_way_ab(1))]
+    reference = [estimate_acceptance(t, b, m, 2500, 17) for t, b, m in cases]
+    for chunk in (1, 7, 1000):
+        monkeypatch.setattr(harness, "SESSION_CHUNK", chunk)
+        for (target, behav, model), record in zip(cases, reference):
+            assert estimate_acceptance(target, behav, model, 2500,
+                                       17) == record
+
+
+def test_estimator_refuses_sessions_past_cap():
+    with pytest.raises(BudgetExceededError):
+        estimate_acceptance(chsh(), best_chsh_behaviors(), NO_LEAK,
+                            harness.SESSION_CAP + 1, 3)
 
 
 def test_estimator_matches_sessions_exactly():

@@ -108,6 +108,26 @@ def test_budget_guard():
         repeated_exact_value(rg, budget=10**8)
 
 
+def test_size_guards_build_no_sizes(monkeypatch):
+    # float sizes agree with the integer ones; the guards read only them,
+    # so a billion copies are refused without building 2^(10^9)
+    g = helpers.random_game_exact(random.Random(4), 2, 3, 2, 3)
+    for copies in (1, 2, 3):
+        rg = repeat_game(g, copies)
+        assert rg.float_sizes() == (float(rg.x_size), float(rg.y_size),
+                                    float(rg.a_size), float(rg.b_size))
+    for name in ("x_size", "y_size", "a_size", "b_size"):
+        monkeypatch.setattr(repetition.RepeatedGame, name, property(
+            lambda _: pytest.fail("guard built a size")))
+    huge = repeat_game(chsh(), 10**9)
+    with pytest.raises(BudgetExceededError):
+        classical_value(huge)
+    # the leaky solve and the product's classical value are both refused,
+    # so the experiment falls back to 2^bits times the base value
+    result = leaky_repetition_experiment(chsh(), 10**9, one_way_ab(1))
+    assert not result.exact and result.value == 1
+
+
 def test_bound_params_validation():
     with pytest.raises(InvalidInputError):
         RepetitionBoundParams(epsilon=0.0, s=3)
