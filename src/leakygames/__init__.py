@@ -20,7 +20,6 @@ from .leakage import (LeakageKind, LeakageModel, LeakyStrategy,
                       one_way_ba, simultaneous)
 from .repetition import (RepeatedGame, RepetitionBoundParams,
                          leaky_repetition_experiment, repeat_game,
-                         repeated_exact_value, repetition_bound,
-                         repetition_bound_curve, product_strategy_value)
+                         repeated_exact_value, repetition_bound)
 
 __version__ = "0.1.0"

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (BudgetExceededError, FormatError, GeneratorCapError,
-                     InvalidInputError, check_budget)
+from .errors import (RUN_FALLBACK, BudgetExceededError, FormatError,
+                     GeneratorCapError, InvalidInputError, check_budget)
 from .games import Game, _content_lines, _index_to_tuple, make_game
 
 DEFAULT_ASSIGNMENT_BUDGET = 10**7
@@ -173,7 +173,8 @@ def csp_value_exact(c: CspInstance,
     """Max satisfied-constraint fraction, exact, with lex-smallest witness."""
     check_budget(budget, "assignment enumeration",
                  lambda: c.num_vars * math.log2(c.alphabet_size),
-                 lambda: c.alphabet_size ** c.num_vars)
+                 lambda: c.alphabet_size ** c.num_vars,
+                 "csp_value_local_search")
     best, witness = -1, 0
     for start, satisfied, _ in _agreement_blocks(c):
         counts = satisfied.sum(axis=1)
@@ -411,11 +412,13 @@ def optimal_cheat(c: CspInstance, leak_bits: int,
                  lambda: _log2_tuples(float(c.alphabet_size) ** c.num_vars,
                                       2.0 ** leak_bits),
                  lambda: math.comb(c.alphabet_size ** c.num_vars
-                                   + (1 << leak_bits) - 1, 1 << leak_bits))
+                                   + (1 << leak_bits) - 1, 1 << leak_bits),
+                 RUN_FALLBACK)
     slots, n = 1 << leak_bits, c.alphabet_size ** c.num_vars
     cells = n * len(c.constraints)
     if cells > 5 * 10**7:
-        raise BudgetExceededError(cells, 5 * 10**7, "cheat score table")
+        raise BudgetExceededError(cells, 5 * 10**7, "cheat score table",
+                                  fallback=RUN_FALLBACK)
 
     scores = _score_matrix(c)
     suffix_max = np.maximum.accumulate(scores[::-1])[::-1]

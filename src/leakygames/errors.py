@@ -22,27 +22,37 @@ class FormatError(InvalidInputError):
         self.line_no = line_no
 
 
+# The fallback named by guards whose only cheaper route is sampling.
+RUN_FALLBACK = "the Monte Carlo `run` harness"
+
+
 class BudgetExceededError(RuntimeError):
     """An exact enumeration would exceed the configured budget.
 
-    Callers can retry with a larger budget, or fall back to Monte Carlo /
-    upper-bound methods.  A count too large to build comes as its log2.
+    Callers can retry with a larger budget, or use ``fallback`` when the
+    guard names one.  A count too large to build comes as its log2.
     """
 
     def __init__(self, required: int | None, budget: int,
                  what: str = "enumeration",
-                 log2_required: float | None = None):
+                 log2_required: float | None = None,
+                 fallback: str | None = None):
         if log2_required is None and required.bit_length() > 64:
             log2_required = required.bit_length() - 1
         shown = (required if log2_required is None
                  else f"about 2^{int(log2_required)}"
                  if math.isfinite(log2_required) else "more than 2^1024")
-        super().__init__(f"{what} needs {shown} steps, budget is {budget}")
+        message = f"{what} needs {shown} steps, budget is {budget}"
+        if fallback:
+            message += f"; fall back to {fallback}"
+        super().__init__(message)
         self.required = required
         self.budget = budget
+        self.fallback = fallback
 
 
-def check_budget(budget: int, what: str, log2_count, count) -> None:
+def check_budget(budget: int, what: str, log2_count, count,
+                 fallback: str | None = None) -> None:
     """Raise BudgetExceededError when ``count()`` exceeds ``budget``.
 
     ``count()`` is only built once ``log2_count()``, a lower bound on its
@@ -53,10 +63,10 @@ def check_budget(budget: int, what: str, log2_count, count) -> None:
     except OverflowError:  # a size past float range: far over any budget
         log2 = math.inf
     if log2 > budget.bit_length() + 1:
-        raise BudgetExceededError(None, budget, what, log2)
+        raise BudgetExceededError(None, budget, what, log2, fallback)
     required = count()
     if required > budget:
-        raise BudgetExceededError(required, budget, what)
+        raise BudgetExceededError(required, budget, what, fallback=fallback)
 
 
 class GeneratorCapError(RuntimeError):

@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FormatError, InvalidInputError, check_budget
+from .errors import (RUN_FALLBACK, FormatError, InvalidInputError,
+                     check_budget)
 
 # Default cap on (alice strategies) x (bob strategies) for exact solves.
 DEFAULT_PAIR_BUDGET = 10**8
@@ -209,7 +210,8 @@ def classical_value(g, budget: int = DEFAULT_PAIR_BUDGET
         return x * math.log2(a) + y * math.log2(b)
 
     check_budget(budget, "strategy-pair enumeration", log2_pairs,
-                 lambda: g.a_size ** g.x_size * g.b_size ** g.y_size)
+                 lambda: g.a_size ** g.x_size * g.b_size ** g.y_size,
+                 RUN_FALLBACK)
     c, denom = gain_tensor(g)
     num, alice, bob = best_tables(c)[0]
     return Fraction(num, denom), StrategyPair(alice, bob)

@@ -14,7 +14,6 @@ deterministic point and shared randomness is a convex mixture.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,24 +139,6 @@ def leaky_strategy_value(g, m: LeakageModel, s: LeakyStrategy) -> Fraction:
     return total
 
 
-def _blocks(g, ab: bool) -> tuple[list[tuple[int, tuple, tuple]], int]:
-    """Per subset (bitmask) of the sender's questions: the best weight on the
-    block, alice's lex-smallest optimal answers (0 off the block) and bob's
-    smallest best responses; plus the weights' denominator."""
-    c, denom = gain_tensor(g)
-    n = g.x_size if ab else g.y_size
-    subsets = [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
-    if not ab:  # one fold over alice's tables scores every subset of Y
-        return best_tables(c, subsets), denom
-    out = []
-    for xs in subsets:
-        num, alice, bob = best_tables(c[xs])[0]
-        on_block = dict(zip(xs, alice))
-        out.append((num, tuple(on_block.get(x, 0) for x in range(g.x_size)),
-                    bob))
-    return out, denom
-
-
 def _best_partition(value: list[int], k: int) -> int:
     """Max over partitions of the full set into at most k blocks of the
     summed block values; ``value`` is indexed by bitmask."""
@@ -182,68 +163,118 @@ def _label_strings(n: int, k: int, prefix: tuple[int, ...] = ()):
             yield from _label_strings(n, k, prefix + (label,))
 
 
-def leaky_enumeration_size(g, m: LeakageModel) -> int:
-    """Steps `leaky_value_exact` takes, checked against its budget.
-
-    Simultaneous: message tables times alice answer tables.  One-way, with
-    n sender questions and k = min(2^bits, n): subset tables ((A+1)^X for
-    ab, A^X * 2^Y for ba) + 3^n * (k - 1) DP steps + message strings
-    scanned + receiver answer cells.
-    """
-    if m.kind is LeakageKind.SIMULTANEOUS:
-        return (m.msgs_ab ** g.x_size
-                * m.msgs_ba ** g.y_size
-                * g.a_size ** (g.x_size * m.msgs_ba))
-    ab = m.kind is LeakageKind.ONE_WAY_AB
-    n, msgs = (g.x_size, m.msgs_ab) if ab else (g.y_size, m.msgs_ba)
-    k = min(msgs, n)
-    strings = [1] + [0] * k  # strings[j]: label-string prefixes using j labels
+def _string_count(n: int, k: int) -> int:
+    """How many strings ``_label_strings(n, k)`` yields."""
+    strings = [1] + [0] * k  # strings[j]: prefixes using j labels
     for _ in range(n):
         strings = [0] + [j * strings[j] + strings[j - 1]
                          for j in range(1, k + 1)]
-    tables = ((g.a_size + 1) ** g.x_size if ab
-              else g.a_size ** g.x_size << g.y_size)
-    return (tables + 3 ** n * (k - 1) + sum(strings)
-            + (g.y_size if ab else g.x_size) * msgs)
+    return sum(strings)
 
 
-def _log2_enumeration_size(g, m: LeakageModel) -> float:
-    """log2 of `leaky_enumeration_size`: exact for simultaneous, the subset
-    tables alone (a lower bound) for one-way."""
-    x, y, a, _ = g.float_sizes()
-    if m.kind is LeakageKind.SIMULTANEOUS:
-        return (x * m.bits_ab + y * m.bits_ba
-                + x * m.msgs_ba * math.log2(a))
-    if m.kind is LeakageKind.ONE_WAY_AB:
-        return x * math.log2(a + 1)
-    return x * math.log2(a) + y
-
-
-def _one_way_exact(g, m: LeakageModel) -> tuple[Fraction, LeakyStrategy]:
-    ab = m.kind is LeakageKind.ONE_WAY_AB
-    n, msgs = (g.x_size, m.msgs_ab) if ab else (g.y_size, m.msgs_ba)
+def _partition(blocks: list, n: int, msgs: int) -> tuple[int, tuple, list]:
+    """Best split of n questions into at most ``msgs`` labelled blocks, given
+    each subset's (value, alice, bob) indexed by bitmask: the total, the
+    first label string reaching it, and every label's block (the empty
+    block for unused labels)."""
     k = min(msgs, n)
-    blocks, denom = _blocks(g, ab)
     best = _best_partition([v for v, _, _ in blocks], k)
 
     def label_blocks(labels):
-        return [blocks[sum(1 << i for i, v in enumerate(labels) if v == label)]
-                for label in range(k)]
+        masks = [0] * k
+        for i, v in enumerate(labels):
+            masks[v] |= 1 << i
+        return [blocks[mask] for mask in masks]
 
     labels = next(s for s in _label_strings(n, k)
                   if sum(v for v, _, _ in label_blocks(s)) == best)
-    used = label_blocks(labels) + [blocks[0]] * (msgs - k)
-    rows = [(a, b) if ab else (b, a) for _, a, b in used]  # sender, receiver
-    sender = tuple((rows[v][0][i],) for i, v in enumerate(labels))
-    receiver = tuple(zip(*(r for _, r in rows)))
-    silent = (0,) * len(receiver)
-    return Fraction(best, denom), (
-        LeakyStrategy(labels, silent, sender, receiver) if ab
-        else LeakyStrategy(silent, labels, receiver, sender))
+    return best, labels, label_blocks(labels) + [blocks[0]] * (msgs - k)
 
 
-def _rows(flat: tuple[int, ...], width: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(flat[i:i + width] for i in range(0, len(flat), width))
+def leaky_enumeration_size(g, m: LeakageModel) -> int:
+    """Steps `leaky_value_exact` takes, checked against its budget.
+
+    With k1 = min(2^bits_ab, X), k2 = min(2^bits_ba, Y) and strings(n, k)
+    label strings of length n over at most k labels.  No bits to alice
+    (one-way-ab, simultaneous(L, 0)): (A+1)^X subset tables + 3^X * (k1-1)
+    DP steps + strings(X, k1) + Y * 2^bits_ab bob answer cells.  Otherwise,
+    per alice string, A^X * 2^Y subset scores + 3^Y * (k2-1) DP steps +
+    strings(Y, k2), over strings(X, k1) alice strings; plus
+    X * 2^bits_ba + Y * 2^bits_ab answer cells.
+    """
+    x, y, a = g.x_size, g.y_size, g.a_size
+    k1, k2 = min(m.msgs_ab, x), min(m.msgs_ba, y)
+    if not m.bits_ba:
+        return ((a + 1) ** x + 3 ** x * (k1 - 1) + _string_count(x, k1)
+                + y * m.msgs_ab)
+    return (_string_count(x, k1) * ((a ** x << y) + 3 ** y * (k2 - 1)
+                                    + _string_count(y, k2))
+            + x * m.msgs_ba + y * m.msgs_ab)
+
+
+def _log2_enumeration_size(g, m: LeakageModel) -> float:
+    """A lower bound on log2 of `leaky_enumeration_size`, from float sizes:
+    the largest term, with at least 2^(X-1) alice strings once she has two
+    labels."""
+    x, y, a, _ = g.float_sizes()
+    cells = math.log2(y) + m.bits_ab
+    if not m.bits_ba:
+        return max(x * math.log2(a + 1), cells)
+    strings = x - 1 if m.bits_ab else 0
+    return max(strings + x * math.log2(a) + y, math.log2(x) + m.bits_ba,
+               cells)
+
+
+def _split_x(g, m: LeakageModel) -> tuple[Fraction, LeakyStrategy]:
+    """Alice's message splits X: each subset of X is its own fold, with
+    alice's lex-smallest optimal answers on it (0 off it) and bob's
+    smallest best responses."""
+    c, denom = gain_tensor(g)
+    blocks = []
+    for mask in range(1 << g.x_size):
+        xs = [x for x in range(g.x_size) if mask >> x & 1]
+        num, alice, bob = best_tables(c[xs])[0]
+        on_block = dict(zip(xs, alice))
+        blocks.append((num, tuple(on_block.get(x, 0)
+                                  for x in range(g.x_size)), bob))
+    best, labels, used = _partition(blocks, g.x_size, m.msgs_ab)
+    alice_ans = tuple((used[v][1][x],) for x, v in enumerate(labels))
+    bob_ans = tuple(zip(*(bob for _, _, bob in used)))
+    return Fraction(best, denom), LeakyStrategy(
+        labels, (0,) * g.y_size, alice_ans, bob_ans)
+
+
+def _split_y(g, m: LeakageModel) -> tuple[Fraction, LeakyStrategy]:
+    """Bob's message splits Y, once per alice label string in lex order.
+    With alice's labels fixed, bob answers (y, label i), column y * k1 + i
+    of the gain tensor, and one fold over alice's tables scores every
+    subset of Y.  The first string that strictly improves is kept; none
+    passes the merged-prover value, so the scan stops there."""
+    c, denom = gain_tensor(g)
+    k1 = min(m.msgs_ab, g.x_size)
+    y_sets = [[]]  # y_sets[mask]: the columns of the y in bitmask mask
+    for y in range(g.y_size):
+        y_sets += [s + list(range(y * k1, (y + 1) * k1)) for s in y_sets]
+    unused = (0,) * (m.msgs_ab - k1)  # bob's answers to labels never sent
+    merged = c.max(axis=(1, 3)).sum()
+    best_num, best = -1, None
+    for alice_msg in _label_strings(g.x_size, k1):
+        if best_num == merged:
+            break
+        eff = c  # with one label every x is heard alike
+        if k1 > 1:
+            heard = np.equal.outer(alice_msg, range(k1))  # [x, label]
+            eff = (c[:, :, :, None, :] * heard[:, None, None, :, None]
+                   ).reshape(g.x_size, g.a_size, g.y_size * k1, g.b_size)
+        num, bob_msg, used = _partition(best_tables(eff, y_sets), g.y_size,
+                                        m.msgs_ba)
+        if num > best_num:
+            best_num, best = num, LeakyStrategy(
+                alice_msg, bob_msg,
+                tuple(zip(*(alice for _, alice, _ in used))),
+                tuple(used[v][2][y * k1:(y + 1) * k1] + unused
+                      for y, v in enumerate(bob_msg)))
+    return Fraction(best_num, denom), best
 
 
 def leaky_value_exact(g, m: LeakageModel,
@@ -253,39 +284,20 @@ def leaky_value_exact(g, m: LeakageModel,
 
     The witness is the lexicographically smallest maximizer in field order
     (alice_msg, bob_msg, alice_ans, bob_ans); bob gives the smallest best
-    response.  One-way: a fixed message table splits the sender's questions
-    into at most 2^bits blocks, each its own classical game; a subset DP
-    over partitions gives the value, and the first restricted-growth
-    message string reaching it, with each block's lex-smallest optimal
-    answers (0 for unused labels), the witness.  Simultaneous: each
-    (alice_msg, bob_msg) pair, in lex order, leaves a classical game whose
-    alice table is alice_ans flattened; :func:`best_tables` solves it.
+    response.  Message labels are interchangeable, so its message tables
+    are restricted-growth strings.  A fixed message table splits the
+    sender's questions into at most 2^bits blocks, each its own classical
+    game; a subset DP over partitions gives the value, and the first label
+    string reaching it, with each block's lex-smallest optimal answers (0
+    for unused labels), the witness.  With no bits to alice (one-way-ab,
+    simultaneous(L, 0)) alice's message splits X; otherwise bob's splits Y
+    once per alice label string, one-way-ba being a single constant string.
     """
     check_budget(budget, "leaky-strategy enumeration",
                  lambda: _log2_enumeration_size(g, m),
-                 lambda: leaky_enumeration_size(g, m))
-    if m.kind is not LeakageKind.SIMULTANEOUS:
-        return _one_way_exact(g, m)
-
-    # Fixed message tables leave a classical game: alice answers
-    # (x, bob's message), bob answers (y, alice's message).
-    c, denom = gain_tensor(g)
-    m1, m2 = m.msgs_ab, m.msgs_ba
-    best_num, best = -1, None
-    for alice_msg in itertools.product(range(m1), repeat=g.x_size):
-        to_bob = np.equal.outer(alice_msg, range(m1))  # [x, bob hears]
-        for bob_msg in itertools.product(range(m2), repeat=g.y_size):
-            to_alice = np.equal.outer(range(m2), bob_msg)  # [alice hears, y]
-            eff = (c[:, None, :, :, None, :]
-                   * to_alice[None, :, None, :, None, None]
-                   * to_bob[:, None, None, None, :, None])
-            num, alice, bob = best_tables(eff.reshape(
-                g.x_size * m2, g.a_size, g.y_size * m1, g.b_size))[0]
-            if num > best_num:
-                best_num = num
-                best = LeakyStrategy(alice_msg, bob_msg,
-                                     _rows(alice, m2), _rows(bob, m1))
-    return Fraction(best_num, denom), best
+                 lambda: leaky_enumeration_size(g, m),
+                 "leaky_value_upper_bound")
+    return _split_y(g, m) if m.bits_ba else _split_x(g, m)
 
 
 def guess_and_abort_value(g, m: LeakageModel, s: LeakyStrategy) -> Fraction:

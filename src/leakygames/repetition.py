@@ -10,15 +10,14 @@ tables, built under a cell cap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import RUN_FALLBACK, BudgetExceededError, InvalidInputError
 from .games import (DEFAULT_PAIR_BUDGET, Game, StrategyPair, _index_to_tuple,
-                    _int_dtype, classical_value, strategy_value)
+                    _int_dtype, classical_value)
 from .leakage import (DEFAULT_LEAKY_BUDGET, LeakageModel, LeakyStrategy,
                       leaky_value_exact)
 
@@ -92,7 +91,7 @@ class RepeatedGame:
         cells = self.x_size * self.y_size
         if cells > DEFAULT_TABLE_CELLS:
             raise BudgetExceededError(cells, DEFAULT_TABLE_CELLS,
-                                      "weight table")
+                                      "weight table", fallback=RUN_FALLBACK)
         base_w, base_denom = self.base.int_weights()
         denom = base_denom ** self.copies
         return _outer_power(base_w.astype(_int_dtype(denom)),
@@ -102,7 +101,8 @@ class RepeatedGame:
         """[X, Y, A, B] bool wins: the outer power of the base game's."""
         cells = self.x_size * self.y_size * self.a_size * self.b_size
         if cells > DEFAULT_TABLE_CELLS:
-            raise BudgetExceededError(cells, DEFAULT_TABLE_CELLS, "win table")
+            raise BudgetExceededError(cells, DEFAULT_TABLE_CELLS, "win table",
+                                      fallback=RUN_FALLBACK)
         return _outer_power(self.base.win_rows(), self.copies)
 
 
@@ -115,22 +115,6 @@ def repeated_exact_value(rg: RepeatedGame,
                          ) -> tuple[Fraction, StrategyPair]:
     """Exact classical value of the N-fold product."""
     return classical_value(rg, budget)
-
-
-def product_strategy_value(rg: RepeatedGame, per_copy: list[StrategyPair]
-                           ) -> Fraction:
-    """Value of playing an independent strategy pair on each coordinate.
-
-    Equals the product of the per-coordinate values, so it lower-bounds
-    the repeated value by value(base)^N when each entry is optimal.
-    """
-    if len(per_copy) != rg.copies:
-        raise InvalidInputError(
-            f"need {rg.copies} strategy pairs, got {len(per_copy)}")
-    out = Fraction(1)
-    for s in per_copy:
-        out *= strategy_value(rg.base, s)
-    return out
 
 
 @dataclass(frozen=True)
@@ -157,16 +141,6 @@ class RepetitionBoundParams:
             raise InvalidInputError("exponent constants must be positive")
 
 
-def params_for_game(g, value: Fraction,
-                    c_exp: float = 1.0,
-                    c_rate: float = 1.0 / 16.0) -> RepetitionBoundParams:
-    """Curve parameters for a game with known classical value."""
-    return RepetitionBoundParams(
-        epsilon=float(1 - value),
-        s=math.log2(g.a_size * g.b_size) + 1,
-        c_exp=c_exp, c_rate=c_rate)
-
-
 def repetition_bound(p: RepetitionBoundParams, n: int) -> float:
     """(1 - epsilon^c_exp) ** (c_rate * n / s); 1.0 at n = 0."""
     if n < 0:
@@ -174,12 +148,6 @@ def repetition_bound(p: RepetitionBoundParams, n: int) -> float:
     if n == 0:
         return 1.0
     return (1.0 - p.epsilon ** p.c_exp) ** (p.c_rate * n / p.s)
-
-
-def repetition_bound_curve(p: RepetitionBoundParams, n_max: int
-                           ) -> list[tuple[int, float]]:
-    """Heuristic decay curve for N = 1..n_max (floats, illustrative only)."""
-    return [(n, repetition_bound(p, n)) for n in range(1, n_max + 1)]
 
 
 @dataclass(frozen=True)

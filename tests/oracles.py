@@ -12,8 +12,10 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from leakygames.errors import BudgetExceededError
-from leakygames.games import Game
+from leakygames.games import Game, best_tables, gain_tensor
 from leakygames.leakage import LeakageModel, LeakyStrategy
 from leakygames.repetition import DEFAULT_TABLE_CELLS
 
@@ -93,6 +95,31 @@ def naive_leaky_value(g, m: LeakageModel):
             best = num
             best_s = s
     return Fraction(best, denom), best_s
+
+
+def generic_simultaneous_value(g, m: LeakageModel):
+    """Every (alice_msg, bob_msg) pair in lex order, each leaving a classical
+    game (alice answers (x, bob's message), bob answers (y, alice's
+    message)) solved by the library fold; the first strict maximum wins."""
+    c, denom = gain_tensor(g)
+    m1, m2 = m.msgs_ab, m.msgs_ba
+    best_num, best = -1, None
+    for alice_msg in itertools.product(range(m1), repeat=g.x_size):
+        to_bob = np.equal.outer(alice_msg, range(m1))  # [x, bob hears]
+        for bob_msg in itertools.product(range(m2), repeat=g.y_size):
+            to_alice = np.equal.outer(range(m2), bob_msg)  # [alice hears, y]
+            eff = (c[:, None, :, :, None, :]
+                   * to_alice[None, :, None, :, None, None]
+                   * to_bob[:, None, None, None, :, None])
+            num, alice, bob = best_tables(eff.reshape(
+                g.x_size * m2, g.a_size, g.y_size * m1, g.b_size))[0]
+            if num > best_num:
+                best_num = num
+                best = LeakyStrategy(
+                    alice_msg, bob_msg,
+                    tuple(alice[i:i + m2] for i in range(0, len(alice), m2)),
+                    tuple(bob[i:i + m1] for i in range(0, len(bob), m1)))
+    return Fraction(best_num, denom), best
 
 
 def informed_bob_value(g):

@@ -18,11 +18,22 @@ import helpers
 from leakygames.cli import (EXIT_BUDGET, EXIT_GENERATOR_CAP, EXIT_INVALID,
                             EXIT_OK, compute_params, main, parse_fraction)
 from leakygames.errors import InvalidInputError
-from leakygames.games import save_game
+from leakygames.games import make_game, save_game
 
 FIXTURES = resources.files("leakygames") / "fixtures"
 CHSH_PATH = str(FIXTURES / "chsh.game")
 LOWVAL_PATH = str(FIXTURES / "lowval_k2.csp")
+WIDE_PATH = "<wide game>"  # stands for the ``wide_game`` fixture's file
+
+
+@pytest.fixture(scope="module")
+def wide_game(tmp_path_factory) -> str:
+    """A 20x20x8x2 game: 8^20 alice tables, past any exact budget."""
+    path = tmp_path_factory.mktemp("wide") / "wide.game"
+    path.write_text(save_game(make_game(
+        "wide", 20, 20, 8, 2, [1] * 400,
+        lambda x, y, a, b: (x + y + a + b) % 3 == 0)))
+    return str(path)
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -227,8 +238,8 @@ def test_budget_honored_everywhere(argv, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["leaky-value", CHSH_PATH, "--model", "simultaneous",
-     "--bits-ab", "15", "--bits-ba", "15"],
+    ["leaky-value", WIDE_PATH, "--model", "simultaneous",
+     "--bits-ab", "1", "--bits-ba", "1"],
     ["repeat", CHSH_PATH, "-n", "22"],
     ["cheat", LOWVAL_PATH, "--leak-bits", "12"],
     ["cheat", LOWVAL_PATH, "--leak-bits", "16"],
@@ -237,8 +248,9 @@ def test_budget_honored_everywhere(argv, tmp_path):
     ["leaky-value", CHSH_PATH, "--model", "simultaneous",
      "--bits-ab", "0", "--bits-ba", "30"],
 ])
-def test_astronomical_requests_exit_budget(argv, capsys):
-    # the required count is far past 64 bits: reported as a power of two
+def test_astronomical_requests_exit_budget(argv, wide_game, capsys):
+    # the required count is far past the budget: reported as a power of two
+    argv = [wide_game if arg == WIDE_PATH else arg for arg in argv]
     assert main(argv) == EXIT_BUDGET
     assert "needs about 2^" in capsys.readouterr().err
 
@@ -269,13 +281,41 @@ def test_run_refuses_sessions_past_cap(tmp_path, capsys):
 
 
 def test_astronomical_simultaneous_request_on_wider_game(tmp_path, capsys):
-    # 3^(3 * 2^30) alice answer tables: the guard must not build the count
+    # 3 * 2^30 alice answer cells: refused from the log2 bound alone
     game = tmp_path / "g.game"
     game.write_text(save_game(
         helpers.random_game_exact(random.Random(5), 3, 3, 3, 3)))
     assert main(["leaky-value", str(game), "--model", "simultaneous",
                  "--bits-ab", "0", "--bits-ba", "30"]) == EXIT_BUDGET
     assert "needs about 2^" in capsys.readouterr().err
+
+
+def test_simultaneous_leak_past_the_questions_solves(tmp_path):
+    # 2^15 messages each way, but two questions per side leave two label
+    # strings each: the witness's 2 x 2^15 answer cells dominate the count
+    assert main(["--out", str(tmp_path), "leaky-value", CHSH_PATH,
+                 "--model", "simultaneous", "--bits-ab", "15",
+                 "--bits-ba", "15"]) == EXIT_OK
+    row = read_rows(tmp_path / "leaky-value.csv")[0]
+    assert row["value"] == "1/1"
+    # bob leaks y, so alice answers x and y and alice's message stays 0
+    assert row["alice_msg"] == "0,0" and row["bob_msg"] == "0,1"
+    assert [len(r.split(",")) for r in row["alice_ans"].split(";")] == \
+        [2**15, 2**15]
+
+
+@pytest.mark.parametrize("argv, fallback", [
+    (["leaky-value", CHSH_PATH, "--bits-ab", "1"], "leaky_value_upper_bound"),
+    (["csp-val", LOWVAL_PATH], "csp_value_local_search"),
+    (["value", CHSH_PATH], "the Monte Carlo `run` harness"),
+    (["repeat", CHSH_PATH, "-n", "2"], "the Monte Carlo `run` harness"),
+    (["cheat", LOWVAL_PATH], "the Monte Carlo `run` harness"),
+])
+def test_budget_error_names_fallback(argv, fallback, capsys):
+    assert main(["--budget", "5", *argv]) == EXIT_BUDGET
+    out = capsys.readouterr()
+    assert out.err.rstrip().endswith(f"; fall back to {fallback}")
+    assert out.out == ""
 
 
 def test_leaky_value_budget_covers_upper_bound(tmp_path):

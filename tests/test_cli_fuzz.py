@@ -110,7 +110,9 @@ def test_garbage_game_files(work, content):
     for argv in (["value", path], ["repeat", path, "-n", "2"],
                  ["leaky-value", path, "--bits-ab", "1"],
                  ["leaky-value", path, "--model", "one-way-ba",
-                  "--bits-ba", "1"]):
+                  "--bits-ba", "1"],
+                 ["leaky-value", path, "--model", "simultaneous",
+                  "--bits-ab", "1", "--bits-ba", "1"]):
         assert _run(argv) in EXITS, argv
 
 

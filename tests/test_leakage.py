@@ -3,6 +3,7 @@ guess-and-abort transform."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -176,6 +177,22 @@ def test_budget_guard():
     assert leaky_enumeration_size(g, one_way_ab(2)) > 100
     with pytest.raises(BudgetExceededError):
         leaky_value_exact(g, one_way_ab(2), budget=100)
+    # simultaneous(L, 0) is one-way-ab
+    assert leaky_enumeration_size(g, simultaneous(2, 0)) == 64 + 54 + 5 + 12
+
+
+def test_simultaneous_budget_guard():
+    g = make_game("wide", 3, 2, 3, 2, [1] * 6, lambda *_: True)
+    # 4 alice strings over 2 labels, each scoring 3^3 tables x 2^2 subsets,
+    # 3^2 DP steps and 2 bob strings; 3 * 4 alice and 2 * 2 bob cells
+    size = 4 * (27 * 4 + 9 + 2) + 12 + 4
+    assert leaky_enumeration_size(g, simultaneous(1, 2)) == size
+    # one-way-ba is the single, constant alice string
+    assert leaky_enumeration_size(g, one_way_ba(2)) == \
+        27 * 4 + 9 + 2 + 3 * 4 + 2
+    assert leaky_value_exact(g, simultaneous(1, 2), budget=size)[0] == 1
+    with pytest.raises(BudgetExceededError, match=f"needs {size} steps"):
+        leaky_value_exact(g, simultaneous(1, 2), budget=size - 1)
 
 
 def _zero_row_game(rng, x, y, a, b):
@@ -214,7 +231,8 @@ def test_one_way_dp_matches_generic_enumerator(shape, model, generic):
     for i in range(3):
         g = (_zero_row_game(rng, *shape) if i == 2
              else helpers.random_game_exact(rng, *shape))
-        assert leaky_value_exact(g, model) == leaky_value_exact(g, generic)
+        assert leaky_value_exact(g, model) == \
+            oracles.generic_simultaneous_value(g, generic)
 
 
 @pytest.mark.parametrize("model", [
@@ -228,6 +246,63 @@ def test_simultaneous_fold_matches_naive_oracle(shape, model):
              else helpers.random_game_exact(rng, *shape))
         assert leaky_value_exact(g, model) == \
             oracles.naive_leaky_value(g, model)
+
+
+@pytest.mark.parametrize("shape, model", [
+    *itertools.product(
+        [(2, 2, 2, 2), (3, 2, 2, 2), (2, 3, 2, 3), (3, 3, 2, 3)],
+        [simultaneous(1, 1), simultaneous(2, 1), simultaneous(1, 2),
+         simultaneous(1, 0), simultaneous(0, 1)]),
+    ((2, 2, 2, 2), simultaneous(2, 2)), ((2, 3, 2, 3), simultaneous(2, 2)),
+])
+def test_simultaneous_dp_matches_generic_enumerator(shape, model):
+    # values and witnesses, with zero-weight rows in every third game; two
+    # bits over two or three questions leave labels unused
+    rng = random.Random(73)
+    for i in range(3):
+        g = (_zero_row_game(rng, *shape) if i == 2
+             else helpers.random_game_exact(rng, *shape))
+        assert leaky_value_exact(g, model) == \
+            oracles.generic_simultaneous_value(g, model)
+
+
+@pytest.mark.parametrize("model", [simultaneous(1, 1), simultaneous(2, 1)])
+def test_simultaneous_ties_below_merged_keep_first_alice_string(model):
+    # bob has one answer, so alice's message carries nothing and every
+    # alice string ties; one bit about three y cannot win every target, so
+    # the scan never meets the merged value and must keep the first string
+    rng = random.Random(97)
+    for _ in range(3):
+        target = [rng.randrange(3) for _ in range(9)]
+        g = make_game("target", 3, 3, 3, 1,
+                      [rng.randint(1, 3) for _ in range(9)],
+                      lambda x, y, a, _: a == target[x * 3 + y])
+        value, witness = leaky_value_exact(g, model)
+        assert value < merged_prover_value(g)
+        assert witness.alice_msg == (0, 0, 0)
+        assert (value, witness) == oracles.generic_simultaneous_value(g, model)
+
+
+@pytest.mark.parametrize("cells", [1, 40])
+@pytest.mark.parametrize("model", [simultaneous(1, 1), simultaneous(2, 1)])
+def test_simultaneous_dp_blocks_match_generic_enumerator(model, cells,
+                                                         monkeypatch):
+    monkeypatch.setattr(games, "FOLD_CELLS", cells)
+    rng = random.Random(79)
+    for i in range(3):
+        g = (_zero_row_game(rng, 3, 2, 2, 2) if i % 2
+             else helpers.random_game_exact(rng, 3, 2, 2, 2))
+        assert leaky_value_exact(g, model) == \
+            oracles.generic_simultaneous_value(g, model)
+
+
+def test_simultaneous_dp_weights_past_int64():
+    rng = random.Random(83)
+    base = helpers.random_game_exact(rng, 3, 2, 2, 2)
+    g = make_game("heavy", 3, 2, 2, 2, [2**64, 1, 2, 0, 3, 1], base.wins)
+    for model in (simultaneous(1, 1), simultaneous(1, 2)):
+        assert leaky_value_exact(g, model) == \
+            oracles.generic_simultaneous_value(g, model)
 
 
 @pytest.mark.parametrize("cells", [1, 40])
@@ -265,7 +340,8 @@ def test_one_way_dp_weights_past_int64():
                   base.wins)
     for model, generic in ((one_way_ab(1), simultaneous(1, 0)),
                            (one_way_ba(1), simultaneous(0, 1))):
-        assert leaky_value_exact(g, model) == leaky_value_exact(g, generic)
+        assert leaky_value_exact(g, model) == \
+            oracles.generic_simultaneous_value(g, generic)
 
 
 def test_chsh_squared_two_bits():

@@ -15,10 +15,8 @@ from leakygames.games import (StrategyPair, chsh, classical_value, make_game,
                               strategy_value)
 from leakygames.leakage import one_way_ab
 from leakygames.repetition import (RepetitionBoundParams,
-                                   leaky_repetition_experiment,
-                                   product_strategy_value, repeat_game,
-                                   repeated_exact_value, repetition_bound,
-                                   repetition_bound_curve)
+                                   leaky_repetition_experiment, repeat_game,
+                                   repeated_exact_value, repetition_bound)
 
 ONES = make_game("ones", 2, 2, 2, 2, [1, 1, 1, 1], lambda *_: True)
 ZEROS = make_game("zeros", 2, 2, 2, 2, [1, 1, 1, 1], lambda *_: False)
@@ -63,23 +61,6 @@ def test_implicit_matches_materialized():
                 tuple(rng.randrange(rg.b_size) for _ in range(rg.y_size)))
             assert strategy_value(rg, pair) == strategy_value(mat, pair)
         assert repeated_exact_value(rg) == classical_value(mat)
-
-
-def test_product_strategy_value():
-    g = chsh()
-    best = classical_value(g)[1]
-    rg = repeat_game(g, 2)
-    assert product_strategy_value(rg, [best, best]) == Fraction(9, 16)
-    assert product_strategy_value(
-        rg, [best, StrategyPair((0, 0), (0, 0))]) == Fraction(9, 16)
-    with pytest.raises(InvalidInputError):
-        product_strategy_value(rg, [best])
-
-
-def test_product_strategy_zero_coordinate():
-    rg = repeat_game(ZEROS, 2)
-    any_pair = StrategyPair((0, 0), (0, 0))
-    assert product_strategy_value(rg, [any_pair, any_pair]) == 0
 
 
 def test_sandwich_on_random_games():
@@ -141,9 +122,7 @@ def test_bound_curve_plug_in():
     p = RepetitionBoundParams(epsilon=0.25, s=3, c_exp=1.0, c_rate=1.0)
     assert repetition_bound(p, 3) == pytest.approx(0.75, abs=1e-12)
     assert repetition_bound(p, 0) == 1.0
-    curve = repetition_bound_curve(p, 10)
-    assert [n for n, _ in curve] == list(range(1, 11))
-    values = [b for _, b in curve]
+    values = [repetition_bound(p, n) for n in range(1, 11)]
     assert all(x > y for x, y in zip(values, values[1:]))
 
 
@@ -173,12 +152,6 @@ def test_leaky_repetition_fallback_bound():
     assert result.value == min(Fraction(1), 2 * Fraction(10, 16))
     exact = leaky_repetition_experiment(chsh(), 2, one_way_ab(1))
     assert exact.value <= result.value
-
-
-def test_product_strategy_all_ones_base():
-    rg = repeat_game(ONES, 3)
-    pair = StrategyPair((0, 0), (0, 0))
-    assert product_strategy_value(rg, [pair, pair, pair]) == 1
 
 
 def test_win_rows_match_direct_predicate():
@@ -239,6 +212,17 @@ def test_materialize_and_table_guards():
         big.int_weights()
 
 
+def test_table_guards_name_run_fallback():
+    wide = repeat_game(make_game("wide", 3, 3, 1, 1, [1] * 9,
+                                 lambda *_: True), 12)
+    for build in (wide.int_weights, wide.win_rows):
+        with pytest.raises(BudgetExceededError) as err:
+            build()
+        assert err.value.fallback == "the Monte Carlo `run` harness"
+        assert str(err.value).endswith(
+            "; fall back to the Monte Carlo `run` harness")
+
+
 def test_win_table_guard_counts_answers_before_building(monkeypatch):
     # X*Y*A = 1 cell, but X*Y*A*B = 16^6 cells pass the cap: the guard must
     # count bob's answers too, and raise before the outer products run
@@ -251,12 +235,3 @@ def test_win_table_guard_counts_answers_before_building(monkeypatch):
     assert rg.b_size > repetition.DEFAULT_TABLE_CELLS
     with pytest.raises(BudgetExceededError, match="win table"):
         rg.win_rows()
-
-
-def test_params_for_game():
-    from leakygames.repetition import params_for_game
-    p = params_for_game(chsh(), Fraction(3, 4))
-    assert p.epsilon == 0.25
-    assert p.s == 3.0  # log2(2*2) + 1
-    assert repetition_bound(p, 16) == pytest.approx(
-        (1 - 0.25) ** ((1 / 16) * 16 / 3))
