@@ -80,8 +80,8 @@ class Game:
         the solvers divide by it exactly.
         """
         denom = math.lcm(*(w.denominator for w in self.dist))
-        weights = np.array([int(w * denom) for w in self.dist],
-                           dtype=_int_dtype(denom))
+        weights = np.array([w.numerator * (denom // w.denominator)
+                            for w in self.dist], dtype=_int_dtype(denom))
         return weights.reshape(self.x_size, self.y_size), denom
 
     def win_rows(self) -> np.ndarray:

@@ -34,7 +34,7 @@ from .leakage import LeakageKind, LeakageModel, LeakyStrategy
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 SESSION_CAP = 10**9     # most sessions estimate_acceptance samples
-SESSION_CHUNK = 2**20   # sessions per numpy chunk (a few 8-byte arrays)
+SESSION_CHUNK = 2**16   # sessions per numpy chunk; longest residue table
 
 
 class MalformedBehaviorError(InvalidInputError):
@@ -87,30 +87,39 @@ class SplitMixStream:
                 return value % n
 
 
-def _splitmix64_np(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64; bit-identical to the scalar version."""
-    z = seeds + np.uint64(_GOLDEN) * (counters + np.uint64(1))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _splitmix64_np(seeds: np.ndarray, counters: np.ndarray, out=None,
+                   tmp=None) -> np.ndarray:
+    """Vectorized splitmix64; bit-identical to the scalar version.  Mixes
+    in place in ``out`` (may be ``counters``) with ``tmp`` as scratch."""
+    z = np.add(counters, np.uint64(1), out=out)
+    tmp = np.empty_like(z) if tmp is None else tmp
+    z *= np.uint64(_GOLDEN)
+    z += seeds
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= np.right_shift(z, np.uint64(shift), out=tmp)
+        z *= np.uint64(mult)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
+    return z
 
 
-def _below_np(seeds: np.ndarray, counters: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized stream.below(n): same draws, same rejections, per session."""
+def _below_np(seeds: np.ndarray, counters: np.ndarray, n: int, out=None,
+              tmp=None) -> np.ndarray:
+    """Vectorized stream.below(n): same draws, same rejections, per session.
+    Draws into ``out`` and advances ``counters`` in place; only the rare
+    rejected draws (each below n / 2^64 likely) are drawn again."""
+    tmp = np.empty(len(seeds), dtype=np.uint64) if tmp is None else tmp
+    draws = _splitmix64_np(seeds, counters, out, tmp)
+    counters += np.uint64(1)
     limit = (1 << 64) - ((1 << 64) % n)
-    accept_all = limit == (1 << 64)
-    out = np.zeros(len(seeds), dtype=np.uint64)
-    pending = np.arange(len(seeds))
-    while len(pending):
-        draws = _splitmix64_np(seeds[pending], counters[pending])
-        counters[pending] += np.uint64(1)
-        if accept_all:
-            ok = np.ones(len(pending), dtype=bool)
-        else:
-            ok = draws < np.uint64(limit)
-        out[pending[ok]] = draws[ok] % np.uint64(n)
-        pending = pending[~ok]
-    return out
+    if limit < (1 << 64):
+        redo = np.flatnonzero(draws >= np.uint64(limit))
+        while len(redo):
+            draws[redo] = _splitmix64_np(seeds[redo], counters[redo])
+            counters[redo] += np.uint64(1)
+            redo = redo[draws[redo] >= np.uint64(limit)]
+    np.floor_divide(draws, np.uint64(n), out=tmp)  # faster than numpy's %
+    tmp *= np.uint64(n)
+    return np.subtract(draws, tmp, out=draws)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +321,15 @@ def _check_answer(value, size: int, what: str) -> int:
     return value
 
 
-def _game_support(g) -> tuple[list[tuple[int, int]], list[int], int]:
-    """Support cells, cumulative integer weights, and the weight total."""
+@functools.lru_cache(maxsize=16)
+def _game_support(g) -> tuple[tuple, tuple, int]:
+    """Support cells, cumulative integer weights, and the weight total;
+    cached like _serialized_id, for targets instance_id accepted."""
     weights, total = g.int_weights()
     support = np.flatnonzero(weights)
     xs, ys = np.divmod(support, g.y_size)
     cums = np.cumsum(weights.ravel()[support]).tolist()  # Python ints
-    return list(zip(xs.tolist(), ys.tolist())), cums, total
+    return tuple(zip(xs.tolist(), ys.tolist())), tuple(cums), total
 
 
 def _play_game(g, behaviors, model: LeakageModel, x: int, y: int):
@@ -378,12 +389,13 @@ def run_session(target, behaviors, model: LeakageModel, seed: int
     if behaviors[0].role != "first" or behaviors[1].role != "second":
         raise InvalidInputError("behaviors must be (first, second)")
     stream = SplitMixStream(seed)
+    ident = instance_id(target)
     if isinstance(target, CspInstance):
         e = stream.below(len(target.constraints))
         pos = stream.below(target.arity)
         tup, label, channel, verdict = _play_csp(target, behaviors, model,
                                                  e, pos)
-        return Transcript(seed, instance_id(target), "csp",
+        return Transcript(seed, ident, "csp",
                           e, target.constraints[e].scope[pos], pos,
                           tuple(channel.events), tuple(channel.rejected),
                           tup, label, channel.overflowed, verdict)
@@ -391,7 +403,7 @@ def run_session(target, behaviors, model: LeakageModel, seed: int
     r = stream.below(total)
     x, y = cells[bisect_right(cums, r)]
     a, b, channel, verdict = _play_game(target, behaviors, model, x, y)
-    return Transcript(seed, instance_id(target), "game", x, y, None,
+    return Transcript(seed, ident, "game", x, y, None,
                       tuple(channel.events), tuple(channel.rejected),
                       a, b, channel.overflowed, verdict)
 
@@ -446,59 +458,72 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
     """Acceptance estimate over independent seeded sessions.
 
     Session i is keyed by ``session_seed(master_seed, i)`` and samples its
-    questions exactly as :func:`run_session` does.  Because behaviors are
-    deterministic, the verdict per question cell is computed once and
-    sessions only sample cells: with numpy in chunks of SESSION_CHUNK on
-    the fast path, draw-for-draw identical to scalar sessions.  Counts
+    questions exactly as :func:`run_session` does.  Behaviors are
+    deterministic, so verdicts are computed once per question cell, or per
+    residue when a game's weight total is at most SESSION_CHUNK.  The fast
+    path samples SESSION_CHUNK sessions at a time in numpy buffers
+    allocated once, draw-for-draw identical to scalar sessions.  Counts
     above SESSION_CAP are refused before anything is allocated.
     """
     if sessions < 1:
         raise InvalidInputError("sessions must be >= 1")
     if sessions > SESSION_CAP:
         raise BudgetExceededError(sessions, SESSION_CAP, "session sampling")
+    ident = instance_id(target)
+    chunk = min(sessions, SESSION_CHUNK)
 
     if isinstance(target, CspInstance):
         protocol, m, k = "csp", len(target.constraints), target.arity
-        verdicts = np.array([_play_csp(target, behaviors, model, e, pos)[3]
-                             for e in range(m) for pos in range(k)],
-                            dtype=bool)
+        verdicts = table = np.array(
+            [_play_csp(target, behaviors, model, e, pos)[3]
+             for e in range(m) for pos in range(k)], dtype=bool)
         vector = True
+        second = np.empty(chunk, dtype=np.uint64)
 
-        def cells_np(seeds, counters):  # constraint first, then position
-            return (_below_np(seeds, counters, m) * np.uint64(k)
-                    + _below_np(seeds, counters, k))
+        def cells_np(seeds, counters, out, tmp):  # constraint, then position
+            cells = _below_np(seeds, counters, m, out, tmp)
+            cells *= np.uint64(k)
+            cells += _below_np(seeds, counters, k, second[:len(cells)], tmp)
+            return cells
 
         def cell(stream):
             return stream.below(m) * k + stream.below(k)
     else:
         support, cums, total = _game_support(target)
         protocol = "game"
-        verdicts = np.array(
+        verdicts = table = np.array(
             [_play_game(target, behaviors, model, x, y)[3]
              for x, y in support], dtype=bool)
         vector = total < (1 << 63)
-        if vector:
+        dense = total <= SESSION_CHUNK  # one verdict per residue
+        if dense:
+            table = np.repeat(verdicts, np.diff(cums, prepend=0))
+        elif vector:
             bounds = np.array(cums, dtype=np.uint64)
 
-        def cells_np(seeds, counters):
-            return np.searchsorted(bounds, _below_np(seeds, counters, total),
-                                   side="right")
+        def cells_np(seeds, counters, out, tmp):
+            r = _below_np(seeds, counters, total, out, tmp)
+            return r if dense else np.searchsorted(bounds, r, side="right")
 
         def cell(stream):
             return bisect_right(cums, stream.below(total))
 
     if fast and vector:
         accepted = 0
-        for start in range(0, sessions, SESSION_CHUNK):
-            seeds = _session_seeds_np(master_seed, start,
-                                      min(sessions, start + SESSION_CHUNK))
-            counters = np.zeros(len(seeds), dtype=np.uint64)
-            accepted += int(verdicts[cells_np(seeds, counters)].sum())
+        index = np.arange(chunk, dtype=np.uint64)
+        seeds, counters, draws, tmp = np.empty((4, chunk), dtype=np.uint64)
+        for start in range(0, sessions, chunk):
+            n = min(chunk, sessions - start)
+            _session_seeds_np(master_seed, index[:n], seeds[:n], tmp[:n])
+            counters[:n] = 0
+            cells = cells_np(seeds[:n], counters[:n], draws[:n], tmp[:n])
+            accepted += int(np.count_nonzero(table[cells.view(np.int64)]))
+            index += np.uint64(chunk)
     else:
         accepted = sum(
             bool(verdicts[cell(SplitMixStream(session_seed(master_seed, i)))])
             for i in range(sessions))
-    config = {"protocol": protocol, "instance": instance_id(target),
+    config = {"protocol": protocol, "instance": ident,
               "model": model.kind.value, "bits_ab": model.bits_ab,
               "bits_ba": model.bits_ba, "sessions": sessions}
     p = accepted / sessions
@@ -507,7 +532,7 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
                             config, master_seed)
 
 
-def _session_seeds_np(master_seed: int, start: int, stop: int) -> np.ndarray:
-    """session_seed(master_seed, i) for i in [start, stop)."""
-    return _splitmix64_np(np.uint64(master_seed & _MASK64),
-                          np.arange(start, stop, dtype=np.uint64))
+def _session_seeds_np(master_seed: int, index: np.ndarray, out=None,
+                      tmp=None) -> np.ndarray:
+    """session_seed(master_seed, i) for each i in ``index``, into ``out``."""
+    return _splitmix64_np(np.uint64(master_seed & _MASK64), index, out, tmp)

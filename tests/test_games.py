@@ -47,6 +47,26 @@ def test_loader_normalizes_integer_weights():
     assert load_game(scaled) == chsh()
 
 
+def test_int_weights_match_fraction_products():
+    # the integer weights equal w * denom computed as Fractions, in int64
+    # below 2^63 and as Python ints (object dtype) past it
+    rng = random.Random(12)
+    targets = []
+    for _ in range(40):
+        x, y = rng.randint(1, 4), rng.randint(1, 4)
+        raw = [Fraction(rng.randint(0, 40), rng.randint(1, 40))
+               for _ in range(x * y)]
+        raw[rng.randrange(x * y)] += 1  # nonzero total
+        dist = tuple(w / sum(raw) for w in raw)
+        targets.append(Game("w", x, y, 1, 1, dist, (1,) * (x * y)))
+    big = make_game("big", 1, 3, 1, 1, [1, 2**64, 3], lambda *_: True)
+    assert big.int_weights()[1] > 2**63
+    for g in targets + [big]:
+        weights, denom = g.int_weights()
+        assert weights.dtype == (object if denom >= 2**63 else "int64")
+        assert weights.ravel().tolist() == [int(w * denom) for w in g.dist]
+
+
 def test_load_zero_total_weight():
     text = CHSH_TEXT.replace("1 1", "0 0")
     with pytest.raises(FormatError, match="zero total weight"):

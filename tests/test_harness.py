@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,8 @@ from leakygames import harness
 from leakygames.csp import (CheatProfile, cheat_acceptance, csp_value_exact,
                             optimal_cheat)
 from leakygames.errors import BudgetExceededError, InvalidInputError
-from leakygames.games import StrategyPair, chsh, classical_value
+from leakygames.games import (Game, StrategyPair, chsh, classical_value,
+                              make_game)
 from leakygames.harness import (ChannelEvent, ExperimentRecord,
                                 IdentifierMismatchError,
                                 MalformedBehaviorError, MeteredChannel,
@@ -29,6 +31,7 @@ from leakygames.harness import (ChannelEvent, ExperimentRecord,
 from leakygames.leakage import (LeakyStrategy, leaky_strategy_value,
                                 leaky_value_exact, one_way_ab, one_way_ba,
                                 simultaneous)
+from leakygames.repetition import repeat_game, repeated_exact_value
 
 NO_LEAK = one_way_ab(0)
 
@@ -66,6 +69,36 @@ def test_vectorized_below_matches_scalar():
             stream = SplitMixStream(session_seed(9, i))
             assert stream.below(n) == int(vec[i])
             assert stream.counter == int(counters[i])
+
+
+@pytest.mark.parametrize("n", [3 * 2**61, 2**63 + 1],
+                         ids=["quarter", "half"])
+def test_vectorized_below_rejections_match_scalar(n):
+    # rejection chances 1/4 and about 1/2: the redrawn sessions keep
+    # their residues and counters in step with the scalar stream
+    seeds = np.array([session_seed(31, i) for i in range(3000)],
+                     dtype=np.uint64)
+    counters = np.zeros(3000, dtype=np.uint64)
+    out, tmp = np.empty((2, 3000), dtype=np.uint64)
+    vec = _below_np(seeds, counters, n, out, tmp)
+    assert vec is out and counters.max() > 2
+    for i in range(3000):
+        stream = SplitMixStream(session_seed(31, i))
+        assert stream.below(n) == int(vec[i])
+        assert stream.counter == int(counters[i])
+
+
+def test_vectorized_below_consecutive_draws_share_counters():
+    seeds = np.array([session_seed(8, i) for i in range(2000)],
+                     dtype=np.uint64)
+    counters = np.zeros(2000, dtype=np.uint64)
+    first = _below_np(seeds, counters, 3 * 2**61)
+    second = _below_np(seeds, counters, 5)
+    for i in range(2000):
+        stream = SplitMixStream(session_seed(8, i))
+        assert stream.below(3 * 2**61) == int(first[i])
+        assert stream.below(5) == int(second[i])
+        assert stream.counter == int(counters[i])
 
 
 # -- sessions ----------------------------------------------------------------
@@ -246,19 +279,66 @@ def test_estimator_fast_matches_scalar_csp():
     assert fast == slow
 
 
+def test_estimator_fast_matches_scalar_with_rejections():
+    # weight total 3 * 2^61: cells found by searchsorted, and a quarter of
+    # the draws rejected and drawn again
+    g = make_game("heavy", 2, 2, 2, 2, [1, 2**61, 2**61, 2**61 - 1],
+                  lambda x, y, a, b: (a ^ b) == (x & y))
+    assert g.int_weights()[1] == 3 * 2**61
+    behaviors = behaviors_from_strategy_pair(classical_value(g)[1])
+    fast = estimate_acceptance(g, behaviors, NO_LEAK, 3000, 19, fast=True)
+    slow = estimate_acceptance(g, behaviors, NO_LEAK, 3000, 19, fast=False)
+    assert fast == slow
+
+
 def test_estimator_chunks_match_one_chunk(monkeypatch):
-    # sessions sampled in many small chunks draw exactly as in one chunk
+    # sessions sampled in many small chunks draw exactly as in one chunk;
+    # chunks below a game's weight total (4, 16 and 37 here) look cells up
+    # by searchsorted, the others read the per-residue verdict table
     behaviors = best_chsh_behaviors()
     c, _ = helpers.satisfiable_csp(random.Random(6))
     csp_behaviors = behaviors_from_cheat_profile(c, optimal_cheat(c, 1)[1])
+    square = repeat_game(chsh(), 2)
+    g = helpers.random_game_exact(random.Random(3), 5, 5, 3, 3)
+    model = one_way_ab(1)
     cases = [(chsh(), behaviors, NO_LEAK),
-             (c, csp_behaviors, one_way_ab(1))]
+             (c, csp_behaviors, model),
+             (square, behaviors_from_strategy_pair(
+                 repeated_exact_value(square)[1]), NO_LEAK),
+             (g, behaviors_from_leaky_strategy(
+                 model, leaky_value_exact(g, model)[1]), model)]
+    assert [t.int_weights()[1] for t, _, _ in cases[2:]] == [16, 37]
     reference = [estimate_acceptance(t, b, m, 2500, 17) for t, b, m in cases]
-    for chunk in (1, 7, 1000):
+    for chunk in (1, 7, 16, 17, 37, 1000):
         monkeypatch.setattr(harness, "SESSION_CHUNK", chunk)
         for (target, behav, model), record in zip(cases, reference):
             assert estimate_acceptance(target, behav, model, 2500,
                                        17) == record
+
+
+@pytest.mark.parametrize("kind", ["game", "csp"])
+def test_estimator_memory_is_bounded_by_the_chunk(kind):
+    # the traced peak stays within eight chunk-sized uint64 arrays, and
+    # sixteen chunks of sessions peak no higher than one
+    if kind == "csp":
+        target, _ = helpers.satisfiable_csp(random.Random(6))
+        model = one_way_ab(1)
+        behaviors = behaviors_from_cheat_profile(
+            target, optimal_cheat(target, 1)[1])
+    else:
+        target, model, behaviors = chsh(), NO_LEAK, best_chsh_behaviors()
+    estimate_acceptance(target, behaviors, model, 10, 0)  # warm the caches
+    peaks = []
+    for chunks in (1, 16):
+        tracemalloc.start()
+        try:
+            estimate_acceptance(target, behaviors, model,
+                                chunks * harness.SESSION_CHUNK, 5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 8 * 8 * harness.SESSION_CHUNK
+    assert peaks[1] <= peaks[0] + 4096
 
 
 def test_estimator_refuses_sessions_past_cap():
@@ -328,8 +408,22 @@ def test_instance_id_distinguishes():
     assert instance_id(c1).startswith("csp:")
 
 
+def test_unhashable_targets_are_refused():
+    # the per-target caches never see an unhashable target: sessions and
+    # estimates refuse it as invalid input, not with a TypeError
+    class Unhashable(Game):
+        __hash__ = None
+
+    g = chsh()
+    target = Unhashable(*(getattr(g, f.name) for f in dataclasses.fields(g)))
+    behaviors = best_chsh_behaviors()
+    with pytest.raises(InvalidInputError, match="cannot identify"):
+        run_session(target, behaviors, NO_LEAK, 1)
+    with pytest.raises(InvalidInputError, match="cannot identify"):
+        estimate_acceptance(target, behaviors, NO_LEAK, 10, 1)
+
+
 def test_all_ones_game_estimate():
-    from leakygames.games import make_game
     ones = make_game("ones", 2, 2, 2, 2, [1, 1, 1, 1], lambda *_: True)
     behaviors = behaviors_from_strategy_pair(StrategyPair((0, 0), (0, 0)))
     record = estimate_acceptance(ones, behaviors, NO_LEAK, 5000, 0)
