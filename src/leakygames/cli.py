@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_mod
+import functools
 import io
 import itertools
 import json
@@ -405,7 +406,9 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="leakygames",
         description="Exact values and leakage robustness for two-prover "

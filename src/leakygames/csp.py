@@ -26,6 +26,7 @@ from .games import Game, _content_lines, _index_to_tuple, make_game
 
 DEFAULT_ASSIGNMENT_BUDGET = 10**7
 DEFAULT_CHEAT_BUDGET = 10**8
+PROFILE_CELLS = 2**20  # values in a cheat profile: 2^bits x num_vars
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,11 @@ class CspInstance:
                     raise InvalidInputError("allowed tuple length != arity")
                 if any(v < 0 or v >= self.alphabet_size for v in t):
                     raise InvalidInputError("allowed tuple value out of range")
+
+    def __hash__(self) -> int:  # kept: every session hashes its target
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash(self.constraints))
+        return self.__dict__["_hash"]
 
     def satisfied_count(self, assignment: tuple[int, ...]) -> int:
         count = 0
@@ -381,12 +387,59 @@ def cheat_acceptance(c: CspInstance, profile: CheatProfile) -> Fraction:
 def _score_matrix(c: CspInstance) -> np.ndarray:
     """scores[i, e]: agreement of the i-th assignment (lex order) with
     constraint e's best satisfying tuple (0 when e has none)."""
-    return np.concatenate([agr for _, _, agr in _agreement_blocks(c)])
+    dtype = np.min_scalar_type(c.arity)
+    return np.concatenate([agr.astype(dtype)
+                           for _, _, agr in _agreement_blocks(c)])
+
+
+# The last two cheat slots are scored as one matrix product.  Scores are
+# integers 0..k, so max(a, b) = sum_{t<k} (1 - [a<=t][b<=t]): a pair of rows
+# totals k*m minus the dot product of their 0/1 rows [s <= t] over (t, e).
+PAIR_CELLS = 2**15  # output cells of one block of the pair product
+
+
+def _thresholds(scores: np.ndarray, k: int) -> np.ndarray:
+    """[rows, k*m] 0/1 rows [scores[r, e] <= t], t-major, in float32 while
+    k*m < 2**24: BLAS sums of at most k*m ones are exact there."""
+    rows, m = scores.shape
+    below = scores[:, None] <= np.arange(k)[:, None]  # [rows, k, m]
+    return below.reshape(rows, k * m).astype(
+        np.float32 if k * m < 2**24 else np.float64)
+
+
+def _pair_scan(scores, suffix_max, table, prefix, start, best_total):
+    """Lex-first (i, j), start <= i <= j, whose total with the prefix maxima,
+    sum_e max(prefix_e, S[i, e], S[j, e]), beats best_total: returns
+    (total, [i, j]), or (best_total, []) when no pair beats it."""
+    (n, m), km = scores.shape, table.shape[1]
+    rows_max = np.maximum(prefix, scores[start:])
+    bound = np.maximum(rows_max, suffix_max[start:]).sum(1, dtype=np.int64)
+    keep = np.flatnonzero(bound > best_total)  # the rest cannot beat it
+    rows, row_table = keep + start, _thresholds(rows_max[keep], km // m)
+    best, b = [], 0
+    while b < len(rows):
+        r0 = int(rows[b])
+        b1 = b + max(1, PAIR_CELLS // (n - r0))
+        # A pair (i, j < i) totals the same as (j, i): if j is kept, (j, i)
+        # comes first in row-major order; if not, neither beats best_total.
+        dots = row_table[b:b1] @ table[r0:].T
+        p, q = divmod(int(dots.argmin()), n - r0)  # row-major: lex-first
+        if km - int(dots[p, q]) > best_total:
+            best_total, best = km - int(dots[p, q]), [int(rows[b + p]), r0 + q]
+        b = b1
+    return best_total, best
+
+
+def _tuples(n: int, slots: int) -> int:
+    """C(n + r - 1, r): nondecreasing r-tuples over n items, r = min(slots, n)
+    (a profile holds at most n distinct assignments)."""
+    return math.comb(n + min(slots, n) - 1, min(slots, n))
 
 
 def _log2_tuples(n: float, slots: float) -> float:
-    """log2 C(n + slots - 1, slots), nondecreasing slots-tuples over n items;
-    at least k*log2((n+slots-1)/k), k = min(slots, n-1), if lgamma cancels."""
+    """log2 _tuples(n, slots); at least k*log2((n+slots-1)/k),
+    k = min(slots, n-1), if lgamma cancels."""
+    slots = min(slots, n)
     k = min(slots, n - 1)
     exact = (math.lgamma(n + slots) - math.lgamma(slots + 1)
              - math.lgamma(n)) / math.log(2)
@@ -402,51 +455,59 @@ def optimal_cheat(c: CspInstance, leak_bits: int,
     ordered tuple of assignments, one per message value).  Slots are
     interchangeable, so a sorted maximizer is no larger in lex order: only
     nondecreasing index tuples are scanned, in lex order, with per-constraint
-    maxima carried down the prefix tree and the last slot vectorized.  A
-    prefix ending at index i is pruned when the maxima over it and every
-    assignment from i on cannot beat the best total.
+    maxima carried down the prefix tree and the last two slots scored as one
+    blocked matrix product.  A prefix ending at index i is pruned when the
+    maxima over it and every assignment from i on cannot beat the best total.
+
+    Only r = min(2^bits, n) slots are scanned (and budgeted): the other
+    slots repeat the witness's first index, keeping it the lex-first maximizer.
     """
     if leak_bits < 0:
         raise InvalidInputError("leak_bits must be non-negative")
     check_budget(budget, "cheat-profile enumeration",
                  lambda: _log2_tuples(float(c.alphabet_size) ** c.num_vars,
                                       2.0 ** leak_bits),
-                 lambda: math.comb(c.alphabet_size ** c.num_vars
-                                   + (1 << leak_bits) - 1, 1 << leak_bits),
-                 RUN_FALLBACK)
+                 lambda: _tuples(c.alphabet_size ** c.num_vars,
+                                 1 << leak_bits), RUN_FALLBACK)
     slots, n = 1 << leak_bits, c.alphabet_size ** c.num_vars
-    cells = n * len(c.constraints)
-    if cells > 5 * 10**7:
-        raise BudgetExceededError(cells, 5 * 10**7, "cheat score table",
+    m = len(c.constraints)
+    if slots * c.num_vars > PROFILE_CELLS:
+        raise BudgetExceededError(slots * c.num_vars, PROFILE_CELLS,
+                                  "cheat profile")
+    if n * m > 5 * 10**7:
+        raise BudgetExceededError(n * m, 5 * 10**7, "cheat score table",
                                   fallback=RUN_FALLBACK)
 
-    scores = _score_matrix(c)
-    suffix_max = np.maximum.accumulate(scores[::-1])[::-1]
-    best_total, best = -1, []
-    idx = [0] * slots
-    maxes = [np.zeros(len(c.constraints), dtype=scores.dtype)] * slots
-    depth, i = 0, 0  # idx[:depth] is fixed; i is the candidate for slot depth
-    while True:
-        if depth == slots - 1:  # every last index from i on, at once
-            sums = np.maximum(maxes[depth], scores[i:]).sum(axis=1)
-            last = int(sums.argmax())  # first maximum: lex-smallest
-            if sums[last] > best_total:
-                best_total, best = int(sums[last]), idx[:depth] + [i + last]
-        if depth == slots - 1 or i == n:
-            depth -= 1
-            if depth < 0:
-                break
-            i = idx[depth] + 1
-            continue
-        child = np.maximum(maxes[depth], scores[i])
-        if np.maximum(child, suffix_max[i]).sum() > best_total:
-            idx[depth], maxes[depth + 1] = i, child
-            depth += 1  # the next slot starts at i: tuples are nondecreasing
-        else:
-            i += 1
-    profile = CheatProfile(tuple(
-        _index_to_tuple(j, c.alphabet_size, c.num_vars) for j in best))
-    return Fraction(best_total, c.arity * len(c.constraints)), profile
+    scores, r = _score_matrix(c), min(slots, n)
+    totals = scores.sum(axis=1, dtype=np.int64)
+    best_total, best = int(totals.max()), [int(totals.argmax())]
+    if r > 1:  # r slots reach the best row's total: start just below it
+        best_total, best = best_total - 1, []
+        suffix_max = np.maximum.accumulate(scores[::-1])[::-1]
+        table = _thresholds(scores, c.arity)
+        idx = [0] * r
+        maxes = [np.zeros(m, dtype=scores.dtype)] * r
+        depth, i = 0, 0  # idx[:depth] is fixed; i is the next slot's index
+        while True:
+            if depth == r - 2:  # the last two slots: every pair from i on
+                best_total, pair = _pair_scan(scores, suffix_max, table,
+                                              maxes[depth], i, best_total)
+                best = idx[:depth] + pair if pair else best
+            if depth == r - 2 or i == n:
+                depth -= 1
+                if depth < 0:
+                    break
+                i = idx[depth] + 1
+                continue
+            child = np.maximum(maxes[depth], scores[i])
+            if np.maximum(child, suffix_max[i]).sum() > best_total:
+                idx[depth], maxes[depth + 1] = i, child
+                depth += 1  # slot depth + 1 starts at i: nondecreasing
+            else:
+                i += 1
+    witness = [_index_to_tuple(j, c.alphabet_size, c.num_vars) for j in best]
+    profile = CheatProfile(tuple(witness[:1] * (slots - r) + witness))
+    return Fraction(best_total, c.arity * m), profile
 
 
 # ---------------------------------------------------------------------------

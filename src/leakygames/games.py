@@ -63,6 +63,13 @@ class Game:
         if any(bit not in (0, 1) for bit in self.pred):
             raise InvalidInputError("pred entries must be 0 or 1")
 
+    def __hash__(self) -> int:
+        # kept, as it reads every weight and bit; no salted str goes into it,
+        # so a pickled copy keeps a valid hash in another process
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash((self.dist, self.pred)))
+        return self.__dict__["_hash"]
+
     # -- evaluation interface (shared with RepeatedGame via duck typing) --
 
     def weight(self, x: int, y: int) -> Fraction:

@@ -14,8 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from leakygames.csp import CheatProfile, _score_matrix
 from leakygames.errors import BudgetExceededError
-from leakygames.games import Game, best_tables, gain_tensor
+from leakygames.games import (Game, _index_to_tuple, best_tables,
+                              gain_tensor)
 from leakygames.leakage import LeakageModel, LeakyStrategy
 from leakygames.repetition import DEFAULT_TABLE_CELLS
 
@@ -197,3 +199,38 @@ def naive_optimal_cheat(c, leak_bits: int):
             if num > best:
                 best = num
     return Fraction(best, m_cons * c.arity)
+
+
+def reference_optimal_cheat(c, leak_bits: int):
+    """The per-row leaf scan the pair scan replaced, without budget guards:
+    nondecreasing index tuples in lex order, prefixes pruned by the
+    column-max bound, and the last slot scored one prefix row at a time.
+    Returns (value, CheatProfile) like ``csp.optimal_cheat``."""
+    slots, n = 1 << leak_bits, c.alphabet_size ** c.num_vars
+    scores = _score_matrix(c).astype(np.int64)
+    suffix_max = np.maximum.accumulate(scores[::-1])[::-1]
+    best_total, best = -1, []
+    idx = [0] * slots
+    maxes = [np.zeros(len(c.constraints), dtype=scores.dtype)] * slots
+    depth, i = 0, 0  # idx[:depth] is fixed; i is the candidate for slot depth
+    while True:
+        if depth == slots - 1:  # every last index from i on, at once
+            sums = np.maximum(maxes[depth], scores[i:]).sum(axis=1)
+            last = int(sums.argmax())  # first maximum: lex-smallest
+            if sums[last] > best_total:
+                best_total, best = int(sums[last]), idx[:depth] + [i + last]
+        if depth == slots - 1 or i == n:
+            depth -= 1
+            if depth < 0:
+                break
+            i = idx[depth] + 1
+            continue
+        child = np.maximum(maxes[depth], scores[i])
+        if np.maximum(child, suffix_max[i]).sum() > best_total:
+            idx[depth], maxes[depth + 1] = i, child
+            depth += 1  # the next slot starts at i: tuples are nondecreasing
+        else:
+            i += 1
+    profile = CheatProfile(tuple(
+        _index_to_tuple(j, c.alphabet_size, c.num_vars) for j in best))
+    return Fraction(best_total, c.arity * len(c.constraints)), profile

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import random
+import shutil
 import sys
 from importlib import resources
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from leakygames import cli
 from leakygames.cli import (EXIT_BUDGET, EXIT_GENERATOR_CAP, EXIT_INVALID,
                             EXIT_OK, compute_params, main, parse_fraction)
 from leakygames.errors import InvalidInputError
@@ -48,6 +50,38 @@ def test_value_command(tmp_path, capsys):
     assert rows[0]["value_float"] == "0.75"
     assert rows[0]["alice"] == "0,0" and rows[0]["bob"] == "0,0"
     assert "3/4" in capsys.readouterr().out
+
+
+def test_main_reuses_one_parser(tmp_path, capsys):
+    # back-to-back calls on the kept parser, one of them an argparse error,
+    # give the exit codes, stdout and artifacts of calls on fresh parsers
+    calls = [["value", CHSH_PATH],
+             ["cheat", LOWVAL_PATH, "--leak-bits", "1"],
+             ["value"],  # no game file: argparse exits 2
+             ["--format", "json", "--seed", "3", "leaky-value", CHSH_PATH,
+              "--bits-ab", "1"],
+             ["params", "--leak-bits", "1", "--answer-bits", "2",
+              "--epsilon", "0.1", "-k", "2"],
+             ["csp-val", LOWVAL_PATH]]
+
+    def run(i, argv):
+        out = tmp_path / str(i)
+        try:
+            code = main(["--out", str(out), *argv])
+        except SystemExit as exc:
+            code = exc.code
+        files = ({p.name: p.read_bytes() for p in out.iterdir()}
+                 if out.exists() else {})
+        shutil.rmtree(out, ignore_errors=True)
+        return code, capsys.readouterr().out, files
+
+    fresh = []
+    for i, argv in enumerate(calls):
+        cli.build_parser.cache_clear()
+        fresh.append(run(i, argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 0]
+    assert cli.build_parser() is cli.build_parser()
+    assert [run(i, argv) for i, argv in enumerate(calls)] == fresh
 
 
 def test_value_csv_reproducible(tmp_path):

@@ -6,8 +6,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import helpers
@@ -371,6 +373,125 @@ def test_optimal_cheat_witness_on_mixed_instances():
             if acc > best:
                 best, best_pair = acc, pair
         assert optimal_cheat(c, 1) == (best, CheatProfile(best_pair))
+
+
+@pytest.fixture(params=[None, 1, 7, 64])
+def pair_cells(request, monkeypatch):
+    """The pair scan at its default block size and at tiny ones, which split
+    every scan into blocks of a few rows or of one."""
+    if request.param is not None:
+        monkeypatch.setattr(csp, "PAIR_CELLS", request.param)
+    return request.param
+
+
+def _mixed_instance(rng, num_vars, alphabet, arity):
+    """Up to 40 constraints with repeated scope variables and allowed sets
+    of 0-3 tuples."""
+    space = list(itertools.product(range(alphabet), repeat=arity))
+    return CspInstance(num_vars, alphabet, arity, tuple(make_constraint(
+        [rng.randrange(num_vars) for _ in range(arity)],
+        rng.sample(space, min(len(space), rng.choice([0, 1, 1, 2, 3]))))
+        for _ in range(rng.randint(1, 40))))
+
+
+def _best_ordered_tuple(c, slots):
+    """Max acceptance over every ordered slots-tuple of assignments, with
+    the lex-first tuple reaching it."""
+    assignments = list(itertools.product(range(c.alphabet_size),
+                                         repeat=c.num_vars))
+    best, best_profile = Fraction(-1), None
+    for profile in itertools.product(assignments, repeat=slots):
+        acc = cheat_acceptance(c, CheatProfile(profile))
+        if acc > best:
+            best, best_profile = acc, profile
+    return best, CheatProfile(best_profile)
+
+
+def test_pair_scan_blocks_match_every_ordered_tuple(pair_cells):
+    rng = random.Random(53)
+    for num_vars, alphabet, bits in ((2, 3, 1), (3, 2, 1), (2, 2, 2),
+                                     (1, 3, 2)):
+        for arity in (1, 2, 3, 4):
+            c = _mixed_instance(rng, num_vars, alphabet, arity)
+            assert optimal_cheat(c, bits) == _best_ordered_tuple(c, 1 << bits)
+
+
+@pytest.mark.parametrize("num_vars, alphabet", [(4, 2), (2, 4), (3, 3),
+                                                (6, 2), (4, 3), (10, 2)])
+def test_pair_scan_matches_reference_leaf_scan(num_vars, alphabet,
+                                               pair_cells):
+    # 16 to 1024 assignments, arity 1-4: the blocked pair product against
+    # the per-row leaf scan it replaced, on values and witnesses
+    rng = random.Random(num_vars * 10 + alphabet)
+    for arity in (1, 2, 3, 4):
+        c = _mixed_instance(rng, num_vars, alphabet, arity)
+        for bits in (0, 1, 2) if alphabet ** num_vars <= 32 else (0, 1):
+            assert optimal_cheat(c, bits) == \
+                oracles.reference_optimal_cheat(c, bits)
+
+
+@pytest.mark.parametrize("num_vars, alphabet", [(1, 1), (1, 2), (1, 3),
+                                                (2, 2)])
+def test_slots_past_assignments_repeat_the_first(num_vars, alphabet,
+                                                 pair_cells):
+    # 2^bits > n: the capped scan, padded, is the full scan's witness
+    rng = random.Random(alphabet)
+    for arity in (1, 2, 3):
+        c = _mixed_instance(rng, num_vars, alphabet, arity)
+        for bits in (1, 2, 3):
+            assert optimal_cheat(c, bits) == \
+                oracles.reference_optimal_cheat(c, bits)
+    value, profile = optimal_cheat(c, 16)
+    scan = optimal_cheat(c, (alphabet ** num_vars - 1).bit_length())[1]
+    assert value == optimal_cheat(c, 3)[0]
+    assert profile.assignments == (
+        scan.assignments[:1] * ((1 << 16) - len(scan.assignments))
+        + scan.assignments)
+
+
+def test_capped_scan_budget_and_profile_guard(monkeypatch):
+    # one binary variable: the scan visits C(2 + 2 - 1, 2) = 3 pairs at
+    # any leak, and only the profile grows with the leak
+    c = CspInstance(1, 2, 2, (make_constraint((0, 0), [(0, 0), (1, 1)]),))
+    assert optimal_cheat(c, 16, budget=3)[0] == 1
+    with pytest.raises(BudgetExceededError):
+        optimal_cheat(c, 16, budget=2)
+    monkeypatch.setattr(csp, "PROFILE_CELLS", 8)
+    assert len(optimal_cheat(c, 3)[1].assignments) == 8
+    with pytest.raises(BudgetExceededError) as err:
+        optimal_cheat(c, 4)
+    assert err.value.required == 16
+    two = CspInstance(2, 2, 2, (make_constraint((0, 1), NE),))
+    assert len(optimal_cheat(two, 2)[1].assignments) == 4  # 4 x 2 values
+    with pytest.raises(BudgetExceededError):
+        optimal_cheat(two, 3)
+
+
+def test_threshold_rows_switch_to_float64_at_2_24_columns():
+    # sums of k*m 0/1 products are exact in float32 below 2^24, the first
+    # integer past which float32 skips integers
+    assert float(np.float32(2**24 + 1)) == 2**24
+    for k, m, dtype in ((1, 2**24 - 1, np.float32), (1, 2**24, np.float64),
+                        (2, 2**23 - 1, np.float32), (2, 2**23, np.float64),
+                        (4, 2**22, np.float64)):
+        table = csp._thresholds(np.zeros((0, m), dtype=np.uint8), k)
+        assert table.shape == (0, k * m) and table.dtype == dtype
+
+
+def test_pair_scan_memory_is_bounded_by_the_block(monkeypatch):
+    # 1024 assignments at leak 1: the scan holds the threshold tables and one
+    # block of the product, never the 1024 x 1024 pair table
+    monkeypatch.setattr(csp, "AGREEMENT_CELLS", 2**12)  # a small score pass
+    c = _mixed_instance(random.Random(3), 10, 2, 2)
+    tables = 2 * 1024 * 2 * len(c.constraints) * 4  # row and column sides
+    tracemalloc.start()
+    try:
+        optimal_cheat(c, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= tables + 8 * csp.PAIR_CELLS + 2**18
+    assert peak < 1024 * 1024 * 4  # one float32 pair table
 
 
 def test_optimal_cheat_budget():

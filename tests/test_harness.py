@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ import pytest
 import helpers
 from leakygames import harness
 from leakygames.csp import (CheatProfile, cheat_acceptance, csp_value_exact,
-                            optimal_cheat)
+                            load_instance, optimal_cheat)
 from leakygames.errors import BudgetExceededError, InvalidInputError
 from leakygames.games import (Game, StrategyPair, chsh, classical_value,
                               make_game)
@@ -406,6 +408,27 @@ def test_instance_id_distinguishes():
         helpers.random_game(random.Random(1), 2, 2, 2, 2))
     c1, _ = helpers.satisfiable_csp(random.Random(2))
     assert instance_id(c1).startswith("csp:")
+
+
+def test_kept_hashes_match_equal_targets():
+    # hashes are computed once per instance; equal targets built apart hash
+    # equal, pickled copies too, and instance ids are those of the
+    # serialized text, as before hashes were kept
+    g1, g2 = (helpers.random_game_exact(random.Random(1), 5, 5, 3, 3)
+              for _ in range(2))
+    assert g1 == g2 and g1 is not g2
+    assert hash(g1) == hash(g1) == hash(g2) == hash(pickle.loads(
+        pickle.dumps(g1)))
+    flipped = dataclasses.replace(g1, pred=(1 - g1.pred[0],) + g1.pred[1:])
+    assert flipped != g1 and hash(flipped) != hash(g1)
+    assert hash(repeat_game(g1, 2)) == hash(repeat_game(g2, 2))
+    text = (resources.files("leakygames") / "fixtures"
+            / "lowval_k2.csp").read_text()
+    c1, c2 = load_instance(text), load_instance(text)
+    assert hash(c1) == hash(c2) == hash(pickle.loads(pickle.dumps(c1)))
+    assert instance_id(g1) == "rand:5b7b18faf752"
+    assert instance_id(chsh()) == "chsh:1a8e04a15fb9"
+    assert instance_id(c1) == "csp:a281118d0340"
 
 
 def test_unhashable_targets_are_refused():
