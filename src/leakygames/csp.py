@@ -366,15 +366,19 @@ def best_response(c: CspInstance, profile: CheatProfile
     the all-zero tuple, and agreement 0.
     """
     profile.check_shapes(c)
-    agree = _agreement(c)[0](np.array(profile.assignments))
+    first = {}  # each distinct assignment at its smallest message
+    for message, assignment in enumerate(profile.assignments):
+        first.setdefault(tuple(assignment), message)
+    messages = list(first.values())
+    agree = _agreement(c)[0](np.array(list(first)))
     # per constraint, (message, tuple) pairs in lex order: message major
     per_con = agree.transpose(1, 0, 2).reshape(len(c.constraints), -1)
     out = []
     for con, row in zip(c.constraints, per_con):
         pick = int(row.argmax())  # first maximum
-        message, t = divmod(pick, agree.shape[2])
-        out.append((message, con.allowed[t], int(row[pick])) if con.allowed
-                   else (0, (0,) * c.arity, 0))
+        slot, t = divmod(pick, agree.shape[2])
+        out.append((messages[slot], con.allowed[t], int(row[pick]))
+                   if con.allowed else (0, (0,) * c.arity, 0))
     return out
 
 

@@ -30,7 +30,8 @@ class BudgetExceededError(RuntimeError):
     """An exact enumeration would exceed the configured budget.
 
     Callers can retry with a larger budget, or use ``fallback`` when the
-    guard names one.  A count too large to build comes as its log2.
+    guard names one.  A count too large to build comes as its log2, and
+    ``required`` is then None; ``log2_required`` is set either way.
     """
 
     def __init__(self, required: int | None, budget: int,
@@ -47,6 +48,8 @@ class BudgetExceededError(RuntimeError):
             message += f"; fall back to {fallback}"
         super().__init__(message)
         self.required = required
+        self.log2_required = (log2_required if required is None
+                              else math.log2(required))
         self.budget = budget
         self.fallback = fallback
 

@@ -87,14 +87,9 @@ class SplitMixStream:
                 return value % n
 
 
-def _splitmix64_np(seeds: np.ndarray, counters: np.ndarray, out=None,
-                   tmp=None) -> np.ndarray:
-    """Vectorized splitmix64; bit-identical to the scalar version.  Mixes
-    in place in ``out`` (may be ``counters``) with ``tmp`` as scratch."""
-    z = np.add(counters, np.uint64(1), out=out)
+def _mix_np(z: np.ndarray, tmp=None) -> np.ndarray:
+    """The SplitMix64 finalizer, in place in ``z``; ``tmp`` is scratch."""
     tmp = np.empty_like(z) if tmp is None else tmp
-    z *= np.uint64(_GOLDEN)
-    z += seeds
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         z ^= np.right_shift(z, np.uint64(shift), out=tmp)
         z *= np.uint64(mult)
@@ -102,24 +97,37 @@ def _splitmix64_np(seeds: np.ndarray, counters: np.ndarray, out=None,
     return z
 
 
-def _below_np(seeds: np.ndarray, counters: np.ndarray, n: int, out=None,
-              tmp=None) -> np.ndarray:
-    """Vectorized stream.below(n): same draws, same rejections, per session.
-    Draws into ``out`` and advances ``counters`` in place; only the rare
-    rejected draws (each below n / 2^64 likely) are drawn again."""
-    tmp = np.empty(len(seeds), dtype=np.uint64) if tmp is None else tmp
-    draws = _splitmix64_np(seeds, counters, out, tmp)
-    counters += np.uint64(1)
-    limit = (1 << 64) - ((1 << 64) % n)
-    if limit < (1 << 64):
-        redo = np.flatnonzero(draws >= np.uint64(limit))
-        while len(redo):
-            draws[redo] = _splitmix64_np(seeds[redo], counters[redo])
-            counters[redo] += np.uint64(1)
-            redo = redo[draws[redo] >= np.uint64(limit)]
+def _splitmix64_np(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Vectorized splitmix64; bit-identical to the scalar version."""
+    return _mix_np((counters + np.uint64(1)) * np.uint64(_GOLDEN) + seeds)
+
+
+def _below_np(seeds: np.ndarray, draw: int, n: int, out=None, tmp=None,
+              extra=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The draw-th stream.below(n) of each session, into ``out``, with the
+    same draws and rejections.  Streams sit at counter ``draw`` (one scalar
+    add) plus ``extra[i]``, session i's earlier rejected draws; ``extra`` is
+    None until a rejection and is returned with the residues.  A power of
+    two n rejects nothing and takes its residue as one mask."""
+    tmp = np.empty_like(seeds) if tmp is None else tmp
+    step = np.uint64(_GOLDEN * (draw + 1) & _MASK64)
+    draws = _mix_np(np.add(seeds, step, out=out), tmp)
+    if extra is not None:
+        late = np.flatnonzero(extra)
+        draws[late] = _splitmix64_np(seeds[late], draw + extra[late])
+    if n & (n - 1) == 0:
+        return np.bitwise_and(draws, np.uint64(n - 1), out=draws), extra
+    limit = np.uint64((1 << 64) - (1 << 64) % n)
+    redo = np.flatnonzero(draws >= limit) if draws.max() >= limit else []
+    if len(redo) and extra is None:
+        extra = np.zeros(len(draws), dtype=np.uint64)
+    while len(redo):
+        extra[redo] += np.uint64(1)
+        draws[redo] = _splitmix64_np(seeds[redo], draw + extra[redo])
+        redo = redo[draws[redo] >= limit]
     np.floor_divide(draws, np.uint64(n), out=tmp)  # faster than numpy's %
     tmp *= np.uint64(n)
-    return np.subtract(draws, tmp, out=draws)
+    return np.subtract(draws, tmp, out=draws), extra
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +470,10 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
     deterministic, so verdicts are computed once per question cell, or per
     residue when a game's weight total is at most SESSION_CHUNK.  The fast
     path samples SESSION_CHUNK sessions at a time in numpy buffers
-    allocated once, draw-for-draw identical to scalar sessions.  Counts
-    above SESSION_CAP are refused before anything is allocated.
+    allocated once, draw-for-draw identical to scalar sessions: a table of
+    golden-ratio steps turns each chunk's seeds, and each draw, into one
+    scalar add and the finalizer.  Counts above SESSION_CAP are refused
+    before anything is allocated.
     """
     if sessions < 1:
         raise InvalidInputError("sessions must be >= 1")
@@ -480,10 +490,11 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
         vector = True
         second = np.empty(chunk, dtype=np.uint64)
 
-        def cells_np(seeds, counters, out, tmp):  # constraint, then position
-            cells = _below_np(seeds, counters, m, out, tmp)
+        def cells_np(seeds, out, tmp):  # constraint, then position
+            cells, extra = _below_np(seeds, 0, m, out, tmp)
             cells *= np.uint64(k)
-            cells += _below_np(seeds, counters, k, second[:len(cells)], tmp)
+            cells += _below_np(seeds, 1, k, second[:len(seeds)], tmp,
+                               extra)[0]
             return cells
 
         def cell(stream):
@@ -501,8 +512,8 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
         elif vector:
             bounds = np.array(cums, dtype=np.uint64)
 
-        def cells_np(seeds, counters, out, tmp):
-            r = _below_np(seeds, counters, total, out, tmp)
+        def cells_np(seeds, out, tmp):
+            r = _below_np(seeds, 0, total, out, tmp)[0]
             return r if dense else np.searchsorted(bounds, r, side="right")
 
         def cell(stream):
@@ -510,15 +521,14 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
 
     if fast and vector:
         accepted = 0
-        index = np.arange(chunk, dtype=np.uint64)
-        seeds, counters, draws, tmp = np.empty((4, chunk), dtype=np.uint64)
+        steps = np.arange(1, chunk + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        seeds, draws, tmp = np.empty((3, chunk), dtype=np.uint64)
         for start in range(0, sessions, chunk):
             n = min(chunk, sessions - start)
-            _session_seeds_np(master_seed, index[:n], seeds[:n], tmp[:n])
-            counters[:n] = 0
-            cells = cells_np(seeds[:n], counters[:n], draws[:n], tmp[:n])
+            _session_seeds_np(master_seed, start, steps[:n], seeds[:n],
+                              tmp[:n])
+            cells = cells_np(seeds[:n], draws[:n], tmp[:n])
             accepted += int(np.count_nonzero(table[cells.view(np.int64)]))
-            index += np.uint64(chunk)
     else:
         accepted = sum(
             bool(verdicts[cell(SplitMixStream(session_seed(master_seed, i)))])
@@ -532,7 +542,9 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
                             config, master_seed)
 
 
-def _session_seeds_np(master_seed: int, index: np.ndarray, out=None,
-                      tmp=None) -> np.ndarray:
-    """session_seed(master_seed, i) for each i in ``index``, into ``out``."""
-    return _splitmix64_np(np.uint64(master_seed & _MASK64), index, out, tmp)
+def _session_seeds_np(master_seed: int, start: int, steps: np.ndarray,
+                      out=None, tmp=None) -> np.ndarray:
+    """session_seed(master_seed, start + i) for each i < len(steps), into
+    ``out``, given steps[i] = golden * (i + 1) mod 2^64: one scalar add."""
+    offset = np.uint64((master_seed + _GOLDEN * start) & _MASK64)
+    return _mix_np(np.add(steps, offset, out=out), tmp)

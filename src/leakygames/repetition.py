@@ -80,11 +80,15 @@ class RepeatedGame:
         return out
 
     def wins(self, x: int, y: int, a: int, b: int) -> bool:
-        coords = (_index_to_tuple(x, self.base.x_size, self.copies),
-                  _index_to_tuple(y, self.base.y_size, self.copies),
-                  _index_to_tuple(a, self.base.a_size, self.copies),
-                  _index_to_tuple(b, self.base.b_size, self.copies))
-        return all(self.base.wins(*cell) for cell in zip(*coords))
+        base = self.base
+        for _ in range(self.copies):  # one digit per copy, last copy first
+            x, xi = divmod(x, base.x_size)
+            y, yi = divmod(y, base.y_size)
+            a, ai = divmod(a, base.a_size)
+            b, bi = divmod(b, base.b_size)
+            if not base.wins(xi, yi, ai, bi):
+                return False
+        return True
 
     def int_weights(self) -> tuple[np.ndarray, int]:
         """[X, Y] weights: the outer power of the base game's weights."""

@@ -171,6 +171,24 @@ def naive_label_cover_value(lc):
     return Fraction(best, len(lc.edges))
 
 
+def naive_best_response(c, profile):
+    """Per constraint, the first (message, allowed tuple) pair in message
+    order, then allowed order, agreeing on the most scope positions with
+    the message's assignment; (0, all-zero tuple, 0) with nothing allowed.
+    Every slot is scored, repeated assignments too."""
+    out = []
+    for con in c.constraints:
+        best = (-1, 0, (0,) * c.arity)
+        for message, assignment in enumerate(profile.assignments):
+            for tup in con.allowed:
+                agree = sum(assignment[var] == value
+                            for var, value in zip(con.scope, tup))
+                if agree > best[0]:
+                    best = (agree, message, tup)
+        out.append((best[1], best[2], max(best[0], 0)))
+    return out
+
+
 def naive_optimal_cheat(c, leak_bits: int):
     """Scan every (first-prover behavior, second-prover profile) pair.
 

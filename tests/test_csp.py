@@ -8,6 +8,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -263,6 +264,54 @@ def test_best_response_reproduces_acceptance():
             assert tup in con.allowed
 
 
+def _lowval():
+    return load_instance((resources.files("leakygames") / "fixtures"
+                          / "lowval_k2.csp").read_text())
+
+
+def test_best_response_matches_every_slot_scan():
+    # duplicate assignments are scored once, at their smallest message:
+    # the fixture, random instances with repeating profiles at leak 0-3,
+    # and slot-capped cheat witnesses (the first assignment repeated)
+    rng = random.Random(89)
+    fixture = _lowval()
+    cases = [(fixture, optimal_cheat(fixture, bits)[1]) for bits in (0, 1, 2)]
+    for arity in (1, 2, 3):
+        c = _mixed_instance(rng, 3, 2, arity)
+        pool = list(itertools.product(range(2), repeat=3))
+        for bits in (0, 1, 2, 3):
+            cases.append((c, CheatProfile(tuple(
+                rng.choice(pool[:rng.randint(1, 8)])
+                for _ in range(1 << bits)))))
+        cases += [(c, optimal_cheat(c, bits)[1]) for bits in (3, 4)]
+    pool = list(itertools.product(range(3), repeat=4))
+    cases.append((fixture, CheatProfile(tuple(rng.choice(pool[:5])
+                                              for _ in range(8)))))
+    for c, profile in cases:
+        assert best_response(c, profile) == \
+            oracles.naive_best_response(c, profile)
+
+
+def test_best_response_memory_holds_with_the_leak():
+    # 3 binary variables and 200 constraints: at most 8 distinct
+    # assignments are compared, however many slots the profile has
+    rng = random.Random(97)
+    c = _mixed_instance(rng, 3, 2, 2)
+    c = CspInstance(3, 2, 2, (c.constraints * 200)[:200])
+    pool = list(itertools.product(range(2), repeat=3))
+    peaks = []
+    for bits in (8, 10, 12):
+        profile = CheatProfile(tuple(rng.choice(pool)
+                                     for _ in range(1 << bits)))
+        tracemalloc.start()
+        try:
+            best_response(c, profile)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2**19  # scoring every slot takes 1.8 MB at 8 bits
+
+
 def test_optimal_cheat_satisfiable_instance():
     c, _ = helpers.satisfiable_csp(random.Random(83), num_vars=4,
                                    num_constraints=5)
@@ -502,11 +551,23 @@ def test_optimal_cheat_budget():
     with pytest.raises(BudgetExceededError) as err:
         optimal_cheat(c, 2, budget=10**8)  # near the count: built exactly
     assert err.value.required == math.comb(256 + 3, 4)
+    assert err.value.log2_required == math.log2(math.comb(256 + 3, 4))
     # exactly at the count the scan runs: C(4 + 3, 4) = 35 on 2 binary vars
     small = CspInstance(2, 2, 2, (make_constraint((0, 1), NE),))
     assert optimal_cheat(small, 2, budget=35)[0] == 1
     with pytest.raises(BudgetExceededError):
         optimal_cheat(small, 2, budget=34)
+
+
+def test_log2_refusal_keeps_the_overshoot():
+    # leak 12 on 81 assignments: C(81 + 81 - 1, 81) tuples, refused from
+    # its log2 before the count is built
+    with pytest.raises(BudgetExceededError) as err:
+        optimal_cheat(_lowval(), 12)
+    assert err.value.required is None
+    assert err.value.log2_required == pytest.approx(
+        math.log2(math.comb(161, 81)))
+    assert f"about 2^{int(err.value.log2_required)} steps" in str(err.value)
 
 
 def test_optimal_cheat_budget_guard_builds_no_huge_count():

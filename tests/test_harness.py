@@ -61,16 +61,29 @@ def test_vectorized_splitmix_matches_scalar():
         assert splitmix64(int(s), int(c)) == int(v)
 
 
-def test_vectorized_below_matches_scalar():
-    for n in (1, 3, 7, 1000):
-        seeds = np.array([session_seed(9, i) for i in range(50)],
-                         dtype=np.uint64)
-        counters = np.zeros(50, dtype=np.uint64)
-        vec = _below_np(seeds, counters, n)
-        for i in range(50):
-            stream = SplitMixStream(session_seed(9, i))
+def draw_both(master, count, moduli, out=None, tmp=None):
+    """Draw each modulus in turn for sessions 0..count-1 of ``master``,
+    through _below_np and through scalar streams; residues and stream
+    counters agree.  Returns the last residues and extra counters."""
+    seeds = np.array([session_seed(master, i) for i in range(count)],
+                     dtype=np.uint64)
+    streams = [SplitMixStream(int(s)) for s in seeds]
+    extra = None
+    for draw, n in enumerate(moduli):
+        vec, extra = _below_np(seeds, draw, n, out, tmp, extra)
+        for i, stream in enumerate(streams):
             assert stream.below(n) == int(vec[i])
-            assert stream.counter == int(counters[i])
+            late = 0 if extra is None else int(extra[i])
+            assert stream.counter == draw + 1 + late
+    return vec, extra
+
+
+def test_vectorized_below_matches_scalar():
+    # powers of two take the mask and never reject; the others need no
+    # extra counters unless a draw was rejected
+    for n in (1, 2, 3, 4, 7, 1000, 2**16, 2**63):
+        _, extra = draw_both(9, 50, [n])
+        assert extra is None
 
 
 @pytest.mark.parametrize("n", [3 * 2**61, 2**63 + 1],
@@ -78,29 +91,17 @@ def test_vectorized_below_matches_scalar():
 def test_vectorized_below_rejections_match_scalar(n):
     # rejection chances 1/4 and about 1/2: the redrawn sessions keep
     # their residues and counters in step with the scalar stream
-    seeds = np.array([session_seed(31, i) for i in range(3000)],
-                     dtype=np.uint64)
-    counters = np.zeros(3000, dtype=np.uint64)
     out, tmp = np.empty((2, 3000), dtype=np.uint64)
-    vec = _below_np(seeds, counters, n, out, tmp)
-    assert vec is out and counters.max() > 2
-    for i in range(3000):
-        stream = SplitMixStream(session_seed(31, i))
-        assert stream.below(n) == int(vec[i])
-        assert stream.counter == int(counters[i])
+    vec, extra = draw_both(31, 3000, [n], out, tmp)
+    assert vec is out and extra.max() > 1
 
 
 def test_vectorized_below_consecutive_draws_share_counters():
-    seeds = np.array([session_seed(8, i) for i in range(2000)],
-                     dtype=np.uint64)
-    counters = np.zeros(2000, dtype=np.uint64)
-    first = _below_np(seeds, counters, 3 * 2**61)
-    second = _below_np(seeds, counters, 5)
-    for i in range(2000):
-        stream = SplitMixStream(session_seed(8, i))
-        assert stream.below(3 * 2**61) == int(first[i])
-        assert stream.below(5) == int(second[i])
-        assert stream.counter == int(counters[i])
+    # sessions rejected in an earlier draw read their own counter later,
+    # also when the later modulus is a power of two
+    for moduli in ([3 * 2**61, 5], [3 * 2**61, 4], [5, 3 * 2**61, 2**16]):
+        _, extra = draw_both(8, 2000, moduli)
+        assert extra.max() > 1
 
 
 # -- sessions ----------------------------------------------------------------
@@ -347,6 +348,63 @@ def test_estimator_refuses_sessions_past_cap():
     with pytest.raises(BudgetExceededError):
         estimate_acceptance(chsh(), best_chsh_behaviors(), NO_LEAK,
                             harness.SESSION_CAP + 1, 3)
+
+
+def pinned_targets():
+    """CHSH, CHSH^2, a 5x5x3x3 game (weight total 37) and lowval_k2 under
+    its leak-1 cheat, each with the behaviors the estimator runs."""
+    square = repeat_game(chsh(), 2)
+    g = helpers.random_game_exact(random.Random(3), 5, 5, 3, 3)
+    c = load_instance((resources.files("leakygames") / "fixtures"
+                       / "lowval_k2.csp").read_text())
+    model = one_way_ab(1)
+    return {"chsh": (chsh(), best_chsh_behaviors(), NO_LEAK),
+            "chsh2": (square, behaviors_from_strategy_pair(
+                repeated_exact_value(square)[1]), NO_LEAK),
+            "g5533": (g, behaviors_from_leaky_strategy(
+                model, leaky_value_exact(g, model)[1]), model),
+            "lowval_k2": (c, behaviors_from_cheat_profile(
+                c, optimal_cheat(c, 1)[1]), model)}
+
+
+# accepted counts of 200 001 sessions, frozen from the counter-array kernel
+PINNED_ACCEPTED = {
+    ("chsh", 0): 149946, ("chsh", 2**64 - 1): 150183,
+    ("chsh2", 0): 125173, ("chsh2", 2**64 - 1): 125082,
+    ("g5533", 0): 194711, ("g5533", 2**64 - 1): 194526,
+    ("lowval_k2", 0): 137268, ("lowval_k2", 2**64 - 1): 137846,
+}
+
+
+def test_estimator_pinned_counts():
+    targets = pinned_targets()
+    for (name, master), accepted in PINNED_ACCEPTED.items():
+        target, behaviors, model = targets[name]
+        record = estimate_acceptance(target, behaviors, model, 200_001,
+                                     master)
+        assert record.accepted == accepted, name
+
+
+def test_estimator_samples_through_the_module_helpers(monkeypatch):
+    # the traced benchmark rebinds these two names to time all sampling
+    calls = {"_session_seeds_np": 0, "_below_np": 0}
+    for name in calls:
+        original = getattr(harness, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    targets = pinned_targets()
+    chunks = 3
+    sessions = chunks * harness.SESSION_CHUNK
+    for name, draws in (("chsh", 1), ("lowval_k2", 2)):
+        target, behaviors, model = targets[name]
+        before = dict(calls)
+        estimate_acceptance(target, behaviors, model, sessions, 4)
+        assert calls["_session_seeds_np"] - before["_session_seeds_np"] \
+            == chunks
+        assert calls["_below_np"] - before["_below_np"] == chunks * draws
 
 
 def test_estimator_matches_sessions_exactly():

@@ -158,8 +158,8 @@ def test_win_rows_match_direct_predicate():
     # the dense tables against the implicit per-coordinate reference, for
     # plain games and 1-3 copies; random_game_exact draws zero weights
     rng = random.Random(59)
-    for shape in ((2, 2, 2, 2), (2, 3, 3, 2), (3, 1, 1, 2)):
-        g = helpers.random_game_exact(rng, *shape)
+    shapes = ((2, 2, 2, 2), (2, 3, 3, 2), (3, 1, 1, 2), (2, 2, 3, 2))
+    for g in (chsh(), *(helpers.random_game_exact(rng, *s) for s in shapes)):
         for target in (g, *(repeat_game(g, n) for n in (1, 2, 3))):
             wins = target.win_rows()
             assert wins.dtype == bool
