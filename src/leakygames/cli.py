@@ -16,7 +16,6 @@ import argparse
 import csv as csv_mod
 import functools
 import io
-import itertools
 import json
 import random
 import sys
@@ -369,12 +368,12 @@ def cmd_gen(args) -> int:
         text = games.save_game(g)
         name = f"random-{args.seed}.game"
     elif args.kind == "csp":
-        tuples = list(itertools.product(range(args.alphabet),
-                                        repeat=args.arity))
+        tuples = csp_mod.tuple_count(args.vars, args.alphabet, args.arity)
         cons = []
         for _ in range(args.constraints or 4 * args.vars):
             scope = tuple(rng.randrange(args.vars) for _ in range(args.arity))
-            allowed = rng.sample(tuples, min(2, len(tuples)))
+            allowed = [games._index_to_tuple(i, args.alphabet, args.arity)
+                       for i in rng.sample(range(tuples), min(2, tuples))]
             cons.append(csp_mod.make_constraint(scope, allowed))
         c = csp_mod.CspInstance(args.vars, args.alphabet, args.arity,
                                 tuple(cons))

@@ -12,7 +12,6 @@ second.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -222,6 +221,17 @@ def csp_value_local_search(c: CspInstance, seed: int, restarts: int = 10
     return Fraction(best_sat, len(c.constraints)), best
 
 
+def tuple_count(num_vars: int, alphabet_size: int, arity: int) -> int:
+    """alphabet_size**arity, the tuples a generator samples by lex index
+    (the same draws as sampling the listed tuples, without listing them),
+    once the sizes are checked."""
+    if min(num_vars, alphabet_size, arity) < 1:
+        raise InvalidInputError("num_vars, alphabet, arity must be >= 1")
+    if arity * math.log2(alphabet_size) >= 63:
+        raise InvalidInputError("alphabet**arity must be below 2**63")
+    return alphabet_size ** arity
+
+
 def find_low_value_instance(num_vars: int, alphabet_size: int, arity: int,
                             target: Fraction, seed: int, *,
                             num_constraints: int | None = None,
@@ -239,14 +249,14 @@ def find_low_value_instance(num_vars: int, alphabet_size: int, arity: int,
     target = Fraction(target)
     rng = random.Random(seed)
     m = num_constraints if num_constraints is not None else 8 * num_vars
-    tuple_space = list(itertools.product(range(alphabet_size), repeat=arity))
+    tuples = tuple_count(num_vars, alphabet_size, arity)
     for _ in range(attempts):
         cons = []
         for _ in range(m):
             scope = tuple(rng.randrange(num_vars) for _ in range(arity))
             size = allowed_sizes[rng.randrange(len(allowed_sizes))]
-            size = min(size, len(tuple_space))
-            allowed = rng.sample(tuple_space, size)
+            allowed = [_index_to_tuple(i, alphabet_size, arity)
+                       for i in rng.sample(range(tuples), min(size, tuples))]
             cons.append(make_constraint(scope, allowed))
         candidate = CspInstance(num_vars, alphabet_size, arity, tuple(cons))
         value, _ = csp_value_exact(candidate, budget)
@@ -350,7 +360,8 @@ class CheatProfile:
         return len(self.assignments).bit_length() - 1
 
     def check_shapes(self, c: CspInstance) -> None:
-        for a in self.assignments:
+        # a padded profile repeats its assignments: check each one once
+        for a in dict.fromkeys(map(tuple, self.assignments)):
             if len(a) != c.num_vars:
                 raise InvalidInputError("assignment length != num_vars")
             if any(v < 0 or v >= c.alphabet_size for v in a):

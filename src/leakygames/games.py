@@ -21,7 +21,7 @@ from .errors import (RUN_FALLBACK, FormatError, InvalidInputError,
 
 # Default cap on (alice strategies) x (bob strategies) for exact solves.
 DEFAULT_PAIR_BUDGET = 10**8
-# Cells of the suffix score table in best_tables (about 256 kB of int64).
+# Cells of the suffix score table in the fold (about 256 kB of int64).
 FOLD_CELLS = 2**15
 
 
@@ -170,35 +170,128 @@ def _answer_scores(c: np.ndarray) -> np.ndarray:
     return scores
 
 
-def best_tables(c: np.ndarray, y_sets=(slice(None),)
-                ) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """Best (numerator, alice, bob) for the gain tensor ``c``, counting only
-    the questions y in each of ``y_sets`` (index lists; default all of Y).
-
-    Alice's table is the first maximizer in lex order (x = 0 most
-    significant) and bob's is the smallest best response per y, over all
-    of Y.  The trailing questions whose score table fits FOLD_CELLS are
-    scored once; each prefix of the leading questions, in lex order, then
-    adds its (y, b) vector to that table, so memory stays bounded for any
-    game.
-    """
-    x_size, a_size, y_size, b_size = c.shape
-    split, cells = x_size, y_size * b_size
+def _fold(c: np.ndarray, cells: int) -> tuple[int, np.ndarray]:
+    """(split, suffix): the fold walks c's first ``split`` questions one
+    answer at a time over the score table of the rest (``_answer_scores``),
+    whose tables, ``cells`` cells each, are as many as fit FOLD_CELLS, so
+    memory stays bounded for any game."""
+    split, a_size = c.shape[:2]
     while split and cells * a_size <= FOLD_CELLS:
         split, cells = split - 1, cells * a_size
-    suffix = _answer_scores(c[split:])
-    best = [(-1, (), ())] * len(y_sets)
-    for prefix in itertools.product(range(a_size), repeat=split):
-        scores = suffix + sum(c[x, a] for x, a in enumerate(prefix))
-        per_y = scores.max(axis=2)
-        for k, ys in enumerate(y_sets):
-            totals = per_y[:, ys].sum(axis=1)
-            i = int(totals.argmax())  # first maximum: lex-smallest suffix
-            if totals[i] > best[k][0]:
-                best[k] = (int(totals[i]),
-                           prefix + _index_to_tuple(i, a_size, x_size - split),
-                           tuple(scores[i].argmax(axis=1).tolist()))
+    return split, _answer_scores(c[split:])
+
+
+def _prefix_gains(c: np.ndarray, split: int):
+    """(prefix, gain[y, b]) for every answer table of c's first ``split``
+    questions, in lex order."""
+    for prefix in itertools.product(range(c.shape[1]), repeat=split):
+        yield prefix, sum(c[x, a] for x, a in enumerate(prefix))
+
+
+def _table_digits(radix: int, length: int) -> np.ndarray:
+    """digits[i]: the i-th of the radix**length tables in lex order."""
+    return np.indices((radix,) * length, dtype=np.min_scalar_type(radix)
+                      ).reshape(length, radix ** length).T
+
+
+def best_tables(c: np.ndarray) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Best (numerator, alice, bob) for the gain tensor ``c``.
+
+    Alice's table is the first maximizer in lex order (x = 0 most
+    significant) and bob's is the smallest best response per y.  The
+    trailing questions' tables are scored once; each prefix of the leading
+    questions, in lex order, then adds its (y, b) vector to that table.
+    """
+    x_size, a_size, y_size, b_size = c.shape
+    split, suffix = _fold(c, y_size * b_size)
+    best = (-1, (), ())
+    for prefix, gain in _prefix_gains(c, split):
+        scores = suffix + gain
+        totals = scores.max(axis=2).sum(axis=1)
+        i = int(totals.argmax())  # first maximum: lex-smallest suffix
+        if totals[i] > best[0]:
+            best = (int(totals[i]),
+                    prefix + _index_to_tuple(i, a_size, x_size - split),
+                    tuple(scores[i].argmax(axis=1).tolist()))
     return best
+
+
+def _subset_fold(c, n, split, suffix, answers, step) -> list:
+    """Best (numerator, alice, bob) for each of n subsets, by bitmask.  Per
+    prefix, ``step`` gives some subsets, each one's best total and first
+    suffix table (a row of ``scores`` and ``answers``), and the prefix's
+    answers; strict improvements are kept, with bob's best response."""
+    nums = np.full(n, -1, dtype=c.dtype)
+    alice, bob = (np.zeros((n, c.shape[axis]), int) for axis in (0, 2))
+    for prefix, gain in _prefix_gains(c, split):
+        scores = suffix + gain
+        subsets, vals, rows, head = step(prefix, scores)
+        better = vals > nums[subsets]
+        if better.any():
+            subsets, rows = subsets[better], rows[better]
+            nums[subsets] = vals[better]
+            alice[subsets, :split] = head
+            alice[subsets, split:] = answers[rows]
+            bob[subsets] = scores[rows].argmax(axis=2)
+    return list(zip(nums.tolist(), map(tuple, alice.tolist()),
+                    map(tuple, bob.tolist())))
+
+
+def best_tables_per_x_subset(c: np.ndarray) -> list:
+    """``best_tables(c[xs])`` for every subset xs of the questions x, by
+    bitmask, with alice's answers 0 off xs.
+
+    One fold over an extended alphabet: answer A ("x is not in xs") gains
+    nothing, so a table's subset is the mask of its answers below A, and a
+    subset's tables keep their lex order.  The suffix tables are sorted by
+    mask once, so each subset is a segment of them; each prefix scores
+    every segment's first maximum.
+    """
+    x_size, a_size, y_size, b_size = c.shape
+    ext = np.concatenate([c, np.zeros_like(c[:, :1])], axis=1)
+    split, suffix = _fold(ext, y_size * b_size)
+    digits = _table_digits(a_size + 1, x_size - split)
+    masks = ((digits < a_size) << np.arange(split, x_size)).sum(axis=1)
+    order = np.argsort(masks, kind="stable")
+    starts = np.flatnonzero(np.diff(masks[order], prepend=-1))
+    lengths = np.diff(starts, append=len(order))
+    rows = np.arange(len(order))
+
+    def step(prefix, scores):
+        totals = scores.max(axis=2).sum(axis=1)
+        top = np.maximum.reduceat(totals, starts)
+        first = np.where(totals == np.repeat(top, lengths), rows, len(rows))
+        mask = sum(1 << x for x, a in enumerate(prefix) if a < a_size)
+        return (masks[order[starts]] | mask, top,
+                np.minimum.reduceat(first, starts),
+                [a if a < a_size else 0 for a in prefix])
+
+    return _subset_fold(ext, 1 << x_size, split, suffix[order],
+                        np.where(digits < a_size, digits, 0)[order], step)
+
+
+def best_tables_per_y_subset(c: np.ndarray, width: int) -> list:
+    """Like ``best_tables(c)`` but counting only the questions y in a subset
+    of the groups of ``width`` consecutive y, for every subset by bitmask;
+    bob's best responses still cover every y.  Each table's subset totals
+    are built from its group totals by doubling, within the fold's cells.
+    """
+    x_size, a_size, y_size, b_size = c.shape
+    groups = y_size // width
+    split, suffix = _fold(c, max(y_size * b_size, 1 << groups))
+    totals = np.zeros((len(suffix), 1 << groups), dtype=c.dtype)
+    subsets = np.arange(1 << groups)
+
+    def step(prefix, scores):
+        per_group = scores.max(axis=2).reshape(-1, groups, width).sum(axis=2)
+        for j in range(groups):
+            np.add(totals[:, :1 << j], per_group[:, j, None],
+                   out=totals[:, 1 << j:2 << j])
+        rows = totals.argmax(axis=0)  # first maximum: lex-smallest suffix
+        return subsets, totals[rows, subsets], rows, prefix
+
+    return _subset_fold(c, 1 << groups, split, suffix,
+                        _table_digits(a_size, x_size - split), step)
 
 
 def classical_value(g, budget: int = DEFAULT_PAIR_BUDGET
@@ -220,7 +313,7 @@ def classical_value(g, budget: int = DEFAULT_PAIR_BUDGET
                  lambda: g.a_size ** g.x_size * g.b_size ** g.y_size,
                  RUN_FALLBACK)
     c, denom = gain_tensor(g)
-    num, alice, bob = best_tables(c)[0]
+    num, alice, bob = best_tables(c)
     return Fraction(num, denom), StrategyPair(alice, bob)
 
 

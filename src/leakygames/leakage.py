@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import InvalidInputError, check_budget
 from .games import (DEFAULT_PAIR_BUDGET, StrategyPair, best_tables,
+                    best_tables_per_x_subset, best_tables_per_y_subset,
                     classical_value, gain_tensor)
 
 MAX_TOTAL_BITS = 30
@@ -226,18 +227,16 @@ def _log2_enumeration_size(g, m: LeakageModel) -> float:
 
 
 def _split_x(g, m: LeakageModel) -> tuple[Fraction, LeakyStrategy]:
-    """Alice's message splits X: each subset of X is its own fold, with
+    """Alice's message splits X: one fold scores every subset of X, with
     alice's lex-smallest optimal answers on it (0 off it) and bob's
     smallest best responses."""
     c, denom = gain_tensor(g)
-    blocks = []
-    for mask in range(1 << g.x_size):
-        xs = [x for x in range(g.x_size) if mask >> x & 1]
-        num, alice, bob = best_tables(c[xs])[0]
-        on_block = dict(zip(xs, alice))
-        blocks.append((num, tuple(on_block.get(x, 0)
-                                  for x in range(g.x_size)), bob))
-    best, labels, used = _partition(blocks, g.x_size, m.msgs_ab)
+    if m.msgs_ab == 1:  # one block, all of X: its 2^X subsets go unused
+        num, alice, bob = best_tables(c)
+        return Fraction(num, denom), from_strategy_pair(
+            StrategyPair(alice, bob))
+    best, labels, used = _partition(best_tables_per_x_subset(c), g.x_size,
+                                    m.msgs_ab)
     alice_ans = tuple((used[v][1][x],) for x, v in enumerate(labels))
     bob_ans = tuple(zip(*(bob for _, _, bob in used)))
     return Fraction(best, denom), LeakyStrategy(
@@ -252,9 +251,6 @@ def _split_y(g, m: LeakageModel) -> tuple[Fraction, LeakyStrategy]:
     passes the merged-prover value, so the scan stops there."""
     c, denom = gain_tensor(g)
     k1 = min(m.msgs_ab, g.x_size)
-    y_sets = [[]]  # y_sets[mask]: the columns of the y in bitmask mask
-    for y in range(g.y_size):
-        y_sets += [s + list(range(y * k1, (y + 1) * k1)) for s in y_sets]
     unused = (0,) * (m.msgs_ab - k1)  # bob's answers to labels never sent
     merged = c.max(axis=(1, 3)).sum()
     best_num, best = -1, None
@@ -266,8 +262,8 @@ def _split_y(g, m: LeakageModel) -> tuple[Fraction, LeakyStrategy]:
             heard = np.equal.outer(alice_msg, range(k1))  # [x, label]
             eff = (c[:, :, :, None, :] * heard[:, None, None, :, None]
                    ).reshape(g.x_size, g.a_size, g.y_size * k1, g.b_size)
-        num, bob_msg, used = _partition(best_tables(eff, y_sets), g.y_size,
-                                        m.msgs_ba)
+        num, bob_msg, used = _partition(best_tables_per_y_subset(eff, k1),
+                                        g.y_size, m.msgs_ba)
         if num > best_num:
             best_num, best = num, LeakyStrategy(
                 alice_msg, bob_msg,

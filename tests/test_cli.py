@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import random
 import shutil
 import sys
+import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -19,6 +22,8 @@ import helpers
 from leakygames import cli
 from leakygames.cli import (EXIT_BUDGET, EXIT_GENERATOR_CAP, EXIT_INVALID,
                             EXIT_OK, compute_params, main, parse_fraction)
+from leakygames.csp import (CspInstance, load_instance, make_constraint,
+                            save_csp)
 from leakygames.errors import InvalidInputError
 from leakygames.games import make_game, save_game
 
@@ -153,6 +158,47 @@ def test_gen_game_round_trips(tmp_path, capsys):
     from leakygames.games import load_game
     g = load_game(text)
     assert g.x_size == 2
+
+
+@pytest.mark.parametrize("alphabet, arity", [(1, 2), (2, 2), (3, 3), (5, 1)])
+def test_gen_csp_draws_match_listed_tuples(alphabet, arity, capsys):
+    # allowed tuples are sampled by index: the draws of sampling the listed
+    # tuples, so seeded files keep their bytes
+    assert main(["--seed", "7", "gen", "--kind", "csp", "--vars", "3",
+                 "--alphabet", str(alphabet), "--arity", str(arity)]) == EXIT_OK
+    rng = random.Random(7)
+    space = list(itertools.product(range(alphabet), repeat=arity))
+    cons = []
+    for _ in range(12):
+        scope = tuple(rng.randrange(3) for _ in range(arity))
+        cons.append(make_constraint(scope,
+                                    rng.sample(space, min(2, len(space)))))
+    assert capsys.readouterr().out == save_csp(
+        CspInstance(3, alphabet, arity, tuple(cons)))
+
+
+def test_gen_csp_lists_no_tuple_space(capsys):
+    # 10^8 tuples of arity 8: listing them would take about 9 GB
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["--seed", "3", "gen", "--kind", "csp", "--vars", "3",
+                     "--alphabet", "10", "--arity", "8", "--constraints",
+                     "2"])
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and seconds < 2 and peak < 2**20
+    assert len(load_instance(capsys.readouterr().out).constraints) == 2
+
+
+@pytest.mark.parametrize("sizes", [
+    ["--vars", "0", "--constraints", "3"], ["--alphabet", "0"],
+    ["--arity", "-1"], ["--alphabet", "10", "--arity", "30"]])
+@pytest.mark.parametrize("kind", ["csp", "low-val-csp"])
+def test_gen_csp_bad_sizes_exit_invalid(kind, sizes):
+    assert main(["gen", "--kind", kind, *sizes]) == EXIT_INVALID
 
 
 def test_gen_low_val_csp(tmp_path):

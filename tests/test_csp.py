@@ -164,6 +164,41 @@ def test_generator_quarter_ternary():
     assert value <= Fraction(1, 4)
 
 
+def _listed_constraints(seed, num_vars, alphabet, arity, m, sizes):
+    """The first attempt's constraints drawn from the listed tuples, as the
+    generator drew them before it sampled tuples by index."""
+    rng = random.Random(seed)
+    space = list(itertools.product(range(alphabet), repeat=arity))
+    cons = []
+    for _ in range(m):
+        scope = tuple(rng.randrange(num_vars) for _ in range(arity))
+        size = sizes[rng.randrange(len(sizes))]
+        cons.append(make_constraint(
+            scope, rng.sample(space, min(size, len(space)))))
+    return tuple(cons)
+
+
+@pytest.mark.parametrize("alphabet, arity", [
+    (1, 1), (1, 3), (2, 1), (2, 3), (3, 2), (4, 2), (5, 1), (2, 4)])
+def test_generator_draws_match_listed_tuples(alphabet, arity):
+    # index sampling draws the same tuples, and leaves the stream in step
+    # for the next constraint's draws, so seeded instances keep their bytes
+    sizes = (0, 1, 2, 3, alphabet ** arity, 40)
+    for seed in range(6):
+        instance, _ = find_low_value_instance(
+            3, alphabet, arity, Fraction(1), seed, num_constraints=6,
+            allowed_sizes=sizes)
+        assert instance.constraints == _listed_constraints(
+            seed, 3, alphabet, arity, 6, sizes)
+
+
+def test_generator_rejects_bad_sizes():
+    for sizes in ((0, 2, 2), (3, 0, 2), (3, 2, -1), (3, 10, 30)):
+        with pytest.raises(InvalidInputError):
+            find_low_value_instance(*sizes, Fraction(1), seed=0,
+                                    num_constraints=2)
+
+
 def test_generator_cap():
     with pytest.raises(GeneratorCapError):
         find_low_value_instance(3, 2, 2, Fraction(-1), seed=5,
@@ -576,6 +611,20 @@ def test_optimal_cheat_budget_guard_builds_no_huge_count():
     c = CspInstance(1000, 2, 2, (make_constraint((0, 1), NE),))
     with pytest.raises(BudgetExceededError, match="about 2"):
         optimal_cheat(c, 900)
+
+
+def test_profile_check_reaches_every_slot():
+    # distinct assignments are checked once each; a bad one in any slot of
+    # a padded profile, the last one too, is still refused
+    c = CspInstance(3, 2, 2, (make_constraint((0, 1), NE),))
+    good = (0, 1, 1)
+    CheatProfile((good,) * 8).check_shapes(c)
+    for bad in ((0, 1), (0, 1, 1, 0), (0, 2, 1), (0, -1, 0)):
+        for slot in (0, 5, 7):
+            assignments = [good] * 8
+            assignments[slot] = bad
+            with pytest.raises(InvalidInputError):
+                CheatProfile(tuple(assignments)).check_shapes(c)
 
 
 def test_profile_validation():

@@ -186,6 +186,45 @@ def test_blocked_fold_matches_single_block(monkeypatch):
             assert (witness.alice, witness.bob) == oracle_pair
 
 
+def _fold_cases():
+    """Gain tensors with A = 1, X = 1, Y = 4, a zero-weight x, and weights
+    past 2^63 (object dtype)."""
+    rng = random.Random(89)
+    shapes = [(1, 2, 1, 2), (1, 3, 2, 2), (3, 2, 1, 2), (4, 2, 2, 2),
+              (3, 3, 3, 2), (2, 1, 3, 3), (2, 4, 2, 2)]
+    cases = [helpers.random_game_exact(rng, *shape) for shape in shapes]
+    base = helpers.random_game_exact(rng, 3, 2, 2, 2)
+    cases += [make_game("zero", 3, 2, 2, 2, [0, 0, 1, 2, 3, 1], base.wins),
+              make_game("heavy", 3, 2, 2, 2, [2**64, 1, 2, 0, 3, 1],
+                        base.wins)]
+    tensors = [games.gain_tensor(g)[0] for g in cases]
+    assert tensors[-1].dtype == object
+    return tensors
+
+
+@pytest.mark.parametrize("cells", [None, 1, 7, 40])
+def test_x_subset_fold_matches_per_subset_folds(cells, monkeypatch):
+    # one fold over the extended alphabet against one fold per subset
+    cases = _fold_cases()
+    expected = [oracles.per_subset_tables(c) for c in cases]
+    if cells:
+        monkeypatch.setattr(games, "FOLD_CELLS", cells)
+    for c, blocks in zip(cases, expected):
+        assert games.best_tables_per_x_subset(c) == blocks
+
+
+@pytest.mark.parametrize("cells", [None, 1, 7, 40])
+@pytest.mark.parametrize("width", [1, 2])
+def test_y_subset_fold_matches_naive_scan(width, cells, monkeypatch):
+    # doubling sums against a per-subset scan of every alice table
+    if cells:
+        monkeypatch.setattr(games, "FOLD_CELLS", cells)
+    for c in _fold_cases():
+        if c.shape[2] % width == 0:
+            assert games.best_tables_per_y_subset(c, width) == \
+                oracles.naive_group_subset_tables(c, width)
+
+
 def test_value_ordering_invariants():
     rng = random.Random(9)
     for _ in range(30):

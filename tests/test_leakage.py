@@ -306,15 +306,20 @@ def test_simultaneous_dp_weights_past_int64():
 
 
 @pytest.mark.parametrize("cells", [1, 40])
-@pytest.mark.parametrize("model", [one_way_ab(1), one_way_ba(1)])
+@pytest.mark.parametrize("model", [
+    one_way_ab(1), one_way_ba(1), simultaneous(1, 0), one_way_ab(2),
+    one_way_ba(2)])
 def test_one_way_blocks_match_naive_oracle(model, cells, monkeypatch):
     # small fold caps walk alice's tables in several blocks (every table its
-    # own block at 1), so the first strict maximum must carry across blocks
+    # own block at 1), so the first strict maximum must carry across blocks;
+    # two bits run on two questions, where the naive scan stays small and
+    # labels go unused
     monkeypatch.setattr(games, "FOLD_CELLS", cells)
+    shape = (2, 2, 2, 2) if model.total_bits == 2 else (4, 2, 2, 2)
     rng = random.Random(71)
     for i in range(4):
-        g = (_zero_row_game(rng, 4, 2, 2, 2) if i % 2
-             else helpers.random_game_exact(rng, 4, 2, 2, 2))
+        g = (_zero_row_game(rng, *shape) if i % 2
+             else helpers.random_game_exact(rng, *shape))
         assert leaky_value_exact(g, model) == \
             oracles.naive_leaky_value(g, model)
 
@@ -330,6 +335,37 @@ def test_one_way_ba_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert value == classical_value(g)[0]  # one y: the bit tells alice nothing
+
+
+def test_one_way_ab_memory_is_bounded():
+    # the extended alphabet has 3^12 tables, 8.5 MB of int64 scores at once;
+    # the fold scores them in blocks
+    g = helpers.random_game_exact(random.Random(5), 12, 1, 2, 2)
+    tracemalloc.start()
+    try:
+        value, _ = leaky_value_exact(g, one_way_ab(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert classical_value(g)[0] <= value <= merged_prover_value(g)
+
+
+def test_one_label_scores_no_subsets():
+    # with one message label the one block is all of X; scoring the 2^16
+    # subsets as well peaked near 46 MB here
+    g = helpers.random_game_exact(random.Random(5), 16, 1, 1, 2)
+    for model in (one_way_ab(0), simultaneous(0, 0)):
+        tracemalloc.start()
+        try:
+            value, witness = leaky_value_exact(g, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert (value, witness) == (
+            classical_value(g)[0],
+            from_strategy_pair(classical_value(g)[1]))
 
 
 def test_one_way_dp_weights_past_int64():
