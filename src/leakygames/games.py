@@ -181,19 +181,6 @@ def _fold(c: np.ndarray, cells: int) -> tuple[int, np.ndarray]:
     return split, _answer_scores(c[split:])
 
 
-def _prefix_gains(c: np.ndarray, split: int):
-    """(prefix, gain[y, b]) for every answer table of c's first ``split``
-    questions, in lex order."""
-    for prefix in itertools.product(range(c.shape[1]), repeat=split):
-        yield prefix, sum(c[x, a] for x, a in enumerate(prefix))
-
-
-def _table_digits(radix: int, length: int) -> np.ndarray:
-    """digits[i]: the i-th of the radix**length tables in lex order."""
-    return np.indices((radix,) * length, dtype=np.min_scalar_type(radix)
-                      ).reshape(length, radix ** length).T
-
-
 def best_tables(c: np.ndarray) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Best (numerator, alice, bob) for the gain tensor ``c``.
 
@@ -205,8 +192,8 @@ def best_tables(c: np.ndarray) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     x_size, a_size, y_size, b_size = c.shape
     split, suffix = _fold(c, y_size * b_size)
     best = (-1, (), ())
-    for prefix, gain in _prefix_gains(c, split):
-        scores = suffix + gain
+    for prefix in itertools.product(range(a_size), repeat=split):
+        scores = suffix + sum(c[x, a] for x, a in enumerate(prefix))
         totals = scores.max(axis=2).sum(axis=1)
         i = int(totals.argmax())  # first maximum: lex-smallest suffix
         if totals[i] > best[0]:
@@ -216,58 +203,47 @@ def best_tables(c: np.ndarray) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return best
 
 
-def _subset_fold(c, n, split, suffix, answers, step) -> list:
-    """Best (numerator, alice, bob) for each of n subsets, by bitmask.  Per
-    prefix, ``step`` gives some subsets, each one's best total and first
-    suffix table (a row of ``scores`` and ``answers``), and the prefix's
-    answers; strict improvements are kept, with bob's best response."""
-    nums = np.full(n, -1, dtype=c.dtype)
-    alice, bob = (np.zeros((n, c.shape[axis]), int) for axis in (0, 2))
-    for prefix, gain in _prefix_gains(c, split):
-        scores = suffix + gain
-        subsets, vals, rows, head = step(prefix, scores)
-        better = vals > nums[subsets]
-        if better.any():
-            subsets, rows = subsets[better], rows[better]
-            nums[subsets] = vals[better]
-            alice[subsets, :split] = head
-            alice[subsets, split:] = answers[rows]
-            bob[subsets] = scores[rows].argmax(axis=2)
-    return list(zip(nums.tolist(), map(tuple, alice.tolist()),
-                    map(tuple, bob.tolist())))
-
-
 def best_tables_per_x_subset(c: np.ndarray) -> list:
     """``best_tables(c[xs])`` for every subset xs of the questions x, by
     bitmask, with alice's answers 0 off xs.
 
     One fold over an extended alphabet: answer A ("x is not in xs") gains
     nothing, so a table's subset is the mask of its answers below A, and a
-    subset's tables keep their lex order.  The suffix tables are sorted by
-    mask once, so each subset is a segment of them; each prefix scores
-    every segment's first maximum.
+    subset's tables keep their lex order.  Sorted by mask, each subset's
+    suffix tables are a segment; each prefix keeps every segment's first
+    maximum where it strictly improves on its subset.
     """
     x_size, a_size, y_size, b_size = c.shape
     ext = np.concatenate([c, np.zeros_like(c[:, :1])], axis=1)
     split, suffix = _fold(ext, y_size * b_size)
-    digits = _table_digits(a_size + 1, x_size - split)
-    masks = ((digits < a_size) << np.arange(split, x_size)).sum(axis=1)
+    places = np.arange(split, x_size)
+    digits = (np.arange(len(suffix))[:, None]
+              // (a_size + 1) ** (x_size - 1 - places) % (a_size + 1))
+    masks = (digits < a_size) @ (1 << places)
     order = np.argsort(masks, kind="stable")
-    starts = np.flatnonzero(np.diff(masks[order], prepend=-1))
-    lengths = np.diff(starts, append=len(order))
-    rows = np.arange(len(order))
-
-    def step(prefix, scores):
-        totals = scores.max(axis=2).sum(axis=1)
+    digits, masks = digits[order] % a_size, masks[order]
+    starts = np.flatnonzero(np.diff(masks, prepend=-1))
+    lengths, heads = np.diff(starts, append=len(masks)), masks[starts]
+    nums = np.full(1 << x_size, -1, dtype=c.dtype)
+    alice, bob = (np.zeros((1 << x_size, n), int) for n in (x_size, y_size))
+    for prefix in itertools.product(range(a_size + 1), repeat=split):
+        scores = suffix + sum(ext[x, a] for x, a in enumerate(prefix))
+        totals = scores.max(axis=2).sum(axis=1)[order]
         top = np.maximum.reduceat(totals, starts)
-        first = np.where(totals == np.repeat(top, lengths), rows, len(rows))
-        mask = sum(1 << x for x, a in enumerate(prefix) if a < a_size)
-        return (masks[order[starts]] | mask, top,
-                np.minimum.reduceat(first, starts),
-                [a if a < a_size else 0 for a in prefix])
-
-    return _subset_fold(ext, 1 << x_size, split, suffix[order],
-                        np.where(digits < a_size, digits, 0)[order], step)
+        subsets = heads | sum(1 << x for x, a in enumerate(prefix)
+                              if a < a_size)
+        better = top > nums[subsets]
+        if better.any():
+            first = np.where(totals == np.repeat(top, lengths),
+                             np.arange(len(totals)), len(totals))
+            rows = np.minimum.reduceat(first, starts)[better]
+            subsets = subsets[better]
+            nums[subsets] = top[better]
+            alice[subsets, :split] = [a % a_size for a in prefix]
+            alice[subsets, split:] = digits[rows]
+            bob[subsets] = scores[order[rows]].argmax(axis=2)  # a table each
+    return list(zip(nums.tolist(), map(tuple, alice.tolist()),
+                    map(tuple, bob.tolist())))
 
 
 def best_tables_per_y_subset(c: np.ndarray, width: int) -> list:
@@ -279,19 +255,27 @@ def best_tables_per_y_subset(c: np.ndarray, width: int) -> list:
     x_size, a_size, y_size, b_size = c.shape
     groups = y_size // width
     split, suffix = _fold(c, max(y_size * b_size, 1 << groups))
-    totals = np.zeros((len(suffix), 1 << groups), dtype=c.dtype)
-    subsets = np.arange(1 << groups)
-
-    def step(prefix, scores):
+    powers = a_size ** np.arange(x_size - split - 1, -1, -1)
+    totals = np.zeros((1 << groups, len(suffix)), dtype=c.dtype)
+    nums = np.full(1 << groups, -1, dtype=c.dtype)
+    alice, bob = (np.zeros((1 << groups, n), int) for n in (x_size, y_size))
+    for prefix in itertools.product(range(a_size), repeat=split):
+        scores = suffix + sum(c[x, a] for x, a in enumerate(prefix))
         per_group = scores.max(axis=2).reshape(-1, groups, width).sum(axis=2)
         for j in range(groups):
-            np.add(totals[:, :1 << j], per_group[:, j, None],
-                   out=totals[:, 1 << j:2 << j])
-        rows = totals.argmax(axis=0)  # first maximum: lex-smallest suffix
-        return subsets, totals[rows, subsets], rows, prefix
-
-    return _subset_fold(c, 1 << groups, split, suffix,
-                        _table_digits(a_size, x_size - split), step)
+            np.add(totals[:1 << j], per_group[:, j],
+                   out=totals[1 << j:2 << j])
+        top = totals.max(axis=1)
+        better = top > nums
+        if better.any():
+            rows = totals[better].argmax(axis=1)  # lex-smallest suffix
+            nums[better] = top[better]
+            alice[better, :split] = prefix
+            alice[better, split:] = rows[:, None] // powers % a_size
+            # 2^groups subsets share the tables: gather answers, not scores
+            bob[better] = scores.argmax(axis=2)[rows]
+    return list(zip(nums.tolist(), map(tuple, alice.tolist()),
+                    map(tuple, bob.tolist())))
 
 
 def classical_value(g, budget: int = DEFAULT_PAIR_BUDGET

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError, check_budget
-from .games import (DEFAULT_PAIR_BUDGET, StrategyPair, best_tables,
+from .games import (DEFAULT_PAIR_BUDGET, StrategyPair,
                     best_tables_per_x_subset, best_tables_per_y_subset,
                     classical_value, gain_tensor)
 
@@ -231,10 +231,6 @@ def _split_x(g, m: LeakageModel) -> tuple[Fraction, LeakyStrategy]:
     alice's lex-smallest optimal answers on it (0 off it) and bob's
     smallest best responses."""
     c, denom = gain_tensor(g)
-    if m.msgs_ab == 1:  # one block, all of X: its 2^X subsets go unused
-        num, alice, bob = best_tables(c)
-        return Fraction(num, denom), from_strategy_pair(
-            StrategyPair(alice, bob))
     best, labels, used = _partition(best_tables_per_x_subset(c), g.x_size,
                                     m.msgs_ab)
     alice_ans = tuple((used[v][1][x],) for x, v in enumerate(labels))
