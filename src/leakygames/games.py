@@ -162,23 +162,31 @@ def gain_tensor(g) -> tuple[np.ndarray, int]:
 
 
 def _answer_scores(c: np.ndarray) -> np.ndarray:
-    """scores[i, y, b]: weight won when the questions on c's first axis get
-    the i-th answer table in lex order and y gets answer b."""
-    scores = np.zeros((1,) + c.shape[2:], dtype=c.dtype)
-    for cx in c:
-        scores = (scores[:, None] + cx).reshape((-1,) + c.shape[2:])
+    """scores[b, y, i]: weight won when the questions on c's first axis get
+    the i-th answer table in lex order and y gets answer b, for ``c`` in the
+    fold's layout c[x, a, b, y, 1].  Each question, last first, becomes the
+    most significant digit, so every sum runs over whole rows of tables."""
+    b_size, y_size = c.shape[2:4]
+    scores = np.zeros((b_size, y_size, 1), dtype=c.dtype)
+    for cx in c[::-1].transpose(0, 2, 3, 1, 4):  # cx[b, y, a, 1]
+        scores = np.add(cx, scores[:, :, None], order="C").reshape(
+            b_size, y_size, -1)
     return scores
 
 
-def _fold(c: np.ndarray, cells: int) -> tuple[int, np.ndarray]:
-    """(split, suffix): the fold walks c's first ``split`` questions one
-    answer at a time over the score table of the rest (``_answer_scores``),
-    whose tables, ``cells`` cells each, are as many as fit FOLD_CELLS, so
-    memory stays bounded for any game."""
+def _fold(c: np.ndarray, cells: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """(c, split, suffix), c in the fold's layout c[x, a, b, y, 1]: c[x, a]
+    adds to the suffix score table scores[b, y, i] (``_answer_scores``),
+    whose tables lie on the last, contiguous axis, so bob's best reply is
+    elementwise passes over rows of tables.  The fold walks c's first
+    ``split`` questions one answer at a time over the score table of the
+    rest, whose tables, ``cells`` cells each, are as many as fit
+    FOLD_CELLS, so memory stays bounded for any game."""
+    c = c.transpose(0, 1, 3, 2)[..., None]
     split, a_size = c.shape[:2]
     while split and cells * a_size <= FOLD_CELLS:
         split, cells = split - 1, cells * a_size
-    return split, _answer_scores(c[split:])
+    return c, split, _answer_scores(c[split:])
 
 
 def best_tables(c: np.ndarray) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -187,19 +195,19 @@ def best_tables(c: np.ndarray) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     Alice's table is the first maximizer in lex order (x = 0 most
     significant) and bob's is the smallest best response per y.  The
     trailing questions' tables are scored once; each prefix of the leading
-    questions, in lex order, then adds its (y, b) vector to that table.
+    questions, in lex order, then adds its (b, y) vector to that table.
     """
     x_size, a_size, y_size, b_size = c.shape
-    split, suffix = _fold(c, y_size * b_size)
+    c, split, suffix = _fold(c, y_size * b_size)
     best = (-1, (), ())
     for prefix in itertools.product(range(a_size), repeat=split):
         scores = suffix + sum(c[x, a] for x, a in enumerate(prefix))
-        totals = scores.max(axis=2).sum(axis=1)
+        totals = scores.max(axis=0).sum(axis=0)
         i = int(totals.argmax())  # first maximum: lex-smallest suffix
         if totals[i] > best[0]:
             best = (int(totals[i]),
                     prefix + _index_to_tuple(i, a_size, x_size - split),
-                    tuple(scores[i].argmax(axis=1).tolist()))
+                    tuple(scores[:, :, i].argmax(axis=0).tolist()))
     return best
 
 
@@ -215,33 +223,33 @@ def best_tables_per_x_subset(c: np.ndarray) -> list:
     """
     x_size, a_size, y_size, b_size = c.shape
     ext = np.concatenate([c, np.zeros_like(c[:, :1])], axis=1)
-    split, suffix = _fold(ext, y_size * b_size)
+    ext, split, suffix = _fold(ext, y_size * b_size)
     places = np.arange(split, x_size)
-    digits = (np.arange(len(suffix))[:, None]
+    digits = (np.arange(suffix.shape[2])[:, None]
               // (a_size + 1) ** (x_size - 1 - places) % (a_size + 1))
-    masks = (digits < a_size) @ (1 << places)
-    order = np.argsort(masks, kind="stable")
-    digits, masks = digits[order] % a_size, masks[order]
-    starts = np.flatnonzero(np.diff(masks, prepend=-1))
-    lengths, heads = np.diff(starts, append=len(masks)), masks[starts]
+    segs = (digits < a_size) @ (1 << (places - split))  # suffix subsets
+    order = np.argsort(segs, kind="stable")
+    digits, segs = digits[order] % a_size, segs[order]
+    starts = np.searchsorted(segs, np.arange(1 << (x_size - split)))
+    heads = np.arange(len(starts)) << split
     nums = np.full(1 << x_size, -1, dtype=c.dtype)
     alice, bob = (np.zeros((1 << x_size, n), int) for n in (x_size, y_size))
     for prefix in itertools.product(range(a_size + 1), repeat=split):
         scores = suffix + sum(ext[x, a] for x, a in enumerate(prefix))
-        totals = scores.max(axis=2).sum(axis=1)[order]
+        totals = scores.max(axis=0).sum(axis=0)[order]
         top = np.maximum.reduceat(totals, starts)
         subsets = heads | sum(1 << x for x, a in enumerate(prefix)
                               if a < a_size)
         better = top > nums[subsets]
         if better.any():
-            first = np.where(totals == np.repeat(top, lengths),
+            first = np.where(totals == top[segs],
                              np.arange(len(totals)), len(totals))
             rows = np.minimum.reduceat(first, starts)[better]
             subsets = subsets[better]
             nums[subsets] = top[better]
             alice[subsets, :split] = [a % a_size for a in prefix]
             alice[subsets, split:] = digits[rows]
-            bob[subsets] = scores[order[rows]].argmax(axis=2)  # a table each
+            bob[subsets] = scores[:, :, order[rows]].argmax(axis=0).T
     return list(zip(nums.tolist(), map(tuple, alice.tolist()),
                     map(tuple, bob.tolist())))
 
@@ -254,17 +262,16 @@ def best_tables_per_y_subset(c: np.ndarray, width: int) -> list:
     """
     x_size, a_size, y_size, b_size = c.shape
     groups = y_size // width
-    split, suffix = _fold(c, max(y_size * b_size, 1 << groups))
+    c, split, suffix = _fold(c, max(y_size * b_size, 1 << groups))
     powers = a_size ** np.arange(x_size - split - 1, -1, -1)
-    totals = np.zeros((1 << groups, len(suffix)), dtype=c.dtype)
+    totals = np.zeros((1 << groups, suffix.shape[2]), dtype=c.dtype)
     nums = np.full(1 << groups, -1, dtype=c.dtype)
     alice, bob = (np.zeros((1 << groups, n), int) for n in (x_size, y_size))
     for prefix in itertools.product(range(a_size), repeat=split):
         scores = suffix + sum(c[x, a] for x, a in enumerate(prefix))
-        per_group = scores.max(axis=2).reshape(-1, groups, width).sum(axis=2)
+        per_group = scores.max(axis=0).reshape(groups, width, -1).sum(axis=1)
         for j in range(groups):
-            np.add(totals[:1 << j], per_group[:, j],
-                   out=totals[1 << j:2 << j])
+            np.add(totals[:1 << j], per_group[j], out=totals[1 << j:2 << j])
         top = totals.max(axis=1)
         better = top > nums
         if better.any():
@@ -273,7 +280,7 @@ def best_tables_per_y_subset(c: np.ndarray, width: int) -> list:
             alice[better, :split] = prefix
             alice[better, split:] = rows[:, None] // powers % a_size
             # 2^groups subsets share the tables: gather answers, not scores
-            bob[better] = scores.argmax(axis=2)[rows]
+            bob[better] = scores.argmax(axis=0)[:, rows].T
     return list(zip(nums.tolist(), map(tuple, alice.tolist()),
                     map(tuple, bob.tolist())))
 

@@ -142,11 +142,12 @@ def leaky_strategy_value(g, m: LeakageModel, s: LeakyStrategy) -> Fraction:
 
 def _best_partition(value: list[int], k: int) -> int:
     """Max over partitions of the full set into at most k blocks of the
-    summed block values; ``value`` is indexed by bitmask."""
+    summed block values; ``value`` is indexed by bitmask.  Only the full
+    set is read from the last layer, so that layer fills it alone."""
     best = value
-    for _ in range(k - 1):
+    for layer in range(k - 1):
         prev, best = best, [0] * len(value)
-        for s in range(1, len(value)):
+        for s in range(1 if layer < k - 2 else len(value) - 1, len(value)):
             low, rest = s & -s, s & (s - 1)  # low's block is low | t
             t, best[s] = rest, value[s]
             while t:
@@ -196,19 +197,24 @@ def leaky_enumeration_size(g, m: LeakageModel) -> int:
     """Steps `leaky_value_exact` takes, checked against its budget.
 
     With k1 = min(2^bits_ab, X), k2 = min(2^bits_ba, Y) and strings(n, k)
-    label strings of length n over at most k labels.  No bits to alice
-    (one-way-ab, simultaneous(L, 0)): (A+1)^X subset tables + 3^X * (k1-1)
-    DP steps + strings(X, k1) + Y * 2^bits_ab bob answer cells.  Otherwise,
-    per alice string, A^X * 2^Y subset scores + 3^Y * (k2-1) DP steps +
+    label strings of length n over at most k labels, and dp(n, k) =
+    3^n * (k-2) + 2^n partition DP steps for k >= 2 (k-2 full submask
+    layers and the full set's last layer; none for k = 1).  No bits to
+    alice (one-way-ab, simultaneous(L, 0)): (A+1)^X subset tables +
+    dp(X, k1) + strings(X, k1) + Y * 2^bits_ab bob answer cells.
+    Otherwise, per alice string, A^X * 2^Y subset scores + dp(Y, k2) +
     strings(Y, k2), over strings(X, k1) alice strings; plus
     X * 2^bits_ba + Y * 2^bits_ab answer cells.
     """
     x, y, a = g.x_size, g.y_size, g.a_size
     k1, k2 = min(m.msgs_ab, x), min(m.msgs_ba, y)
+
+    def dp(n, k):
+        return 3 ** n * (k - 2) + 2 ** n if k > 1 else 0
     if not m.bits_ba:
-        return ((a + 1) ** x + 3 ** x * (k1 - 1) + _string_count(x, k1)
+        return ((a + 1) ** x + dp(x, k1) + _string_count(x, k1)
                 + y * m.msgs_ab)
-    return (_string_count(x, k1) * ((a ** x << y) + 3 ** y * (k2 - 1)
+    return (_string_count(x, k1) * ((a ** x << y) + dp(y, k2)
                                     + _string_count(y, k2))
             + x * m.msgs_ba + y * m.msgs_ab)
 

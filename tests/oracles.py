@@ -97,6 +97,22 @@ def naive_group_subset_tables(c, width):
     return best
 
 
+def naive_best_partition(value, n, k):
+    """Every partition of range(n) into at most k nonempty blocks, built by
+    putting each element into an existing block or a new one: the largest
+    sum of block values, ``value`` indexed by bitmask."""
+    def partitions(i, blocks):
+        if i == n:
+            yield blocks
+            return
+        for j in range(len(blocks)):
+            yield from partitions(i + 1, blocks[:j] + [blocks[j] | 1 << i]
+                                  + blocks[j + 1:])
+        if len(blocks) < k:
+            yield from partitions(i + 1, blocks + [1 << i])
+    return max(sum(value[b] for b in blocks) for blocks in partitions(0, []))
+
+
 def iter_leaky_strategies(g, m: LeakageModel):
     """Every deterministic leaky strategy for the model, lex order."""
     m1, m2 = m.msgs_ab, m.msgs_ba

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,75 @@ def test_y_subset_fold_matches_naive_scan(width, cells, monkeypatch):
         if c.shape[2] % width == 0:
             assert games.best_tables_per_y_subset(c, width) == \
                 oracles.naive_group_subset_tables(c, width)
+
+
+def _tie_games():
+    """Games where many answers tie, B in {3, 4}: x = 0 and the last y have
+    zero weight, the last x accepts every answer pair and the rest accept
+    mostly; the last game accepts everything."""
+    rng = random.Random(131)
+    cases = []
+    for x, y, a, b in [(3, 3, 2, 3), (3, 2, 2, 4), (2, 4, 3, 3), (4, 3, 2, 4)]:
+        weights = [0 if i < y or i % y == y - 1 else rng.randint(1, 2)
+                   for i in range(x * y)]
+        bits = [rng.random() < 0.7 for _ in range(x * y * a * b)]
+        cases.append(make_game(
+            "ties", x, y, a, b, weights,
+            lambda xx, yy, aa, bb, x=x, y=y, a=a, b=b, bits=bits:
+                xx == x - 1 or bits[((xx * y + yy) * a + aa) * b + bb]))
+    cases.append(make_game("accept", 2, 3, 2, 4, [1] * 6, lambda *_: True))
+    return cases
+
+
+def _assert_tied_answers_are_zero(c, alice, bob, xs):
+    """Bob answers 0 at every y where all his answers score alike against
+    alice's answers on the questions xs."""
+    for y, b in enumerate(bob):
+        scores = {sum(int(c[x, alice[x], y, bb]) for x in xs)
+                  for bb in range(c.shape[3])}
+        assert len(scores) > 1 or b == 0
+
+
+@pytest.mark.parametrize("cells", [None, 1, 7])
+def test_folds_break_ties_to_the_first_answer(cells, monkeypatch):
+    # all three folds against their oracles where most answers tie
+    cases = _tie_games()
+    tensors = [games.gain_tensor(g)[0] for g in cases]
+    expected = [(oracles.naive_classical_value(g),
+                 oracles.per_subset_tables(c),
+                 {width: oracles.naive_group_subset_tables(c, width)
+                  for width in (1, 2) if c.shape[2] % width == 0})
+                for g, c in zip(cases, tensors)]
+    if cells:
+        monkeypatch.setattr(games, "FOLD_CELLS", cells)
+    for g, c, (naive, x_blocks, y_blocks) in zip(cases, tensors, expected):
+        x_size = g.x_size
+        value, witness = classical_value(g)
+        assert (value, (witness.alice, witness.bob)) == naive
+        assert witness.alice[0] == witness.alice[-1] == 0
+        _assert_tied_answers_are_zero(c, witness.alice, witness.bob,
+                                      range(x_size))
+        assert games.best_tables_per_x_subset(c) == x_blocks
+        for mask, (_, alice, bob) in enumerate(x_blocks):
+            _assert_tied_answers_are_zero(
+                c, alice, bob, [x for x in range(x_size) if mask >> x & 1])
+        for width, blocks in y_blocks.items():
+            assert games.best_tables_per_y_subset(c, width) == blocks
+            for _, alice, bob in blocks:
+                _assert_tied_answers_are_zero(c, alice, bob, range(x_size))
+
+
+def test_classical_fold_memory_is_bounded():
+    # the suffix score table is capped at FOLD_CELLS int64 cells (256 kB);
+    # an 8x8x3x3 game scores 729 tables of 24 cells per prefix
+    g = helpers.random_game_exact(random.Random(5), 8, 8, 3, 3)
+    tracemalloc.start()
+    try:
+        classical_value(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 2**20
 
 
 def test_value_ordering_invariants():

@@ -13,7 +13,7 @@ import pytest
 
 import helpers
 import oracles
-from leakygames import games
+from leakygames import games, leakage
 from leakygames.errors import BudgetExceededError, InvalidInputError
 from leakygames.games import (StrategyPair, chsh, classical_value, make_game,
                               merged_prover_value, strategy_value)
@@ -172,27 +172,42 @@ def test_exact_below_upper_bound():
 
 def test_budget_guard():
     g = make_game("wide", 3, 3, 3, 3, [1] * 9, lambda *_: True)
-    # 4^3 subset tables, 3^3 * 2 DP steps, 5 label strings, 3 * 4 bob cells
-    assert leaky_enumeration_size(g, one_way_ab(2)) == 64 + 54 + 5 + 12
+    # 4^3 subset tables; k1 = 3 labels, so 3^3 * (3 - 2) + 2^3 = 35 DP
+    # steps (one full submask layer, then the full set alone); 5 label
+    # strings; 3 * 4 bob cells
+    assert leaky_enumeration_size(g, one_way_ab(2)) == 64 + 35 + 5 + 12
     assert leaky_enumeration_size(g, one_way_ab(2)) > 100
     with pytest.raises(BudgetExceededError):
         leaky_value_exact(g, one_way_ab(2), budget=100)
     # simultaneous(L, 0) is one-way-ab
-    assert leaky_enumeration_size(g, simultaneous(2, 0)) == 64 + 54 + 5 + 12
+    assert leaky_enumeration_size(g, simultaneous(2, 0)) == 64 + 35 + 5 + 12
 
 
 def test_simultaneous_budget_guard():
     g = make_game("wide", 3, 2, 3, 2, [1] * 6, lambda *_: True)
     # 4 alice strings over 2 labels, each scoring 3^3 tables x 2^2 subsets,
-    # 3^2 DP steps and 2 bob strings; 3 * 4 alice and 2 * 2 bob cells
-    size = 4 * (27 * 4 + 9 + 2) + 12 + 4
+    # 3^2 * (2 - 2) + 2^2 = 4 DP steps (k2 = 2: the full set alone) and 2
+    # bob strings; 3 * 4 alice and 2 * 2 bob cells
+    size = 4 * (27 * 4 + 4 + 2) + 12 + 4
     assert leaky_enumeration_size(g, simultaneous(1, 2)) == size
     # one-way-ba is the single, constant alice string
     assert leaky_enumeration_size(g, one_way_ba(2)) == \
-        27 * 4 + 9 + 2 + 3 * 4 + 2
+        27 * 4 + 4 + 2 + 3 * 4 + 2
     assert leaky_value_exact(g, simultaneous(1, 2), budget=size)[0] == 1
     with pytest.raises(BudgetExceededError, match=f"needs {size} steps"):
         leaky_value_exact(g, simultaneous(1, 2), budget=size - 1)
+
+
+def test_best_partition_matches_naive_partitions():
+    # the submask DP, whose last layer fills only the full set, against
+    # every set partition; k >= n lets every question have its own block
+    rng = random.Random(113)
+    for n in range(1, 9):
+        for k in range(1, 6):
+            for _ in range(3 if n < 7 else 1):
+                value = [rng.randint(-4, 12) for _ in range(1 << n)]
+                assert leakage._best_partition(value, k) == \
+                    oracles.naive_best_partition(value, n, k)
 
 
 def _zero_row_game(rng, x, y, a, b):
