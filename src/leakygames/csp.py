@@ -12,6 +12,7 @@ second.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -133,43 +134,52 @@ class LabelCover:
                            2, tuple(cons))
 
 
-# The exact solvers compare the values an assignment puts on each scope with
-# every allowed tuple: the agreeing positions are the cheating score, and k
-# of them satisfy the constraint.  No alphabet**arity table is ever built.
-AGREEMENT_CELLS = 2**20  # cells of one block's [rows, m, T_max, k] compare
+# The exact solvers count the scope positions where each allowed tuple agrees
+# with an assignment: the most are its cheating score, and k satisfy the
+# constraint.  Digits take the smallest signed dtype holding the alphabet,
+# tuples padded with -1 (agreeing nowhere), and counts the smallest unsigned
+# one holding k, so 8-bit while they fit.  No alphabet**arity table is built.
+AGREEMENT_CELLS = 2**20  # cells of one block's [m, T_max, rows] counter
 
 
 def _agreement(c: CspInstance):
-    """(agree, T_max): agree maps assignment rows [r, num_vars] to
-    [r, m, T_max], the positions where constraint e's t-th allowed tuple
-    agrees with row r (-1 past the end of e's allowed tuples)."""
+    """(agree, allowed): agree maps digits [num_vars, rows] to counts
+    [m, T_max, rows] of the positions where allowed[e, t], constraint e's
+    t-th allowed tuple, agrees with column r, one scope position at a time."""
     sizes = [len(con.allowed) for con in c.constraints]
-    t_max = max(1, *sizes)
-    allowed = np.array([con.allowed + ((0,) * c.arity,) * (t_max - size)
-                        for con, size in zip(c.constraints, sizes)])
-    valid = np.arange(t_max) < np.array(sizes)[:, None]
+    t_max, pad = max(1, *sizes), ((-1,) * c.arity,)
+    allowed = np.array([con.allowed + pad * (t_max - size)
+                        for con, size in zip(c.constraints, sizes)],
+                       dtype=np.min_scalar_type(-c.alphabet_size))
     scopes = np.array([con.scope for con in c.constraints])
 
-    def agree(rows: np.ndarray) -> np.ndarray:
-        same = rows[:, scopes][:, :, None, :] == allowed  # [r, m, T_max, k]
-        return np.where(valid, same.sum(axis=3), -1)
-    return agree, t_max
+    def agree(digits: np.ndarray) -> np.ndarray:
+        counts = np.zeros(allowed.shape[:2] + digits.shape[1:],
+                          dtype=np.min_scalar_type(c.arity))
+        for p in range(c.arity):  # position p's digits [m, 1, rows]
+            counts += (digits.take(scopes[:, p], axis=0)[:, None]
+                       == allowed[:, :, p, None])
+        return counts
+    return agree, allowed
 
 
 def _agreement_blocks(c: CspInstance):
-    """Yield (start, satisfied, agreement), each [rows, m], per block of
-    assignments in ``itertools.product`` order: whether assignment start + r
-    satisfies e, and the most positions any allowed tuple of e agrees on."""
-    agree, t_max = _agreement(c)
-    n = c.alphabet_size ** c.num_vars
-    rows = max(1, AGREEMENT_CELLS // (len(c.constraints) * t_max * c.arity))
-    for start in range(0, n, rows):
-        index = np.arange(start, min(n, start + rows))
-        digits = np.empty((len(index), c.num_vars), dtype=np.int64)
-        for v in range(c.num_vars - 1, -1, -1):  # the first most significant
-            index, digits[:, v] = np.divmod(index, c.alphabet_size)
-        best = agree(digits).max(axis=2)
-        yield start, best == c.arity, np.maximum(best, 0)
+    """Yield (start, best) per block of assignments in ``itertools.product``
+    order, best[e, r] the most positions any allowed tuple of e agrees on
+    with assignment start + r.  A block fixes the leading variables and takes
+    the trailing ones, as many as fit AGREEMENT_CELLS, from ``np.indices``."""
+    agree, allowed = _agreement(c)
+    a, n, cells = c.alphabet_size, c.num_vars, allowed[..., 0].size
+    tail = 0  # a single-letter alphabet needs no table: one row
+    while tail < n and 1 < a and a ** (tail + 1) * cells <= AGREEMENT_CELLS:
+        tail += 1
+    lead, rows = n - tail, a ** tail
+    digits = np.empty((n, rows), dtype=allowed.dtype)
+    digits[lead:] = np.indices((a,) * tail, allowed.dtype).reshape(tail, rows)
+    for block, prefix in enumerate(itertools.product(range(a), repeat=lead)):
+        if lead:
+            digits[:lead] = np.array(prefix)[:, None]
+        yield block * rows, agree(digits).max(axis=1)
 
 
 def csp_value_exact(c: CspInstance,
@@ -181,8 +191,8 @@ def csp_value_exact(c: CspInstance,
                  lambda: c.alphabet_size ** c.num_vars,
                  "csp_value_local_search")
     best, witness = -1, 0
-    for start, satisfied, _ in _agreement_blocks(c):
-        counts = satisfied.sum(axis=1)
+    for start, agreement in _agreement_blocks(c):
+        counts = (agreement == c.arity).sum(axis=0)
         i = int(counts.argmax())  # first maximum: lex-smallest in the block
         if counts[i] > best:
             best, witness = int(counts[i]), start + i
@@ -209,9 +219,9 @@ def csp_value_local_search(c: CspInstance, seed: int, restarts: int = 10
         while improved:
             improved = False
             for var in range(c.num_vars):
-                trials = np.repeat(current[None], c.alphabet_size, axis=0)
-                trials[:, var] = np.arange(c.alphabet_size)
-                counts = (agree(trials).max(axis=2) == c.arity).sum(axis=1)
+                trials = np.repeat(current[:, None], c.alphabet_size, axis=1)
+                trials[var] = np.arange(c.alphabet_size)
+                counts = (agree(trials).max(axis=1) == c.arity).sum(axis=0)
                 val = int(counts.argmax())  # smallest best value
                 if counts[val] > counts[current[var]]:
                     current[var], improved = val, True
@@ -381,13 +391,13 @@ def best_response(c: CspInstance, profile: CheatProfile
     for message, assignment in enumerate(profile.assignments):
         first.setdefault(tuple(assignment), message)
     messages = list(first.values())
-    agree = _agreement(c)[0](np.array(list(first)))
+    counts = _agreement(c)[0](np.array(list(first)).T)
     # per constraint, (message, tuple) pairs in lex order: message major
-    per_con = agree.transpose(1, 0, 2).reshape(len(c.constraints), -1)
+    per_con = counts.transpose(0, 2, 1).reshape(len(c.constraints), -1)
     out = []
     for con, row in zip(c.constraints, per_con):
-        pick = int(row.argmax())  # first maximum
-        slot, t = divmod(pick, agree.shape[2])
+        pick = int(row.argmax())  # first maximum; padding agrees nowhere
+        slot, t = divmod(pick, counts.shape[1])
         out.append((messages[slot], con.allowed[t], int(row[pick]))
                    if con.allowed else (0, (0,) * c.arity, 0))
     return out
@@ -402,9 +412,8 @@ def cheat_acceptance(c: CspInstance, profile: CheatProfile) -> Fraction:
 def _score_matrix(c: CspInstance) -> np.ndarray:
     """scores[i, e]: agreement of the i-th assignment (lex order) with
     constraint e's best satisfying tuple (0 when e has none)."""
-    dtype = np.min_scalar_type(c.arity)
-    return np.concatenate([agr.astype(dtype)
-                           for _, _, agr in _agreement_blocks(c)])
+    return np.concatenate([agreement.T for _, agreement in
+                           _agreement_blocks(c)])
 
 
 # The last two cheat slots are scored as one matrix product.  Scores are

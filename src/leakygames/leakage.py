@@ -21,9 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError, check_budget
-from .games import (DEFAULT_PAIR_BUDGET, StrategyPair,
-                    best_tables_per_x_subset, best_tables_per_y_subset,
-                    classical_value, gain_tensor)
+from .games import (DEFAULT_PAIR_BUDGET, best_tables_per_x_subset,
+                    best_tables_per_y_subset, classical_value, gain_tensor)
 
 MAX_TOTAL_BITS = 30
 DEFAULT_LEAKY_BUDGET = 10**7
@@ -115,15 +114,6 @@ class LeakyStrategy:
             raise InvalidInputError("bob answer out of range")
 
 
-def from_strategy_pair(s: StrategyPair) -> LeakyStrategy:
-    """Embed a plain strategy pair as a zero-message leaky strategy."""
-    return LeakyStrategy(
-        alice_msg=tuple(0 for _ in s.alice),
-        bob_msg=tuple(0 for _ in s.bob),
-        alice_ans=tuple((a,) for a in s.alice),
-        bob_ans=tuple((b,) for b in s.bob))
-
-
 def leaky_strategy_value(g, m: LeakageModel, s: LeakyStrategy) -> Fraction:
     """Exact acceptance probability of one leaky strategy."""
     s.check_shapes(g, m)
@@ -201,9 +191,10 @@ def leaky_enumeration_size(g, m: LeakageModel) -> int:
     3^n * (k-2) + 2^n partition DP steps for k >= 2 (k-2 full submask
     layers and the full set's last layer; none for k = 1).  No bits to
     alice (one-way-ab, simultaneous(L, 0)): (A+1)^X subset tables +
-    dp(X, k1) + strings(X, k1) + Y * 2^bits_ab bob answer cells.
-    Otherwise, per alice string, A^X * 2^Y subset scores + dp(Y, k2) +
-    strings(Y, k2), over strings(X, k1) alice strings; plus
+    2^X * (X+Y) subset witness cells + dp(X, k1) + strings(X, k1) +
+    Y * 2^bits_ab bob answer cells.  Otherwise, per alice string,
+    A^X * 2^Y subset scores + 2^Y * (X+Y) subset witness cells +
+    dp(Y, k2) + strings(Y, k2), over strings(X, k1) alice strings; plus
     X * 2^bits_ba + Y * 2^bits_ab answer cells.
     """
     x, y, a = g.x_size, g.y_size, g.a_size
@@ -212,10 +203,10 @@ def leaky_enumeration_size(g, m: LeakageModel) -> int:
     def dp(n, k):
         return 3 ** n * (k - 2) + 2 ** n if k > 1 else 0
     if not m.bits_ba:
-        return ((a + 1) ** x + dp(x, k1) + _string_count(x, k1)
-                + y * m.msgs_ab)
-    return (_string_count(x, k1) * ((a ** x << y) + dp(y, k2)
-                                    + _string_count(y, k2))
+        return ((a + 1) ** x + (x + y << x) + dp(x, k1)
+                + _string_count(x, k1) + y * m.msgs_ab)
+    return (_string_count(x, k1) * ((a ** x << y) + (x + y << y)
+                                    + dp(y, k2) + _string_count(y, k2))
             + x * m.msgs_ba + y * m.msgs_ab)
 
 
@@ -226,10 +217,10 @@ def _log2_enumeration_size(g, m: LeakageModel) -> float:
     x, y, a, _ = g.float_sizes()
     cells = math.log2(y) + m.bits_ab
     if not m.bits_ba:
-        return max(x * math.log2(a + 1), cells)
+        return max(x * math.log2(a + 1), x + math.log2(x + y), cells)
     strings = x - 1 if m.bits_ab else 0
-    return max(strings + x * math.log2(a) + y, math.log2(x) + m.bits_ba,
-               cells)
+    return max(strings + max(x * math.log2(a), math.log2(x + y)) + y,
+               math.log2(x) + m.bits_ba, cells)
 
 
 def _split_x(g, m: LeakageModel) -> tuple[Fraction, LeakyStrategy]:

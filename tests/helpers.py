@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 
 from leakygames.csp import CspInstance, LabelCover, make_constraint
-from leakygames.games import Game, make_game
+from leakygames.games import Game, StrategyPair, make_game
+from leakygames.leakage import LeakyStrategy
 
 
 def random_game(rng: random.Random, max_x=3, max_y=3, max_a=3, max_b=3,
@@ -68,3 +69,12 @@ def satisfiable_csp(rng: random.Random, num_vars=6, alphabet=2, arity=2,
             allowed.add(tuple(rng.randrange(alphabet) for _ in range(arity)))
         cons.append(make_constraint(scope, allowed))
     return CspInstance(num_vars, alphabet, arity, tuple(cons)), planted
+
+
+def from_strategy_pair(s: StrategyPair) -> LeakyStrategy:
+    """Embed a plain strategy pair as a zero-message leaky strategy."""
+    return LeakyStrategy(
+        alice_msg=tuple(0 for _ in s.alice),
+        bob_msg=tuple(0 for _ in s.bob),
+        alice_ans=tuple((a,) for a in s.alice),
+        bob_ans=tuple((b,) for b in s.bob))

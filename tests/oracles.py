@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -301,3 +302,38 @@ def reference_optimal_cheat(c, leak_bits: int):
     profile = CheatProfile(tuple(
         _index_to_tuple(j, c.alphabet_size, c.num_vars) for j in best))
     return Fraction(best_total, c.arity * len(c.constraints)), profile
+
+
+def naive_score_matrix(c):
+    """scores[i][e]: the most scope positions any allowed tuple of
+    constraint e agrees on with the i-th assignment in lex order (0 when e
+    allows nothing), one assignment at a time."""
+    return [[max((sum(assignment[var] == value
+                      for var, value in zip(con.scope, tup))
+                  for tup in con.allowed), default=0)
+             for con in c.constraints]
+            for assignment in itertools.product(range(c.alphabet_size),
+                                                repeat=c.num_vars)]
+
+
+def naive_local_search(c, seed: int, restarts: int = 10):
+    """``csp.csp_value_local_search`` with every trial value scored by
+    ``satisfied_count``: the same random draws, sweeps and tie rules."""
+    rng = random.Random(seed)
+    best_sat, best = -1, ()
+    for _ in range(max(1, restarts)):
+        current = [rng.randrange(c.alphabet_size) for _ in range(c.num_vars)]
+        improved = True
+        while improved:
+            improved = False
+            for var in range(c.num_vars):
+                counts = [c.satisfied_count(tuple(
+                    current[:var] + [value] + current[var + 1:]))
+                    for value in range(c.alphabet_size)]
+                value = counts.index(max(counts))  # smallest best value
+                if counts[value] > counts[current[var]]:
+                    current[var], improved = value, True
+        sat = c.satisfied_count(tuple(current))
+        if sat > best_sat:
+            best_sat, best = sat, tuple(current)
+    return Fraction(best_sat, len(c.constraints)), best

@@ -81,6 +81,73 @@ def test_value_blocks_match_naive_oracle(monkeypatch):
             assert csp_value_exact(c) == oracles.naive_csp_value(c)
 
 
+def _sweep_instance(rng, num_vars, alphabet, arity):
+    """Up to 6 constraints with random (so often repeated) scope variables
+    and allowed sets of 0-3 tuples, some constant, so that a wide scope
+    over few variables can agree on every position."""
+    def draw():
+        if rng.random() < 0.3:
+            return (rng.randrange(alphabet),) * arity
+        return tuple(rng.randrange(alphabet) for _ in range(arity))
+    return CspInstance(num_vars, alphabet, arity, tuple(make_constraint(
+        [rng.randrange(num_vars) for _ in range(arity)],
+        [draw() for _ in range(rng.randrange(4))])
+        for _ in range(rng.randint(1, 6))))
+
+
+# alphabets 1-5 and 200 (16-bit digits), arities 1-4 and 300 (16-bit
+# counts: 300 agreeing positions overflow a byte)
+SWEEP_SHAPES = ([(3 if alphabet < 4 else 2, alphabet, arity)
+                 for alphabet in range(1, 6) for arity in range(1, 5)]
+                + [(1, 200, 1), (1, 200, 2), (3, 2, 300), (1, 200, 300)])
+
+
+@pytest.mark.parametrize("cells", [1, 7, 2**12, None])
+def test_agreement_kernel_matches_naive_scores(cells, monkeypatch):
+    # block caps from one assignment per block to the default; the score
+    # matrix, values and cheats at 0 and 1 bits against per-assignment loops
+    if cells is not None:
+        monkeypatch.setattr(csp, "AGREEMENT_CELLS", cells)
+    rng = random.Random(131)
+    for num_vars, alphabet, arity in SWEEP_SHAPES:
+        c = _sweep_instance(rng, num_vars, alphabet, arity)
+        naive = np.array(oracles.naive_score_matrix(c), dtype=np.int64)
+        scores = csp._score_matrix(c)
+        assert scores.dtype == np.min_scalar_type(arity)
+        assert (scores == naive).all()
+        assert csp_value_exact(c) == oracles.naive_csp_value(c)
+        assignments = list(itertools.product(range(alphabet),
+                                             repeat=num_vars))
+        denom = arity * len(c.constraints)
+        totals = naive.sum(axis=1)
+        first = int(totals.argmax())
+        assert optimal_cheat(c, 0) == (Fraction(int(totals[first]), denom),
+                                       CheatProfile((assignments[first],)))
+        pairs = np.maximum(naive[:, None], naive[None]).sum(axis=2)
+        i, j = divmod(int(pairs.argmax()), len(naive))  # lex-first pair
+        assert optimal_cheat(c, 1) == (
+            Fraction(int(pairs[i, j]), denom),
+            CheatProfile((assignments[i], assignments[j])))
+
+
+def test_value_memory_is_one_block_of_byte_cells():
+    # 10 binary variables, 40 constraints of up to 3 tuples: the whole lex
+    # order is one block of m * T_max * 1024 one-byte counts.  The scan
+    # holds the counter, one position's comparison and its gathered
+    # digits, each at most that size
+    c, _ = find_low_value_instance(10, 2, 2, Fraction(1), 11,
+                                   num_constraints=40, allowed_sizes=(2, 3))
+    cells = len(c.constraints) * max(map(len, (con.allowed for con in
+                                              c.constraints))) * 1024
+    tracemalloc.start()
+    try:
+        csp_value_exact(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * cells + 2**16
+
+
 def test_wide_repeated_scope_builds_no_tuple_table():
     # arity 30 over alphabet 10: 10^30 possible tuples, but one variable,
     # so 10 assignments are all the solvers compare
@@ -133,6 +200,36 @@ def test_local_search_deterministic():
     c, _ = helpers.satisfiable_csp(random.Random(8), num_vars=6)
     first = csp_value_local_search(c, seed=123, restarts=5)
     assert first == csp_value_local_search(c, seed=123, restarts=5)
+
+
+def _local_search_instance(seed, arity):
+    rng = random.Random(seed)
+    space = list(itertools.product(range(3), repeat=arity))
+    return CspInstance(8, 3, arity, tuple(make_constraint(
+        [rng.randrange(8) for _ in range(arity)],
+        rng.sample(space, rng.choice([0, 1, 1, 2]))) for _ in range(30)))
+
+
+def test_local_search_keeps_its_results():
+    # pinned results, and the same sweeps scored by satisfied_count
+    pinned = [
+        [(Fraction(2, 5), (2, 2, 0, 1, 2, 0, 0, 1)),
+         (Fraction(2, 5), (2, 2, 0, 1, 2, 0, 0, 1)),
+         (Fraction(3, 10), (1, 2, 0, 1, 1, 2, 2, 1))],
+        [(Fraction(2, 15), (1, 2, 2, 0, 2, 0, 2, 0)),
+         (Fraction(1, 6), (0, 2, 1, 0, 1, 0, 2, 1)),
+         (Fraction(1, 10), (1, 2, 0, 2, 1, 2, 2, 0))],
+        [(Fraction(7, 30), (2, 1, 0, 1, 0, 1, 2, 2)),
+         (Fraction(1, 5), (2, 0, 0, 1, 0, 1, 1, 2)),
+         (Fraction(1, 5), (2, 1, 0, 1, 0, 2, 2, 1))],
+        [(Fraction(1, 15), (2, 1, 0, 1, 2, 0, 1, 1)),
+         (Fraction(1, 15), (2, 2, 0, 1, 0, 0, 1, 1)),
+         (Fraction(2, 15), (1, 2, 1, 2, 0, 2, 2, 2))]]
+    for i, expected in enumerate(pinned):
+        c = _local_search_instance(600 + i, 2 + i % 2)
+        for seed, result in zip((0, 1, 2), expected):
+            assert csp_value_local_search(c, seed=seed, restarts=2) == result
+            assert oracles.naive_local_search(c, seed, restarts=2) == result
 
 
 def test_single_constraint_local_search():
@@ -297,6 +394,28 @@ def test_best_response_reproduces_acceptance():
         assert msg in (0, 1)
         if con.allowed:
             assert tup in con.allowed
+
+
+def test_best_response_never_picks_a_padded_tuple():
+    # the allowed sets are padded to three tuples with -1 digits; when every
+    # real tuple agrees on 0 positions, each constraint still answers with
+    # its first real tuple (the empty set with the all-zero tuple)
+    cons = (make_constraint((0, 1), []), make_constraint((0, 1), [(2, 2)]),
+            make_constraint((1, 0), [(1, 2), (2, 1), (2, 2)]),
+            make_constraint((0, 0), [(1, 1)]))
+    c = CspInstance(2, 3, 2, cons)
+    for profile in (CheatProfile(((0, 0),)), CheatProfile(((0, 0),) * 2),
+                    CheatProfile(((0, 0), (0, 0), (0, 0), (0, 0)))):
+        response = best_response(c, profile)
+        assert response == [(0, (0, 0), 0), (0, (2, 2), 0),
+                            (0, (1, 2), 0), (0, (1, 1), 0)]
+        assert response == oracles.naive_best_response(c, profile)
+    # a second assignment agreeing somewhere moves only those constraints
+    profile = CheatProfile(((0, 0), (2, 0)))
+    assert best_response(c, profile) == [(0, (0, 0), 0), (1, (2, 2), 1),
+                                         (1, (1, 2), 1), (0, (1, 1), 0)]
+    assert best_response(c, profile) == \
+        oracles.naive_best_response(c, profile)
 
 
 def _lowval():

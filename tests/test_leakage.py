@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from leakygames.errors import BudgetExceededError, InvalidInputError
 from leakygames.games import (StrategyPair, chsh, classical_value, make_game,
                               merged_prover_value, strategy_value)
 from leakygames.leakage import (LeakageKind, LeakageModel, LeakyStrategy,
-                                from_strategy_pair, guess_and_abort_value,
+                                guess_and_abort_value,
                                 leaky_enumeration_size, leaky_strategy_value,
                                 leaky_value_exact, leaky_value_upper_bound,
                                 one_way_ab, one_way_ba, simultaneous)
@@ -58,7 +59,7 @@ def test_zero_bits_reduces_to_strategy_value():
         pair = StrategyPair(
             tuple(rng.randrange(g.a_size) for _ in range(g.x_size)),
             tuple(rng.randrange(g.b_size) for _ in range(g.y_size)))
-        embedded = from_strategy_pair(pair)
+        embedded = helpers.from_strategy_pair(pair)
         assert leaky_strategy_value(g, model, embedded) == \
             strategy_value(g, pair)
 
@@ -136,7 +137,7 @@ def test_guess_and_abort_examples():
     assert guess_and_abort_value(g, one_way_ab(1), CHSH_FORWARD) == \
         Fraction(1, 2)
     # zero bits: nothing to guess
-    pair = from_strategy_pair(StrategyPair((0, 0), (0, 0)))
+    pair = helpers.from_strategy_pair(StrategyPair((0, 0), (0, 0)))
     assert guess_and_abort_value(g, one_way_ab(0), pair) == Fraction(3, 4)
     # zero-value strategies stay zero
     for s in oracles.iter_leaky_strategies(ZEROS, one_way_ab(1)):
@@ -172,30 +173,56 @@ def test_exact_below_upper_bound():
 
 def test_budget_guard():
     g = make_game("wide", 3, 3, 3, 3, [1] * 9, lambda *_: True)
-    # 4^3 subset tables; k1 = 3 labels, so 3^3 * (3 - 2) + 2^3 = 35 DP
-    # steps (one full submask layer, then the full set alone); 5 label
-    # strings; 3 * 4 bob cells
-    assert leaky_enumeration_size(g, one_way_ab(2)) == 64 + 35 + 5 + 12
+    # 4^3 subset tables; 2^3 * (3 + 3) witness cells; k1 = 3 labels, so
+    # 3^3 * (3 - 2) + 2^3 = 35 DP steps (one full submask layer, then the
+    # full set alone); 5 label strings; 3 * 4 bob cells
+    assert leaky_enumeration_size(g, one_way_ab(2)) == \
+        64 + 48 + 35 + 5 + 12
     assert leaky_enumeration_size(g, one_way_ab(2)) > 100
     with pytest.raises(BudgetExceededError):
         leaky_value_exact(g, one_way_ab(2), budget=100)
     # simultaneous(L, 0) is one-way-ab
-    assert leaky_enumeration_size(g, simultaneous(2, 0)) == 64 + 35 + 5 + 12
+    assert leaky_enumeration_size(g, simultaneous(2, 0)) == \
+        64 + 48 + 35 + 5 + 12
 
 
 def test_simultaneous_budget_guard():
     g = make_game("wide", 3, 2, 3, 2, [1] * 6, lambda *_: True)
-    # 4 alice strings over 2 labels, each scoring 3^3 tables x 2^2 subsets,
-    # 3^2 * (2 - 2) + 2^2 = 4 DP steps (k2 = 2: the full set alone) and 2
-    # bob strings; 3 * 4 alice and 2 * 2 bob cells
-    size = 4 * (27 * 4 + 4 + 2) + 12 + 4
+    # 4 alice strings over 2 labels, each scoring 3^3 tables x 2^2 subsets
+    # with 2^2 * (3 + 2) witness cells, 3^2 * (2 - 2) + 2^2 = 4 DP steps
+    # (k2 = 2: the full set alone) and 2 bob strings; 3 * 4 alice and
+    # 2 * 2 bob cells
+    size = 4 * (27 * 4 + 20 + 4 + 2) + 12 + 4
     assert leaky_enumeration_size(g, simultaneous(1, 2)) == size
     # one-way-ba is the single, constant alice string
     assert leaky_enumeration_size(g, one_way_ba(2)) == \
-        27 * 4 + 4 + 2 + 3 * 4 + 2
+        27 * 4 + 20 + 4 + 2 + 3 * 4 + 2
     assert leaky_value_exact(g, simultaneous(1, 2), budget=size)[0] == 1
     with pytest.raises(BudgetExceededError, match=f"needs {size} steps"):
         leaky_value_exact(g, simultaneous(1, 2), budget=size - 1)
+
+
+def test_subset_fold_witness_rows_are_budgeted():
+    # 23 questions with one answer: (1+1)^23 subset tables alone are under
+    # the default budget, but the fold would keep a 24-answer witness row
+    # for each of the 2^23 subsets, several GB.  The guard refuses it from
+    # its log2, before anything is built
+    g = make_game("one-label", 23, 1, 1, 2, [1] * 23, lambda *_: True)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as err:
+        leaky_value_exact(g, one_way_ab(0))
+    assert time.perf_counter() - start < 1
+    assert err.value.required is None
+    assert err.value.log2_required >= 23 + math.log2(24)
+    assert leaky_enumeration_size(g, one_way_ab(0)) == \
+        2**23 + 24 * 2**23 + 1 + 1
+    # the same rows on bob's side: 2^21 subsets of 22-answer rows, where
+    # the tables, DP and strings alone come to 5.2 * 10^6 steps
+    g = make_game("one-label", 1, 21, 1, 2, [1] * 21, lambda *_: True)
+    with pytest.raises(BudgetExceededError):
+        leaky_value_exact(g, one_way_ba(1))
+    assert leaky_enumeration_size(g, one_way_ba(1)) == \
+        2**21 + 22 * 2**21 + 2**21 + 2**20 + 2 + 21
 
 
 def test_best_partition_matches_naive_partitions():
