@@ -211,15 +211,14 @@ def best_tables(c: np.ndarray) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return best
 
 
-def best_tables_per_x_subset(c: np.ndarray) -> list:
-    """``best_tables(c[xs])`` for every subset xs of the questions x, by
-    bitmask, with alice's answers 0 off xs.
+def best_values_per_x_subset(c: np.ndarray) -> list[int]:
+    """The value of ``best_tables(c[xs])`` for every subset xs of the
+    questions x, by bitmask.
 
     One fold over an extended alphabet: answer A ("x is not in xs") gains
-    nothing, so a table's subset is the mask of its answers below A, and a
-    subset's tables keep their lex order.  Sorted by mask, each subset's
-    suffix tables are a segment; each prefix keeps every segment's first
-    maximum where it strictly improves on its subset.
+    nothing, so a table's subset is the mask of its answers below A.
+    Sorted by mask, each subset's suffix tables are a segment, and each
+    prefix raises every segment's subset to the segment's maximum.
     """
     x_size, a_size, y_size, b_size = c.shape
     ext = np.concatenate([c, np.zeros_like(c[:, :1])], axis=1)
@@ -229,60 +228,37 @@ def best_tables_per_x_subset(c: np.ndarray) -> list:
               // (a_size + 1) ** (x_size - 1 - places) % (a_size + 1))
     segs = (digits < a_size) @ (1 << (places - split))  # suffix subsets
     order = np.argsort(segs, kind="stable")
-    digits, segs = digits[order] % a_size, segs[order]
-    starts = np.searchsorted(segs, np.arange(1 << (x_size - split)))
+    starts = np.searchsorted(segs[order], np.arange(1 << (x_size - split)))
     heads = np.arange(len(starts)) << split
-    nums = np.full(1 << x_size, -1, dtype=c.dtype)
-    alice, bob = (np.zeros((1 << x_size, n), int) for n in (x_size, y_size))
+    nums = np.zeros(1 << x_size, dtype=c.dtype)
     for prefix in itertools.product(range(a_size + 1), repeat=split):
         scores = suffix + sum(ext[x, a] for x, a in enumerate(prefix))
         totals = scores.max(axis=0).sum(axis=0)[order]
-        top = np.maximum.reduceat(totals, starts)
         subsets = heads | sum(1 << x for x, a in enumerate(prefix)
                               if a < a_size)
-        better = top > nums[subsets]
-        if better.any():
-            first = np.where(totals == top[segs],
-                             np.arange(len(totals)), len(totals))
-            rows = np.minimum.reduceat(first, starts)[better]
-            subsets = subsets[better]
-            nums[subsets] = top[better]
-            alice[subsets, :split] = [a % a_size for a in prefix]
-            alice[subsets, split:] = digits[rows]
-            bob[subsets] = scores[:, :, order[rows]].argmax(axis=0).T
-    return list(zip(nums.tolist(), map(tuple, alice.tolist()),
-                    map(tuple, bob.tolist())))
+        nums[subsets] = np.maximum(nums[subsets],
+                                   np.maximum.reduceat(totals, starts))
+    return nums.tolist()
 
 
-def best_tables_per_y_subset(c: np.ndarray, width: int) -> list:
-    """Like ``best_tables(c)`` but counting only the questions y in a subset
-    of the groups of ``width`` consecutive y, for every subset by bitmask;
-    bob's best responses still cover every y.  Each table's subset totals
-    are built from its group totals by doubling, within the fold's cells.
+def best_values_per_y_subset(c: np.ndarray, width: int) -> list[int]:
+    """The value of ``best_tables(c)`` counting only the questions y in a
+    subset of the groups of ``width`` consecutive y, for every subset by
+    bitmask.  Each table's subset totals are built from its group totals by
+    doubling, within the fold's cells.
     """
-    x_size, a_size, y_size, b_size = c.shape
+    _, a_size, y_size, b_size = c.shape
     groups = y_size // width
     c, split, suffix = _fold(c, max(y_size * b_size, 1 << groups))
-    powers = a_size ** np.arange(x_size - split - 1, -1, -1)
     totals = np.zeros((1 << groups, suffix.shape[2]), dtype=c.dtype)
-    nums = np.full(1 << groups, -1, dtype=c.dtype)
-    alice, bob = (np.zeros((1 << groups, n), int) for n in (x_size, y_size))
+    nums = np.zeros(1 << groups, dtype=c.dtype)
     for prefix in itertools.product(range(a_size), repeat=split):
         scores = suffix + sum(c[x, a] for x, a in enumerate(prefix))
         per_group = scores.max(axis=0).reshape(groups, width, -1).sum(axis=1)
         for j in range(groups):
             np.add(totals[:1 << j], per_group[j], out=totals[1 << j:2 << j])
-        top = totals.max(axis=1)
-        better = top > nums
-        if better.any():
-            rows = totals[better].argmax(axis=1)  # lex-smallest suffix
-            nums[better] = top[better]
-            alice[better, :split] = prefix
-            alice[better, split:] = rows[:, None] // powers % a_size
-            # 2^groups subsets share the tables: gather answers, not scores
-            bob[better] = scores.argmax(axis=0)[:, rows].T
-    return list(zip(nums.tolist(), map(tuple, alice.tolist()),
-                    map(tuple, bob.tolist())))
+        nums = np.maximum(nums, totals.max(axis=1))
+    return nums.tolist()
 
 
 def classical_value(g, budget: int = DEFAULT_PAIR_BUDGET

@@ -21,8 +21,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError, check_budget
-from .games import (DEFAULT_PAIR_BUDGET, best_tables_per_x_subset,
-                    best_tables_per_y_subset, classical_value, gain_tensor)
+from .games import (DEFAULT_PAIR_BUDGET, best_tables,
+                    best_values_per_x_subset, best_values_per_y_subset,
+                    classical_value, gain_tensor)
 
 MAX_TOTAL_BITS = 30
 DEFAULT_LEAKY_BUDGET = 10**7
@@ -164,23 +165,20 @@ def _string_count(n: int, k: int) -> int:
     return sum(strings)
 
 
-def _partition(blocks: list, n: int, msgs: int) -> tuple[int, tuple, list]:
+def _partition(values: list[int], n: int, msgs: int) -> tuple[int, tuple]:
     """Best split of n questions into at most ``msgs`` labelled blocks, given
-    each subset's (value, alice, bob) indexed by bitmask: the total, the
-    first label string reaching it, and every label's block (the empty
-    block for unused labels)."""
+    each subset's value indexed by bitmask: the total and the first label
+    string reaching it."""
     k = min(msgs, n)
-    best = _best_partition([v for v, _, _ in blocks], k)
+    best = _best_partition(values, k)
 
-    def label_blocks(labels):
+    def total(labels):
         masks = [0] * k
         for i, v in enumerate(labels):
             masks[v] |= 1 << i
-        return [blocks[mask] for mask in masks]
+        return sum(values[mask] for mask in masks)
 
-    labels = next(s for s in _label_strings(n, k)
-                  if sum(v for v, _, _ in label_blocks(s)) == best)
-    return best, labels, label_blocks(labels) + [blocks[0]] * (msgs - k)
+    return best, next(s for s in _label_strings(n, k) if total(s) == best)
 
 
 def leaky_enumeration_size(g, m: LeakageModel) -> int:
@@ -191,10 +189,9 @@ def leaky_enumeration_size(g, m: LeakageModel) -> int:
     3^n * (k-2) + 2^n partition DP steps for k >= 2 (k-2 full submask
     layers and the full set's last layer; none for k = 1).  No bits to
     alice (one-way-ab, simultaneous(L, 0)): (A+1)^X subset tables +
-    2^X * (X+Y) subset witness cells + dp(X, k1) + strings(X, k1) +
-    Y * 2^bits_ab bob answer cells.  Otherwise, per alice string,
-    A^X * 2^Y subset scores + 2^Y * (X+Y) subset witness cells +
-    dp(Y, k2) + strings(Y, k2), over strings(X, k1) alice strings; plus
+    dp(X, k1) + strings(X, k1) + Y * 2^bits_ab bob answer cells.
+    Otherwise, per alice string, A^X * 2^Y subset scores + dp(Y, k2) +
+    strings(Y, k2), over strings(X, k1) alice strings; plus
     X * 2^bits_ba + Y * 2^bits_ab answer cells.
     """
     x, y, a = g.x_size, g.y_size, g.a_size
@@ -203,10 +200,10 @@ def leaky_enumeration_size(g, m: LeakageModel) -> int:
     def dp(n, k):
         return 3 ** n * (k - 2) + 2 ** n if k > 1 else 0
     if not m.bits_ba:
-        return ((a + 1) ** x + (x + y << x) + dp(x, k1)
-                + _string_count(x, k1) + y * m.msgs_ab)
-    return (_string_count(x, k1) * ((a ** x << y) + (x + y << y)
-                                    + dp(y, k2) + _string_count(y, k2))
+        return ((a + 1) ** x + dp(x, k1) + _string_count(x, k1)
+                + y * m.msgs_ab)
+    return (_string_count(x, k1) * ((a ** x << y) + dp(y, k2)
+                                    + _string_count(y, k2))
             + x * m.msgs_ba + y * m.msgs_ab)
 
 
@@ -217,53 +214,74 @@ def _log2_enumeration_size(g, m: LeakageModel) -> float:
     x, y, a, _ = g.float_sizes()
     cells = math.log2(y) + m.bits_ab
     if not m.bits_ba:
-        return max(x * math.log2(a + 1), x + math.log2(x + y), cells)
+        return max(x * math.log2(a + 1), cells)
     strings = x - 1 if m.bits_ab else 0
-    return max(strings + max(x * math.log2(a), math.log2(x + y)) + y,
-               math.log2(x) + m.bits_ba, cells)
+    return max(strings + x * math.log2(a) + y, math.log2(x) + m.bits_ba,
+               cells)
+
+
+def _heard(c: np.ndarray, labels: tuple[int, ...]) -> np.ndarray:
+    """c'[x, a, (y, label), b]: the gain tensor with bob answering each y
+    per label he hears, x gaining only in its own label's columns; labels
+    run over 0..max(labels)."""
+    if not any(labels):
+        return c  # one label: every x is heard alike
+    heard = np.equal.outer(labels, range(max(labels) + 1))  # [x, label]
+    x_size, a_size, _, b_size = c.shape
+    return (c[:, :, :, None, :] * heard[:, None, None, :, None]).reshape(
+        x_size, a_size, -1, b_size)
 
 
 def _split_x(g, m: LeakageModel) -> tuple[Fraction, LeakyStrategy]:
-    """Alice's message splits X: one fold scores every subset of X, with
-    alice's lex-smallest optimal answers on it (0 off it) and bob's
-    smallest best responses."""
+    """Alice's message splits X: one fold scores every subset of X, and one
+    fold over the chosen blocks, alice's blocks being independent, gives
+    each block's lex-smallest optimal answers and bob's smallest best
+    responses (0 to labels never sent)."""
     c, denom = gain_tensor(g)
-    best, labels, used = _partition(best_tables_per_x_subset(c), g.x_size,
-                                    m.msgs_ab)
-    alice_ans = tuple((used[v][1][x],) for x, v in enumerate(labels))
-    bob_ans = tuple(zip(*(bob for _, _, bob in used)))
+    best, labels = _partition(best_values_per_x_subset(c), g.x_size,
+                              m.msgs_ab)
+    _, alice, bob = best_tables(_heard(c, labels))
+    k = max(labels) + 1
+    unused = (0,) * (m.msgs_ab - k)
     return Fraction(best, denom), LeakyStrategy(
-        labels, (0,) * g.y_size, alice_ans, bob_ans)
+        labels, (0,) * g.y_size, tuple((a,) for a in alice),
+        tuple(bob[y * k:(y + 1) * k] + unused for y in range(g.y_size)))
 
 
 def _split_y(g, m: LeakageModel) -> tuple[Fraction, LeakyStrategy]:
     """Bob's message splits Y, once per alice label string in lex order.
-    With alice's labels fixed, bob answers (y, label i), column y * k1 + i
-    of the gain tensor, and one fold over alice's tables scores every
-    subset of Y.  The first string that strictly improves is kept; none
-    passes the merged-prover value, so the scan stops there."""
+    With alice's labels fixed, bob answers (y, label), and one fold over
+    alice's tables scores every subset of Y.  The first string that
+    strictly improves is kept; none passes the merged-prover value, so the
+    scan stops there.  Each of its bob blocks is then solved once, alice
+    answering 0 to labels never sent."""
     c, denom = gain_tensor(g)
     k1 = min(m.msgs_ab, g.x_size)
-    unused = (0,) * (m.msgs_ab - k1)  # bob's answers to labels never sent
     merged = c.max(axis=(1, 3)).sum()
-    best_num, best = -1, None
+    best_num = -1
     for alice_msg in _label_strings(g.x_size, k1):
         if best_num == merged:
             break
-        eff = c  # with one label every x is heard alike
-        if k1 > 1:
-            heard = np.equal.outer(alice_msg, range(k1))  # [x, label]
-            eff = (c[:, :, :, None, :] * heard[:, None, None, :, None]
-                   ).reshape(g.x_size, g.a_size, g.y_size * k1, g.b_size)
-        num, bob_msg, used = _partition(best_tables_per_y_subset(eff, k1),
-                                        g.y_size, m.msgs_ba)
+        eff = _heard(c, alice_msg)
+        num, bob_msg = _partition(
+            best_values_per_y_subset(eff, max(alice_msg) + 1), g.y_size,
+            m.msgs_ba)
         if num > best_num:
-            best_num, best = num, LeakyStrategy(
-                alice_msg, bob_msg,
-                tuple(zip(*(alice for _, alice, _ in used))),
-                tuple(used[v][2][y * k1:(y + 1) * k1] + unused
-                      for y, v in enumerate(bob_msg)))
-    return Fraction(best_num, denom), best
+            best_num, best = num, (alice_msg, bob_msg, eff)
+    alice_msg, bob_msg, eff = best
+    k = max(alice_msg) + 1
+    unused = (0,) * (m.msgs_ab - k)
+    alice_ans, bob_ans = [], [()] * g.y_size
+    for v in range(max(bob_msg) + 1):
+        ys = [y for y, w in enumerate(bob_msg) if w == v]
+        _, alice, bob = best_tables(eff[:, :, np.repeat(np.equal(bob_msg, v),
+                                                         k)])
+        alice_ans.append(alice)
+        for i, y in enumerate(ys):
+            bob_ans[y] = bob[i * k:(i + 1) * k] + unused
+    alice_ans += [(0,) * g.x_size] * (m.msgs_ba - len(alice_ans))
+    return Fraction(best_num, denom), LeakyStrategy(
+        alice_msg, bob_msg, tuple(zip(*alice_ans)), tuple(bob_ans))
 
 
 def leaky_value_exact(g, m: LeakageModel,

@@ -65,36 +65,25 @@ def naive_classical_value(g):
     return Fraction(best, denom), best_pair
 
 
-def per_subset_tables(c):
+def per_subset_values(c):
     """The library fold once per subset xs of the questions x, by bitmask:
-    ``best_tables(c[xs])`` with alice's answers 0 off xs."""
-    out = []
-    for mask in range(1 << c.shape[0]):
-        xs = [x for x in range(c.shape[0]) if mask >> x & 1]
-        num, alice, bob = best_tables(c[xs])
-        on = dict(zip(xs, alice))
-        out.append((num, tuple(on.get(x, 0) for x in range(c.shape[0])),
-                    bob))
-    return out
+    the value of ``best_tables(c[xs])``."""
+    return [best_tables(c[[x for x in range(c.shape[0]) if mask >> x & 1]])[0]
+            for mask in range(1 << c.shape[0])]
 
 
-def naive_group_subset_tables(c, width):
+def naive_group_subset_values(c, width):
     """Every alice table in lex order against every subset of the groups of
-    ``width`` consecutive y, by bitmask: the first table with the largest
-    total over the subset's y, and bob's smallest best response on every
-    y; summed with Python integers."""
+    ``width`` consecutive y, by bitmask: the largest total over the
+    subset's y, summed with Python integers."""
     x_size, a_size, y_size, b_size = c.shape
-    groups = y_size // width
-    best = [(-1, (), ())] * (1 << groups)
+    best = [0] * (1 << (y_size // width))
     for alice in itertools.product(range(a_size), repeat=x_size):
-        scores = [[sum(int(c[x, a, y, b]) for x, a in enumerate(alice))
-                   for b in range(b_size)] for y in range(y_size)]
-        for mask in range(1 << groups):
-            total = sum(max(scores[y]) for y in range(y_size)
-                        if mask >> (y // width) & 1)
-            if total > best[mask][0]:
-                best[mask] = (total, alice, tuple(
-                    row.index(max(row)) for row in scores))
+        scores = [max(sum(int(c[x, a, y, b]) for x, a in enumerate(alice))
+                      for b in range(b_size)) for y in range(y_size)]
+        for mask in range(len(best)):
+            best[mask] = max(best[mask], sum(
+                scores[y] for y in range(y_size) if mask >> (y // width) & 1))
     return best
 
 

@@ -15,6 +15,8 @@ from leakygames.errors import BudgetExceededError, FormatError
 from leakygames.games import (Game, StrategyPair, chsh, classical_value,
                               load_game, make_game, merged_prover_value,
                               save_game, strategy_value)
+from leakygames.leakage import (leaky_value_exact, one_way_ab, one_way_ba,
+                                simultaneous)
 
 ALL_ONES = make_game("ones", 2, 2, 2, 2, [1, 1, 1, 1],
                      lambda *_: True)
@@ -207,11 +209,11 @@ def _fold_cases():
 def test_x_subset_fold_matches_per_subset_folds(cells, monkeypatch):
     # one fold over the extended alphabet against one fold per subset
     cases = _fold_cases()
-    expected = [oracles.per_subset_tables(c) for c in cases]
+    expected = [oracles.per_subset_values(c) for c in cases]
     if cells:
         monkeypatch.setattr(games, "FOLD_CELLS", cells)
-    for c, blocks in zip(cases, expected):
-        assert games.best_tables_per_x_subset(c) == blocks
+    for c, values in zip(cases, expected):
+        assert games.best_values_per_x_subset(c) == values
 
 
 @pytest.mark.parametrize("cells", [None, 1, 7, 40])
@@ -222,8 +224,8 @@ def test_y_subset_fold_matches_naive_scan(width, cells, monkeypatch):
         monkeypatch.setattr(games, "FOLD_CELLS", cells)
     for c in _fold_cases():
         if c.shape[2] % width == 0:
-            assert games.best_tables_per_y_subset(c, width) == \
-                oracles.naive_group_subset_tables(c, width)
+            assert games.best_values_per_y_subset(c, width) == \
+                oracles.naive_group_subset_values(c, width)
 
 
 def _tie_games():
@@ -244,42 +246,53 @@ def _tie_games():
     return cases
 
 
-def _assert_tied_answers_are_zero(c, alice, bob, xs):
-    """Bob answers 0 at every y where all his answers score alike against
-    alice's answers on the questions xs."""
-    for y, b in enumerate(bob):
-        scores = {sum(int(c[x, alice[x], y, bb]) for x in xs)
-                  for bb in range(c.shape[3])}
-        assert len(scores) > 1 or b == 0
+def _assert_tied_answers_are_zero(c, s):
+    """Bob answers 0 to every (y, heard label) where all his answers score
+    alike against alice's answers on the questions x sending that label;
+    ``s`` is a LeakyStrategy."""
+    x_size, _, _, b_size = c.shape
+    for y, row in enumerate(s.bob_ans):
+        for label, b in enumerate(row):
+            scores = {sum(int(c[x, s.alice_ans[x][s.bob_msg[y]], y, bb])
+                          for x in range(x_size) if s.alice_msg[x] == label)
+                      for bb in range(b_size)}
+            assert len(scores) > 1 or b == 0
 
 
 @pytest.mark.parametrize("cells", [None, 1, 7])
 def test_folds_break_ties_to_the_first_answer(cells, monkeypatch):
-    # all three folds against their oracles where most answers tie
+    # the classical fold and the subset folds against their oracles where
+    # most answers tie, and the leaky witnesses built from the subset folds
+    # (one fold over the chosen blocks) against the generic enumerator
+    models = [(one_way_ab(1), simultaneous(1, 0)),
+              (one_way_ab(2), simultaneous(2, 0)),
+              (one_way_ba(1), simultaneous(0, 1)),
+              (simultaneous(1, 1), simultaneous(1, 1))]
     cases = _tie_games()
     tensors = [games.gain_tensor(g)[0] for g in cases]
     expected = [(oracles.naive_classical_value(g),
-                 oracles.per_subset_tables(c),
-                 {width: oracles.naive_group_subset_tables(c, width)
-                  for width in (1, 2) if c.shape[2] % width == 0})
+                 oracles.per_subset_values(c),
+                 {width: oracles.naive_group_subset_values(c, width)
+                  for width in (1, 2) if c.shape[2] % width == 0},
+                 [oracles.generic_simultaneous_value(g, generic)
+                  for _, generic in models])
                 for g, c in zip(cases, tensors)]
     if cells:
         monkeypatch.setattr(games, "FOLD_CELLS", cells)
-    for g, c, (naive, x_blocks, y_blocks) in zip(cases, tensors, expected):
-        x_size = g.x_size
+    for g, c, (naive, x_values, y_values, leaky) in zip(cases, tensors,
+                                                          expected):
         value, witness = classical_value(g)
         assert (value, (witness.alice, witness.bob)) == naive
         assert witness.alice[0] == witness.alice[-1] == 0
-        _assert_tied_answers_are_zero(c, witness.alice, witness.bob,
-                                      range(x_size))
-        assert games.best_tables_per_x_subset(c) == x_blocks
-        for mask, (_, alice, bob) in enumerate(x_blocks):
-            _assert_tied_answers_are_zero(
-                c, alice, bob, [x for x in range(x_size) if mask >> x & 1])
-        for width, blocks in y_blocks.items():
-            assert games.best_tables_per_y_subset(c, width) == blocks
-            for _, alice, bob in blocks:
-                _assert_tied_answers_are_zero(c, alice, bob, range(x_size))
+        _assert_tied_answers_are_zero(c, helpers.from_strategy_pair(witness))
+        assert games.best_values_per_x_subset(c) == x_values
+        for width, values in y_values.items():
+            assert games.best_values_per_y_subset(c, width) == values
+        for (model, _), generic in zip(models, leaky):
+            value, witness = leaky_value_exact(g, model)
+            assert (value, witness) == generic
+            assert set(witness.alice_ans[0] + witness.alice_ans[-1]) == {0}
+            _assert_tied_answers_are_zero(c, witness)
 
 
 def test_classical_fold_memory_is_bounded():

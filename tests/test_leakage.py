@@ -173,56 +173,54 @@ def test_exact_below_upper_bound():
 
 def test_budget_guard():
     g = make_game("wide", 3, 3, 3, 3, [1] * 9, lambda *_: True)
-    # 4^3 subset tables; 2^3 * (3 + 3) witness cells; k1 = 3 labels, so
-    # 3^3 * (3 - 2) + 2^3 = 35 DP steps (one full submask layer, then the
-    # full set alone); 5 label strings; 3 * 4 bob cells
-    assert leaky_enumeration_size(g, one_way_ab(2)) == \
-        64 + 48 + 35 + 5 + 12
+    # 4^3 subset tables; k1 = 3 labels, so 3^3 * (3 - 2) + 2^3 = 35 DP
+    # steps (one full submask layer, then the full set alone); 5 label
+    # strings; 3 * 4 bob cells
+    assert leaky_enumeration_size(g, one_way_ab(2)) == 64 + 35 + 5 + 12
     assert leaky_enumeration_size(g, one_way_ab(2)) > 100
     with pytest.raises(BudgetExceededError):
         leaky_value_exact(g, one_way_ab(2), budget=100)
     # simultaneous(L, 0) is one-way-ab
-    assert leaky_enumeration_size(g, simultaneous(2, 0)) == \
-        64 + 48 + 35 + 5 + 12
+    assert leaky_enumeration_size(g, simultaneous(2, 0)) == 64 + 35 + 5 + 12
 
 
 def test_simultaneous_budget_guard():
     g = make_game("wide", 3, 2, 3, 2, [1] * 6, lambda *_: True)
     # 4 alice strings over 2 labels, each scoring 3^3 tables x 2^2 subsets
-    # with 2^2 * (3 + 2) witness cells, 3^2 * (2 - 2) + 2^2 = 4 DP steps
-    # (k2 = 2: the full set alone) and 2 bob strings; 3 * 4 alice and
-    # 2 * 2 bob cells
-    size = 4 * (27 * 4 + 20 + 4 + 2) + 12 + 4
+    # with 3^2 * (2 - 2) + 2^2 = 4 DP steps (k2 = 2: the full set alone)
+    # and 2 bob strings; 3 * 4 alice and 2 * 2 bob cells
+    size = 4 * (27 * 4 + 4 + 2) + 12 + 4
     assert leaky_enumeration_size(g, simultaneous(1, 2)) == size
     # one-way-ba is the single, constant alice string
     assert leaky_enumeration_size(g, one_way_ba(2)) == \
-        27 * 4 + 20 + 4 + 2 + 3 * 4 + 2
+        27 * 4 + 4 + 2 + 3 * 4 + 2
     assert leaky_value_exact(g, simultaneous(1, 2), budget=size)[0] == 1
     with pytest.raises(BudgetExceededError, match=f"needs {size} steps"):
         leaky_value_exact(g, simultaneous(1, 2), budget=size - 1)
 
 
-def test_subset_fold_witness_rows_are_budgeted():
-    # 23 questions with one answer: (1+1)^23 subset tables alone are under
-    # the default budget, but the fold would keep a 24-answer witness row
-    # for each of the 2^23 subsets, several GB.  The guard refuses it from
+def test_subset_fold_over_budget_is_refused_from_its_log2():
+    # 26 questions with one answer: the fold would score (1+1)^26 subset
+    # tables, 2^26 > 2^(bit_length(10^7) + 1).  The guard refuses it from
     # its log2, before anything is built
-    g = make_game("one-label", 23, 1, 1, 2, [1] * 23, lambda *_: True)
+    g = make_game("one-label", 26, 1, 1, 2, [1] * 26, lambda *_: True)
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError) as err:
         leaky_value_exact(g, one_way_ab(0))
     assert time.perf_counter() - start < 1
     assert err.value.required is None
-    assert err.value.log2_required >= 23 + math.log2(24)
-    assert leaky_enumeration_size(g, one_way_ab(0)) == \
-        2**23 + 24 * 2**23 + 1 + 1
-    # the same rows on bob's side: 2^21 subsets of 22-answer rows, where
-    # the tables, DP and strings alone come to 5.2 * 10^6 steps
-    g = make_game("one-label", 1, 21, 1, 2, [1] * 21, lambda *_: True)
-    with pytest.raises(BudgetExceededError):
-        leaky_value_exact(g, one_way_ba(1))
-    assert leaky_enumeration_size(g, one_way_ba(1)) == \
-        2**21 + 22 * 2**21 + 2**21 + 2**20 + 2 + 21
+    assert err.value.log2_required >= 26
+    # 24 questions are near enough to be counted: 2^24 tables, no DP at
+    # one label, one label string, 1 * 1 bob cell, still over 10^7
+    g = make_game("one-label", 24, 1, 1, 2, [1] * 24, lambda *_: True)
+    with pytest.raises(BudgetExceededError) as err:
+        leaky_value_exact(g, one_way_ab(0))
+    assert err.value.required == 2**24 + 1 + 1
+    # one question fewer is admissible: the folds keep no witness per subset
+    g = make_game("one-label", 23, 1, 1, 2, [1] * 23, lambda *_: True)
+    assert leaky_enumeration_size(g, one_way_ab(0)) == 2**23 + 1 + 1
+    assert leaky_enumeration_size(g, one_way_ab(0)) < \
+        leakage.DEFAULT_LEAKY_BUDGET
 
 
 def test_best_partition_matches_naive_partitions():
@@ -394,17 +392,23 @@ def test_one_way_ba_memory_is_bounded_with_wide_answers():
 
 
 def test_one_way_ab_memory_is_bounded():
-    # the extended alphabet has 3^12 tables, 8.5 MB of int64 scores at once;
-    # the fold scores them in blocks
-    g = helpers.random_game_exact(random.Random(5), 12, 1, 2, 2)
-    tracemalloc.start()
-    try:
-        value, _ = leaky_value_exact(g, one_way_ab(1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * 2**20
-    assert classical_value(g)[0] <= value <= merged_prover_value(g)
+    cases = [
+        # the extended alphabet has 3^12 tables, 8.5 MB of int64 scores at
+        # once; the fold scores them in blocks
+        ((12, 1, 2, 2), 1, 5),
+        # 2^16 subsets: a witness row per subset peaked near 47 MB
+        ((16, 1, 1, 2), 0, 8),
+    ]
+    for shape, bits, mb in cases:
+        g = helpers.random_game_exact(random.Random(5), *shape)
+        tracemalloc.start()
+        try:
+            value, _ = leaky_value_exact(g, one_way_ab(bits))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mb * 2**20
+        assert classical_value(g)[0] <= value <= merged_prover_value(g)
 
 
 def test_one_way_dp_weights_past_int64():
