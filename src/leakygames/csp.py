@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (RUN_FALLBACK, BudgetExceededError, FormatError,
                      GeneratorCapError, InvalidInputError, check_budget)
-from .games import Game, _content_lines, _index_to_tuple, make_game
+from .games import Game, _content_lines, _index_to_tuple, kept, make_game
 
 DEFAULT_ASSIGNMENT_BUDGET = 10**7
 DEFAULT_CHEAT_BUDGET = 10**8
@@ -67,10 +67,8 @@ class CspInstance:
                 if any(v < 0 or v >= self.alphabet_size for v in t):
                     raise InvalidInputError("allowed tuple value out of range")
 
-    def __hash__(self) -> int:  # kept: every session hashes its target
-        if "_hash" not in self.__dict__:
-            object.__setattr__(self, "_hash", hash(self.constraints))
-        return self.__dict__["_hash"]
+    def __hash__(self) -> int:  # kept: it reads every allowed tuple
+        return kept(self, "_hash", lambda: hash(self.constraints))
 
     def satisfied_count(self, assignment: tuple[int, ...]) -> int:
         count = 0
@@ -145,13 +143,18 @@ AGREEMENT_CELLS = 2**20  # cells of one block's [m, T_max, rows] counter
 def _agreement(c: CspInstance):
     """(agree, allowed): agree maps digits [num_vars, rows] to counts
     [m, T_max, rows] of the positions where allowed[e, t], constraint e's
-    t-th allowed tuple, agrees with column r, one scope position at a time."""
-    sizes = [len(con.allowed) for con in c.constraints]
-    t_max, pad = max(1, *sizes), ((-1,) * c.arity,)
-    allowed = np.array([con.allowed + pad * (t_max - size)
-                        for con, size in zip(c.constraints, sizes)],
-                       dtype=np.min_scalar_type(-c.alphabet_size))
-    scopes = np.array([con.scope for con in c.constraints])
+    t-th allowed tuple, agrees with column r, one scope position at a time.
+    The padded allowed and scope arrays are kept on c, read-only."""
+    def pack():
+        sizes = [len(con.allowed) for con in c.constraints]
+        t_max, pad = max(1, *sizes), ((-1,) * c.arity,)
+        allowed = np.array([con.allowed + pad * (t_max - size)
+                            for con, size in zip(c.constraints, sizes)],
+                           dtype=np.min_scalar_type(-c.alphabet_size))
+        scopes = np.array([con.scope for con in c.constraints])
+        allowed.flags.writeable = scopes.flags.writeable = False
+        return allowed, scopes
+    allowed, scopes = kept(c, "_packed", pack)
 
     def agree(digits: np.ndarray) -> np.ndarray:
         counts = np.zeros(allowed.shape[:2] + digits.shape[1:],
@@ -167,15 +170,21 @@ def _agreement_blocks(c: CspInstance):
     """Yield (start, best) per block of assignments in ``itertools.product``
     order, best[e, r] the most positions any allowed tuple of e agrees on
     with assignment start + r.  A block fixes the leading variables and takes
-    the trailing ones, as many as fit AGREEMENT_CELLS, from ``np.indices``."""
+    the trailing ones, as many as fit AGREEMENT_CELLS, from ``np.indices``,
+    kept on c by tail while no larger than the counter (tail <= m * T_max)."""
     agree, allowed = _agreement(c)
     a, n, cells = c.alphabet_size, c.num_vars, allowed[..., 0].size
     tail = 0  # a single-letter alphabet needs no table: one row
     while tail < n and 1 < a and a ** (tail + 1) * cells <= AGREEMENT_CELLS:
         tail += 1
     lead, rows = n - tail, a ** tail
+
+    def lex() -> np.ndarray:
+        table = np.indices((a,) * tail, allowed.dtype).reshape(tail, rows)
+        table.flags.writeable = False
+        return table
     digits = np.empty((n, rows), dtype=allowed.dtype)
-    digits[lead:] = np.indices((a,) * tail, allowed.dtype).reshape(tail, rows)
+    digits[lead:] = kept(c, f"_lex{tail}", lex) if tail <= cells else lex()
     for block, prefix in enumerate(itertools.product(range(a), repeat=lead)):
         if lead:
             digits[:lead] = np.array(prefix)[:, None]
@@ -440,17 +449,20 @@ def _pair_scan(scores, suffix_max, table, prefix, start, best_total):
     bound = np.maximum(rows_max, suffix_max[start:]).sum(1, dtype=np.int64)
     keep = np.flatnonzero(bound > best_total)  # the rest cannot beat it
     rows, row_table = keep + start, _thresholds(rows_max[keep], km // m)
+    product = np.empty(min(len(rows) * (n - start),  # any block's cells
+                           max(PAIR_CELLS, n - start)), row_table.dtype)
     best, b = [], 0
     while b < len(rows):
         r0 = int(rows[b])
-        b1 = b + max(1, PAIR_CELLS // (n - r0))
+        h, w = min(max(1, PAIR_CELLS // (n - r0)), len(rows) - b), n - r0
         # A pair (i, j < i) totals the same as (j, i): if j is kept, (j, i)
         # comes first in row-major order; if not, neither beats best_total.
-        dots = row_table[b:b1] @ table[r0:].T
-        p, q = divmod(int(dots.argmin()), n - r0)  # row-major: lex-first
+        dots = np.matmul(row_table[b:b + h], table[r0:].T,
+                         out=product[:h * w].reshape(h, w))
+        p, q = divmod(int(dots.argmin()), w)  # row-major: lex-first
         if km - int(dots[p, q]) > best_total:
             best_total, best = km - int(dots[p, q]), [int(rows[b + p]), r0 + q]
-        b = b1
+        b += h
     return best_total, best
 
 

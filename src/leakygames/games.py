@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -66,9 +66,7 @@ class Game:
     def __hash__(self) -> int:
         # kept, as it reads every weight and bit; no salted str goes into it,
         # so a pickled copy keeps a valid hash in another process
-        if "_hash" not in self.__dict__:
-            object.__setattr__(self, "_hash", hash((self.dist, self.pred)))
-        return self.__dict__["_hash"]
+        return kept(self, "_hash", lambda: hash((self.dist, self.pred)))
 
     # -- evaluation interface (shared with RepeatedGame via duck typing) --
 
@@ -100,6 +98,13 @@ class Game:
         """(X, Y, A, B) as floats, for budget guards."""
         return (float(self.x_size), float(self.y_size),
                 float(self.a_size), float(self.b_size))
+
+
+def kept(obj, name: str, build: Callable[[], Any]) -> Any:
+    """build() once, kept in obj.__dict__[name], which eq, hash, repr skip."""
+    if name not in obj.__dict__:
+        object.__setattr__(obj, name, build())
+    return obj.__dict__[name]
 
 
 def _int_dtype(bound: int):

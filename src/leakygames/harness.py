@@ -15,7 +15,6 @@ master seed and the session index) and reproducible across platforms.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -29,7 +28,7 @@ import numpy as np
 
 from .csp import CheatProfile, CspInstance, LabelCover, best_response, save_csp, save_label_cover
 from .errors import BudgetExceededError, InvalidInputError
-from .games import Game, StrategyPair, save_game
+from .games import Game, StrategyPair, kept, save_game
 from .leakage import LeakageKind, LeakageModel, LeakyStrategy
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -296,15 +295,13 @@ class Transcript:
 
 
 def instance_id(target) -> str:
-    """Stable identifier: name plus hash of the canonical serialization."""
-    if not isinstance(target, Hashable):
+    """Stable identifier, kept on the target: name plus serialization hash."""
+    if not isinstance(target, Hashable) or not hasattr(target, "__dict__"):
         raise InvalidInputError(f"cannot identify {type(target).__name__}")
-    return _serialized_id(target)
+    return kept(target, "_instance_id", lambda: _serialized_id(target))
 
 
-@functools.lru_cache(maxsize=16)
 def _serialized_id(target) -> str:
-    # cached per target: every session and every replay asks for it
     if isinstance(target, CspInstance):
         name, body = "csp", save_csp(target)
     elif isinstance(target, LabelCover):
@@ -329,15 +326,16 @@ def _check_answer(value, size: int, what: str) -> int:
     return value
 
 
-@functools.lru_cache(maxsize=16)
 def _game_support(g) -> tuple[tuple, tuple, int]:
     """Support cells, cumulative integer weights, and the weight total;
-    cached like _serialized_id, for targets instance_id accepted."""
-    weights, total = g.int_weights()
-    support = np.flatnonzero(weights)
-    xs, ys = np.divmod(support, g.y_size)
-    cums = np.cumsum(weights.ravel()[support]).tolist()  # Python ints
-    return tuple(zip(xs.tolist(), ys.tolist())), tuple(cums), total
+    kept like the instance id, for targets instance_id accepted."""
+    def build():
+        weights, total = g.int_weights()
+        support = np.flatnonzero(weights)
+        xs, ys = np.divmod(support, g.y_size)
+        cums = np.cumsum(weights.ravel()[support]).tolist()  # Python ints
+        return tuple(zip(xs.tolist(), ys.tolist())), tuple(cums), total
+    return kept(g, "_support", build)
 
 
 def _play_game(g, behaviors, model: LeakageModel, x: int, y: int):

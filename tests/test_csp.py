@@ -3,8 +3,10 @@ cheating under one-way leakage."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -146,6 +148,95 @@ def test_value_memory_is_one_block_of_byte_cells():
     finally:
         tracemalloc.stop()
     assert peak < 3 * cells + 2**16
+
+
+def _kept(c):
+    """The derived tables c keeps, by name (fields have no leading _)."""
+    return {name: value for name, value in vars(c).items()
+            if name.startswith("_")}
+
+
+def test_every_solver_reads_the_tables_packed_once(monkeypatch):
+    # value, cheats at 0, 1 and 2 bits, best responses and local search on
+    # one instance pack it and build its digit table once, then read them
+    c, _ = find_low_value_instance(4, 2, 2, Fraction(1, 2), 5,
+                                   num_constraints=16)
+    c = CspInstance(c.num_vars, c.alphabet_size, c.arity, c.constraints)
+    built, indices = [], np.indices
+    monkeypatch.setattr(np, "indices",
+                        lambda *args: built.append(args) or indices(*args))
+    csp_value_exact(c)
+    tables = _kept(c)
+    assert set(tables) == {"_packed", "_lex4"}
+    for bits in (0, 1, 2):
+        best_response(c, optimal_cheat(c, bits)[1])
+    csp_value_local_search(c, seed=1, restarts=2)
+    assert len(built) == 1
+    assert _kept(c).keys() == tables.keys()
+    assert all(_kept(c)[name] is table for name, table in tables.items())
+    for array in (*tables["_packed"], tables["_lex4"]):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
+
+
+def test_kept_tables_stay_outside_eq_hash_and_repr():
+    # a solved instance is equal to, hashes and prints like a fresh equal
+    # one; its pickled copy carries the tables and solves to the same results
+    c, _ = find_low_value_instance(6, 2, 2, Fraction(1, 2), 9,
+                                   num_constraints=24)
+    fresh = CspInstance(c.num_vars, c.alphabet_size, c.arity, c.constraints)
+    assert _kept(c) and not _kept(fresh)
+    assert c == fresh and hash(c) == hash(fresh) and repr(c) == repr(fresh)
+    copy = pickle.loads(pickle.dumps(c))
+    assert copy == c and _kept(copy).keys() == _kept(c).keys()
+    for solve in (csp_value_exact, lambda x: optimal_cheat(x, 1),
+                  lambda x: csp._score_matrix(x).tolist(),
+                  lambda x: csp_value_local_search(x, seed=3, restarts=2)):
+        assert solve(copy) == solve(fresh) == solve(c)
+
+
+def test_replace_gets_no_stale_tables():
+    c, _ = find_low_value_instance(4, 2, 2, Fraction(1, 2), 5,
+                                   num_constraints=16)
+    assert _kept(c)
+    for changed in (dataclasses.replace(c),
+                    dataclasses.replace(c, constraints=c.constraints[1:]),
+                    dataclasses.replace(c, alphabet_size=3)):
+        assert not _kept(changed)
+        naive = np.array(oracles.naive_score_matrix(changed))
+        assert (csp._score_matrix(changed) == naive).all()
+        assert csp_value_exact(changed) == oracles.naive_csp_value(changed)
+
+
+def test_block_cap_switched_on_solved_instances(monkeypatch):
+    # the digit table is kept by tail, so a cap switched between calls on
+    # an already-solved instance reads a table of the right width
+    rng = random.Random(71)
+    cases = [_sweep_instance(rng, *shape) for shape in SWEEP_SHAPES]
+    naive = [(np.array(oracles.naive_score_matrix(c)),
+              oracles.naive_csp_value(c)) for c in cases]
+    default = csp.AGREEMENT_CELLS
+    for cells in (default, 1, 7, 2**12, default):
+        monkeypatch.setattr(csp, "AGREEMENT_CELLS", cells)
+        for c, (scores, value) in zip(cases, naive):
+            assert (csp._score_matrix(c) == scores).all()
+            assert csp_value_exact(c) == value
+
+
+def test_digit_table_larger_than_the_counter_is_not_kept():
+    # one single-tuple constraint over 20 binary variables: the 2^20-column
+    # digit table is 20 times the counter, so the solve drops it on return
+    c = CspInstance(20, 2, 2, (make_constraint((0, 19), [(1, 0)]),))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert csp_value_exact(c) == (1, (1,) + (0,) * 19)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 2**16
+    assert set(_kept(c)) == {"_packed"}
 
 
 def test_wide_repeated_scope_builds_no_tuple_table():

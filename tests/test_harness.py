@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import pickle
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 from importlib import resources
 
@@ -502,6 +504,28 @@ def test_unhashable_targets_are_refused():
         run_session(target, behaviors, NO_LEAK, 1)
     with pytest.raises(InvalidInputError, match="cannot identify"):
         estimate_acceptance(target, behaviors, NO_LEAK, 10, 1)
+    with pytest.raises(InvalidInputError, match="cannot identify"):
+        instance_id(("a", "tuple", "keeps", "nothing"))
+
+
+def test_dropped_targets_are_freed():
+    # a target's instance id and session support are kept on the target,
+    # not in a cache outside it: sessions and estimates leave nothing that
+    # holds a target alive once its caller drops it
+    g = helpers.random_game_exact(random.Random(6), 3, 3, 2, 2)
+    c, planted = helpers.satisfiable_csp(random.Random(6))
+    targets = [(g, behaviors_from_strategy_pair(StrategyPair((0,) * 3,
+                                                             (1,) * 3))),
+               (c, honest_csp_behaviors(c, planted))]
+    refs = [weakref.ref(target) for target, _ in targets]
+    for target, behaviors in targets:
+        transcript = run_session(target, behaviors, NO_LEAK, 3)
+        assert replay_verify(transcript, target)
+        estimate_acceptance(target, behaviors, NO_LEAK, 100, 3)
+    assert "_instance_id" in g.__dict__ and "_support" in g.__dict__
+    del g, c, target, targets
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_all_ones_game_estimate():
