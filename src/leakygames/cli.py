@@ -1,8 +1,9 @@
 """Command-line front end: solver dispatch, experiment runs, fixtures,
 and the repetition-count parameter calculator.
 
-Commands write a human-readable table to stdout and, with --out, a
-machine-readable artifact (CSV or JSON per --format).  Artifacts are byte
+Each command but ``gen`` returns one row; ``main`` prints it as a table
+and, with --out, writes it as a machine-readable artifact (CSV or JSON per
+--format) whose columns are the row's keys in order.  Artifacts are byte
 reproducible from (arguments, seed): no timestamps, fixed column order,
 rationals rendered as p/q next to a float column.
 
@@ -125,12 +126,11 @@ def _load_csp(path: str) -> csp_mod.CspInstance:
     return inst.to_csp() if isinstance(inst, csp_mod.LabelCover) else inst
 
 
-def _build_model(args) -> leakage.LeakageModel:
-    kind = next((k for k in leakage.LeakageKind if k.value == args.model),
-                None)
+def _build_model(name, bits_ab: int, bits_ba: int) -> leakage.LeakageModel:
+    kind = next((k for k in leakage.LeakageKind if k.value == name), None)
     if kind is None:
-        raise InvalidInputError(f"unknown model kind {args.model!r}")
-    return leakage.LeakageModel(kind, args.bits_ab, args.bits_ba)
+        raise InvalidInputError(f"unknown model kind {name!r}")
+    return leakage.LeakageModel(kind, bits_ab, bits_ba)
 
 
 def _config_int(value, what: str) -> int:
@@ -140,31 +140,36 @@ def _config_int(value, what: str) -> int:
     return value
 
 
-def _emit(args, command: str, columns: list[str], rows: list[dict]) -> None:
-    widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows))
-              for c in columns}
-    header = "  ".join(c.ljust(widths[c]) for c in columns)
+def _write(out: str, name: str, text: str) -> Path:
+    path = Path(out) / name
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except (OSError, ValueError) as exc:  # ValueError: NUL byte in the path
+        raise InvalidInputError(f"cannot write {path}: {exc}") from None
+    return path
+
+
+def _emit(args, command: str, row: dict) -> None:
+    """Print ``row`` as a table and, with --out, write it as the artifact."""
+    widths = [max(len(c), len(str(v))) for c, v in row.items()]
+    header = "  ".join(c.ljust(w) for c, w in zip(row, widths))
     print(header)
     print("-" * len(header))
-    for r in rows:
-        print("  ".join(str(r.get(c, "")).ljust(widths[c]) for c in columns))
-
+    print("  ".join(str(v).ljust(w) for v, w in zip(row.values(), widths)))
     if not args.out:
         return
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
         buf = io.StringIO()
-        writer = csv_mod.DictWriter(buf, fieldnames=columns,
+        writer = csv_mod.DictWriter(buf, fieldnames=list(row),
                                     lineterminator="\n")
         writer.writeheader()
-        for r in rows:
-            writer.writerow({c: r.get(c, "") for c in columns})
-        (out_dir / f"{command}.csv").write_text(buf.getvalue())
+        writer.writerow(row)
+        text = buf.getvalue()
     else:
-        doc = {"command": command, "rows": rows}
-        (out_dir / f"{command}.json").write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        text = json.dumps({"command": command, "rows": [row]},
+                          sort_keys=True, indent=2) + "\n"
+    _write(args.out, f"{command}.{args.format}", text)
 
 
 # ---------------------------------------------------------------------------
@@ -172,46 +177,38 @@ def _emit(args, command: str, columns: list[str], rows: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_value(args) -> int:
+def cmd_value(args) -> dict:
     g = _load_game(args.game)
     budget = args.budget or games.DEFAULT_PAIR_BUDGET
     value, witness = games.classical_value(g, budget)
     merged = games.merged_prover_value(g)
     pq, fl = _frac_cols(value)
     mq, mf = _frac_cols(merged)
-    rows = [{"instance": harness.instance_id(g), "value": pq,
-             "value_float": fl, "merged_value": mq, "merged_float": mf,
-             "alice": _seq(witness.alice), "bob": _seq(witness.bob)}]
-    _emit(args, "value", ["instance", "value", "value_float", "merged_value",
-                          "merged_float", "alice", "bob"], rows)
-    return EXIT_OK
+    return {"instance": harness.instance_id(g), "value": pq,
+            "value_float": fl, "merged_value": mq, "merged_float": mf,
+            "alice": _seq(witness.alice), "bob": _seq(witness.bob)}
 
 
-def cmd_leaky_value(args) -> int:
+def cmd_leaky_value(args) -> dict:
     g = _load_game(args.game)
-    model = _build_model(args)
+    model = _build_model(args.model, args.bits_ab, args.bits_ba)
     budget = args.budget or leakage.DEFAULT_LEAKY_BUDGET
     value, witness = leakage.leaky_value_exact(g, model, budget)
     cap = leakage.leaky_value_upper_bound(
         g, model.total_bits, args.budget or games.DEFAULT_PAIR_BUDGET)
     pq, fl = _frac_cols(value)
     cq, cf = _frac_cols(cap)
-    rows = [{"instance": harness.instance_id(g), "model": args.model,
-             "bits_ab": model.bits_ab, "bits_ba": model.bits_ba,
-             "value": pq, "value_float": fl, "upper_bound": cq,
-             "upper_bound_float": cf,
-             "alice_msg": _seq(witness.alice_msg),
-             "bob_msg": _seq(witness.bob_msg),
-             "alice_ans": ";".join(_seq(r) for r in witness.alice_ans),
-             "bob_ans": ";".join(_seq(r) for r in witness.bob_ans)}]
-    _emit(args, "leaky-value",
-          ["instance", "model", "bits_ab", "bits_ba", "value", "value_float",
-           "upper_bound", "upper_bound_float", "alice_msg", "bob_msg",
-           "alice_ans", "bob_ans"], rows)
-    return EXIT_OK
+    return {"instance": harness.instance_id(g), "model": args.model,
+            "bits_ab": model.bits_ab, "bits_ba": model.bits_ba,
+            "value": pq, "value_float": fl, "upper_bound": cq,
+            "upper_bound_float": cf,
+            "alice_msg": _seq(witness.alice_msg),
+            "bob_msg": _seq(witness.bob_msg),
+            "alice_ans": ";".join(_seq(r) for r in witness.alice_ans),
+            "bob_ans": ";".join(_seq(r) for r in witness.bob_ans)}
 
 
-def cmd_repeat(args) -> int:
+def cmd_repeat(args) -> dict:
     g = _load_game(args.game)
     budget = args.budget or games.DEFAULT_PAIR_BUDGET
     rg = repetition.repeat_game(g, args.copies)
@@ -221,19 +218,14 @@ def cmd_repeat(args) -> int:
     pq, fl = _frac_cols(value)
     lq, lf = _frac_cols(lower)
     bq, bf = _frac_cols(base_value)
-    rows = [{"instance": harness.instance_id(rg), "copies": args.copies,
-             "value": pq, "value_float": fl,
-             "base_value": bq, "base_float": bf,
-             "product_lower": lq, "product_lower_float": lf,
-             "alice": _seq(witness.alice), "bob": _seq(witness.bob)}]
-    _emit(args, "repeat",
-          ["instance", "copies", "value", "value_float", "base_value",
-           "base_float", "product_lower", "product_lower_float",
-           "alice", "bob"], rows)
-    return EXIT_OK
+    return {"instance": harness.instance_id(rg), "copies": args.copies,
+            "value": pq, "value_float": fl,
+            "base_value": bq, "base_float": bf,
+            "product_lower": lq, "product_lower_float": lf,
+            "alice": _seq(witness.alice), "bob": _seq(witness.bob)}
 
 
-def cmd_csp_val(args) -> int:
+def cmd_csp_val(args) -> dict:
     c = _load_csp(args.csp)
     budget = args.budget or csp_mod.DEFAULT_ASSIGNMENT_BUDGET
     if args.local_search:
@@ -244,29 +236,22 @@ def cmd_csp_val(args) -> int:
         value, witness = csp_mod.csp_value_exact(c, budget)
         method = "exact"
     pq, fl = _frac_cols(value)
-    rows = [{"instance": harness.instance_id(c), "method": method,
-             "value": pq, "value_float": fl, "assignment": _seq(witness)}]
-    _emit(args, "csp-val",
-          ["instance", "method", "value", "value_float", "assignment"], rows)
-    return EXIT_OK
+    return {"instance": harness.instance_id(c), "method": method,
+            "value": pq, "value_float": fl, "assignment": _seq(witness)}
 
 
-def cmd_cheat(args) -> int:
+def cmd_cheat(args) -> dict:
     c = _load_csp(args.csp)
     budget = args.budget or csp_mod.DEFAULT_CHEAT_BUDGET
     value, profile = csp_mod.optimal_cheat(c, args.leak_bits, budget)
     cap = 1 - Fraction(1, 2 * c.arity)
     pq, fl = _frac_cols(value)
     cq, cf = _frac_cols(cap)
-    rows = [{"instance": harness.instance_id(c), "leak_bits": args.leak_bits,
-             "value": pq, "value_float": fl,
-             "soundness_cap": cq, "soundness_cap_float": cf,
-             "within_cap": value <= cap,
-             "profile": "|".join(_seq(a) for a in profile.assignments)}]
-    _emit(args, "cheat",
-          ["instance", "leak_bits", "value", "value_float", "soundness_cap",
-           "soundness_cap_float", "within_cap", "profile"], rows)
-    return EXIT_OK
+    return {"instance": harness.instance_id(c), "leak_bits": args.leak_bits,
+            "value": pq, "value_float": fl,
+            "soundness_cap": cq, "soundness_cap_float": cf,
+            "within_cap": value <= cap,
+            "profile": "|".join(_seq(a) for a in profile.assignments)}
 
 
 def _behaviors_for_run(config: dict, target, model, budget):
@@ -297,7 +282,7 @@ def _behaviors_for_run(config: dict, target, model, budget):
     raise InvalidInputError(f"unknown game behavior {behavior!r}")
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> dict:
     text = _read_file(args.config)
     try:
         config = json.loads(text)
@@ -313,11 +298,10 @@ def cmd_run(args) -> int:
     model_spec = config.get("model", {})
     if not isinstance(model_spec, dict):
         raise InvalidInputError("config model must be a json object")
-    ns = argparse.Namespace(
-        model=model_spec.get("kind", "one-way-ab"),
-        bits_ab=_config_int(model_spec.get("bits_ab", 0), "model.bits_ab"),
-        bits_ba=_config_int(model_spec.get("bits_ba", 0), "model.bits_ba"))
-    model = _build_model(ns)
+    model = _build_model(
+        model_spec.get("kind", "one-way-ab"),
+        _config_int(model_spec.get("bits_ab", 0), "model.bits_ab"),
+        _config_int(model_spec.get("bits_ba", 0), "model.bits_ba"))
     if config["kind"] == "game":
         target = games.load_game(_read_file(config["path"]))
     elif config["kind"] == "csp":
@@ -330,33 +314,25 @@ def cmd_run(args) -> int:
     record = harness.estimate_acceptance(target, behaviors, model,
                                          sessions, seed)
     pq, _ = _frac_cols(record.estimate_exact)
-    rows = [{"instance": harness.instance_id(target), "behavior": label,
-             "model": ns.model, "bits_ab": model.bits_ab,
-             "bits_ba": model.bits_ba, "sessions": record.sessions,
-             "accepted": record.accepted, "estimate": pq,
-             "estimate_float": repr(record.estimate),
-             "half_width": repr(record.half_width),
-             "master_seed": record.master_seed}]
-    _emit(args, "run",
-          ["instance", "behavior", "model", "bits_ab", "bits_ba", "sessions",
-           "accepted", "estimate", "estimate_float", "half_width",
-           "master_seed"], rows)
-    return EXIT_OK
+    return {"instance": harness.instance_id(target), "behavior": label,
+            "model": model.kind.value, "bits_ab": model.bits_ab,
+            "bits_ba": model.bits_ba, "sessions": record.sessions,
+            "accepted": record.accepted, "estimate": pq,
+            "estimate_float": repr(record.estimate),
+            "half_width": repr(record.half_width),
+            "master_seed": record.master_seed}
 
 
-def cmd_params(args) -> int:
+def cmd_params(args) -> dict:
     report = compute_params(args.leak_bits, args.answer_bits, args.epsilon,
                             args.k, args.c_exp, args.c_rate,
                             args.question_bits)
-    row = asdict(report)
-    row["pre_clamp"] = repr(report.pre_clamp)
-    row["soundness_claim"] = repr(report.soundness_claim)
-    columns = list(row)
-    _emit(args, "params", columns, [row])
-    return EXIT_OK
+    return asdict(report) | {"pre_clamp": repr(report.pre_clamp),
+                             "soundness_claim": repr(report.soundness_claim)}
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> None:
+    """Write a fixture file to --out, or its text to stdout; no row."""
     rng = random.Random(args.seed)
     if args.kind == "game":
         x, y, a, b = args.sizes
@@ -390,14 +366,9 @@ def cmd_gen(args) -> int:
         name = f"lowval-{args.seed}.csp"
 
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / name
-        path.write_text(text)
-        print(path)
+        print(_write(args.out, name, text))
     else:
         sys.stdout.write(text)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +455,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        row = args.func(args)
+        if row is not None:
+            _emit(args, args.command, row)
+        return EXIT_OK
     except BudgetExceededError as exc:
         print(f"error (budget): {exc}", file=sys.stderr)
         return EXIT_BUDGET

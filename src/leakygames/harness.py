@@ -328,9 +328,14 @@ def _check_answer(value, size: int, what: str) -> int:
 
 def _game_support(g) -> tuple[tuple, tuple, int]:
     """Support cells, cumulative integer weights, and the weight total;
-    kept like the instance id, for targets instance_id accepted."""
+    kept like the instance id, for targets instance_id accepted.  Sessions
+    draw the total's residues from 64-bit words, so a total of 2^64 or more
+    is refused."""
     def build():
         weights, total = g.int_weights()
+        if total >= 1 << 64:
+            raise InvalidInputError(f"question weight total needs "
+                                    f"{total.bit_length()} bits, over 64")
         support = np.flatnonzero(weights)
         xs, ys = np.divmod(support, g.y_size)
         cums = np.cumsum(weights.ravel()[support]).tolist()  # Python ints
@@ -485,7 +490,6 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
         verdicts = table = np.array(
             [_play_csp(target, behaviors, model, e, pos)[3]
              for e in range(m) for pos in range(k)], dtype=bool)
-        vector = True
         second = np.empty(chunk, dtype=np.uint64)
 
         def cells_np(seeds, out, tmp):  # constraint, then position
@@ -503,11 +507,10 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
         verdicts = table = np.array(
             [_play_game(target, behaviors, model, x, y)[3]
              for x, y in support], dtype=bool)
-        vector = total < (1 << 63)
         dense = total <= SESSION_CHUNK  # one verdict per residue
         if dense:
             table = np.repeat(verdicts, np.diff(cums, prepend=0))
-        elif vector:
+        else:
             bounds = np.array(cums, dtype=np.uint64)
 
         def cells_np(seeds, out, tmp):
@@ -517,7 +520,7 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
         def cell(stream):
             return bisect_right(cums, stream.below(total))
 
-    if fast and vector:
+    if fast:
         accepted = 0
         steps = np.arange(1, chunk + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
         seeds, draws, tmp = np.empty((3, chunk), dtype=np.uint64)

@@ -10,12 +10,14 @@ tables, built under a cell cap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import RUN_FALLBACK, BudgetExceededError, InvalidInputError
+from .errors import (RUN_FALLBACK, BudgetExceededError, InvalidInputError,
+                     check_budget)
 from .games import (DEFAULT_PAIR_BUDGET, Game, StrategyPair, _index_to_tuple,
                     _int_dtype, classical_value)
 from .leakage import (DEFAULT_LEAKY_BUDGET, LeakageModel, LeakyStrategy,
@@ -90,12 +92,19 @@ class RepeatedGame:
                 return False
         return True
 
+    def _check_cells(self, what: str, axes: int) -> None:
+        """Refuse a table over the first ``axes`` of (X, Y, A, B) past the
+        cell cap, from one copy's cells, building the count only near it."""
+        base = self.base
+        one = math.prod((base.x_size, base.y_size, base.a_size,
+                         base.b_size)[:axes])
+        check_budget(DEFAULT_TABLE_CELLS, what,
+                     lambda: self.copies * math.log2(one),
+                     lambda: one ** self.copies, RUN_FALLBACK)
+
     def int_weights(self) -> tuple[np.ndarray, int]:
         """[X, Y] weights: the outer power of the base game's weights."""
-        cells = self.x_size * self.y_size
-        if cells > DEFAULT_TABLE_CELLS:
-            raise BudgetExceededError(cells, DEFAULT_TABLE_CELLS,
-                                      "weight table", fallback=RUN_FALLBACK)
+        self._check_cells("weight table", 2)
         base_w, base_denom = self.base.int_weights()
         denom = base_denom ** self.copies
         return _outer_power(base_w.astype(_int_dtype(denom)),
@@ -103,10 +112,7 @@ class RepeatedGame:
 
     def win_rows(self) -> np.ndarray:
         """[X, Y, A, B] bool wins: the outer power of the base game's."""
-        cells = self.x_size * self.y_size * self.a_size * self.b_size
-        if cells > DEFAULT_TABLE_CELLS:
-            raise BudgetExceededError(cells, DEFAULT_TABLE_CELLS, "win table",
-                                      fallback=RUN_FALLBACK)
+        self._check_cells("win table", 4)
         return _outer_power(self.base.win_rows(), self.copies)
 
 

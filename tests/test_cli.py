@@ -7,7 +7,9 @@ import itertools
 import json
 import math
 import random
+import os
 import shutil
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -246,6 +248,89 @@ def test_json_artifact(tmp_path):
     doc = json.loads((tmp_path / "value.json").read_text())
     assert doc["command"] == "value"
     assert doc["rows"][0]["value"] == "3/4"
+
+
+RUN_CONFIG = "<run config>"  # stands for a config file written by the test
+ROW_COLUMNS = [
+    (["value", CHSH_PATH],
+     ["instance", "value", "value_float", "merged_value", "merged_float",
+      "alice", "bob"]),
+    (["leaky-value", CHSH_PATH, "--bits-ab", "1"],
+     ["instance", "model", "bits_ab", "bits_ba", "value", "value_float",
+      "upper_bound", "upper_bound_float", "alice_msg", "bob_msg",
+      "alice_ans", "bob_ans"]),
+    (["repeat", CHSH_PATH, "-n", "2"],
+     ["instance", "copies", "value", "value_float", "base_value",
+      "base_float", "product_lower", "product_lower_float", "alice", "bob"]),
+    (["csp-val", LOWVAL_PATH],
+     ["instance", "method", "value", "value_float", "assignment"]),
+    (["cheat", LOWVAL_PATH],
+     ["instance", "leak_bits", "value", "value_float", "soundness_cap",
+      "soundness_cap_float", "within_cap", "profile"]),
+    (["run", RUN_CONFIG],
+     ["instance", "behavior", "model", "bits_ab", "bits_ba", "sessions",
+      "accepted", "estimate", "estimate_float", "half_width",
+      "master_seed"]),
+    (["params", "--leak-bits", "1", "--answer-bits", "2", "--epsilon", "0.1",
+      "-k", "2"],
+     ["leak_bits", "answer_bits", "epsilon", "k_multiplier", "c_exp",
+      "c_rate", "repetitions", "repeated_answer_bits",
+      "repeated_question_bits", "pre_clamp", "soundness_claim", "vacuous"]),
+]
+
+
+@pytest.mark.parametrize("argv, columns", ROW_COLUMNS,
+                         ids=[argv[0] for argv, _ in ROW_COLUMNS])
+def test_row_commands_keep_their_columns(argv, columns, tmp_path, capsys):
+    # a row's key order is its column order in the table, the csv header
+    # and the json row, so these lists pin the artifact layout
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "game", "path": CHSH_PATH,
+                               "sessions": 100}))
+    argv = [str(cfg) if arg == RUN_CONFIG else arg for arg in argv]
+    out = tmp_path / "out"
+    for fmt in ("csv", "json"):
+        assert main(["--out", str(out), "--format", fmt, *argv]) == EXIT_OK
+        assert capsys.readouterr().out.split()[:len(columns)] == columns
+    csv_lines = (out / f"{argv[0]}.csv").read_text().splitlines()
+    assert csv_lines[0] == ",".join(columns) and len(csv_lines) == 2
+    rows = json.loads((out / f"{argv[0]}.json").read_text())["rows"]
+    assert len(rows) == 1 and sorted(rows[0]) == sorted(columns)
+
+
+@pytest.mark.parametrize("argv", [["value", CHSH_PATH],
+                                  ["gen", "--kind", "game"]],
+                         ids=["value", "gen"])
+def test_unwritable_out_exits_invalid(argv, tmp_path, capsys):
+    # --out naming a file, a directory under one, or a NUL byte cannot be
+    # created
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub", tmp_path / "nul\0byte"):
+        assert main(["--out", str(out), *argv]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(
+            "error (invalid input): cannot write")
+    assert blocker.read_text() == ""
+
+
+def test_run_refuses_weight_totals_past_64_bits(tmp_path):
+    # sessions draw residues of the weight total from 64-bit words, and for
+    # a total of 2^64 + 2 their rejection limit is 0: a missing refusal
+    # would hang, so the check runs in a child process a timeout can stop
+    game = tmp_path / "big.game"
+    game.write_text("game big 1 2 2 2\ndist\n18446744073709551617 1\n"
+                    "pred\n1001\n0110\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "game", "path": str(game),
+                               "sessions": 10}))
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "leakygames.cli", "run",
+                           str(cfg)], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == EXIT_INVALID
+    assert proc.stderr.startswith("error (invalid input): question weight")
 
 
 def test_parse_fraction():

@@ -296,6 +296,32 @@ def test_estimator_fast_matches_scalar_with_rejections():
     assert fast == slow
 
 
+def test_estimator_fast_matches_scalar_past_2_63():
+    # weight total 3 * 2^62 + 12345: past int64, still drawn and looked up
+    # in uint64, with a quarter of the draws rejected
+    g = make_game("heavier", 2, 2, 2, 2, [2**62, 2**62, 2**62, 12345],
+                  lambda x, y, a, b: (a ^ b) == (x & y))
+    assert 2**63 <= g.int_weights()[1] == 3 * 2**62 + 12345
+    behaviors = behaviors_from_strategy_pair(classical_value(g)[1])
+    fast = estimate_acceptance(g, behaviors, NO_LEAK, 3000, 23, fast=True)
+    slow = estimate_acceptance(g, behaviors, NO_LEAK, 3000, 23, fast=False)
+    assert fast == slow
+
+
+def test_weight_totals_past_64_bits_are_refused():
+    # from 2^64 up the cumulative weights overflow uint64, and past 2^64
+    # the rejection limit of 64-bit draws is 0, so sampling would never end
+    g = make_game("huge", 1, 2, 2, 2, [2**64 - 1, 1],
+                  lambda x, y, a, b: a == b)
+    assert g.int_weights()[1] == 2**64
+    behaviors = behaviors_from_strategy_pair(classical_value(g)[1])
+    with pytest.raises(InvalidInputError, match="65 bits"):
+        run_session(g, behaviors, NO_LEAK, 0)
+    for fast in (True, False):
+        with pytest.raises(InvalidInputError, match="65 bits"):
+            estimate_acceptance(g, behaviors, NO_LEAK, 10, 0, fast=fast)
+
+
 def test_estimator_chunks_match_one_chunk(monkeypatch):
     # sessions sampled in many small chunks draw exactly as in one chunk;
     # chunks below a game's weight total (4, 16 and 37 here) look cells up

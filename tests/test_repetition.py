@@ -13,6 +13,7 @@ from leakygames import games, repetition
 from leakygames.errors import BudgetExceededError, InvalidInputError
 from leakygames.games import (StrategyPair, chsh, classical_value, make_game,
                               strategy_value)
+from leakygames.harness import behaviors_from_strategy_pair, run_session
 from leakygames.leakage import one_way_ab
 from leakygames.repetition import (RepetitionBoundParams,
                                    leaky_repetition_experiment, repeat_game,
@@ -103,6 +104,13 @@ def test_size_guards_build_no_sizes(monkeypatch):
     huge = repeat_game(chsh(), 10**9)
     with pytest.raises(BudgetExceededError):
         classical_value(huge)
+    with pytest.raises(BudgetExceededError, match="weight table"):
+        huge.int_weights()
+    with pytest.raises(BudgetExceededError, match="win table"):
+        huge.win_rows()
+    behaviors = behaviors_from_strategy_pair(classical_value(chsh())[1])
+    with pytest.raises(BudgetExceededError, match="weight table"):
+        run_session(huge, behaviors, one_way_ab(0), 0)
     # the leaky solve and the product's classical value are both refused,
     # so the experiment falls back to 2^bits times the base value
     result = leaky_repetition_experiment(chsh(), 10**9, one_way_ab(1))
