@@ -151,25 +151,25 @@ def _write(out: str, name: str, text: str) -> Path:
 
 
 def _emit(args, command: str, row: dict) -> None:
-    """Print ``row`` as a table and, with --out, write it as the artifact."""
+    """With --out, write ``row`` as the artifact; then print it as a table,
+    so a failed write leaves stdout empty."""
+    if args.out:
+        if args.format == "csv":
+            buf = io.StringIO()
+            writer = csv_mod.DictWriter(buf, fieldnames=list(row),
+                                        lineterminator="\n")
+            writer.writeheader()
+            writer.writerow(row)
+            text = buf.getvalue()
+        else:
+            text = json.dumps({"command": command, "rows": [row]},
+                              sort_keys=True, indent=2) + "\n"
+        _write(args.out, f"{command}.{args.format}", text)
     widths = [max(len(c), len(str(v))) for c, v in row.items()]
     header = "  ".join(c.ljust(w) for c, w in zip(row, widths))
     print(header)
     print("-" * len(header))
     print("  ".join(str(v).ljust(w) for v, w in zip(row.values(), widths)))
-    if not args.out:
-        return
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv_mod.DictWriter(buf, fieldnames=list(row),
-                                    lineterminator="\n")
-        writer.writeheader()
-        writer.writerow(row)
-        text = buf.getvalue()
-    else:
-        text = json.dumps({"command": command, "rows": [row]},
-                          sort_keys=True, indent=2) + "\n"
-    _write(args.out, f"{command}.{args.format}", text)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,7 @@ class LabelCover:
 # tuples padded with -1 (agreeing nowhere), and counts the smallest unsigned
 # one holding k, so 8-bit while they fit.  No alphabet**arity table is built.
 AGREEMENT_CELLS = 2**20  # cells of one block's [m, T_max, rows] counter
+SCORE_CELLS = 2**16  # cells of the [rows, m] best agreements an instance keeps
 
 
 def _agreement(c: CspInstance):
@@ -168,27 +169,48 @@ def _agreement(c: CspInstance):
 
 def _agreement_blocks(c: CspInstance):
     """Yield (start, best) per block of assignments in ``itertools.product``
-    order, best[e, r] the most positions any allowed tuple of e agrees on
+    order, best[r, e] the most positions any allowed tuple of e agrees on
     with assignment start + r.  A block fixes the leading variables and takes
     the trailing ones, as many as fit AGREEMENT_CELLS, from ``np.indices``,
-    kept on c by tail while no larger than the counter (tail <= m * T_max)."""
+    kept on c by tail while no larger than the counter (tail <= m * T_max).
+    When one block covers every assignment in at most SCORE_CELLS cells, c
+    keeps best itself, read-only, and later calls yield it unscored."""
+    if "_scores" in vars(c):
+        yield 0, c._scores
+        return
     agree, allowed = _agreement(c)
     a, n, cells = c.alphabet_size, c.num_vars, allowed[..., 0].size
     tail = 0  # a single-letter alphabet needs no table: one row
     while tail < n and 1 < a and a ** (tail + 1) * cells <= AGREEMENT_CELLS:
         tail += 1
     lead, rows = n - tail, a ** tail
+    whole = (a == 1 or not lead) and rows * len(c.constraints) <= SCORE_CELLS
 
     def lex() -> np.ndarray:
         table = np.indices((a,) * tail, allowed.dtype).reshape(tail, rows)
         table.flags.writeable = False
         return table
-    digits = np.empty((n, rows), dtype=allowed.dtype)
-    digits[lead:] = kept(c, f"_lex{tail}", lex) if tail <= cells else lex()
+    digits = np.zeros((n, rows), dtype=allowed.dtype)  # first block: prefix 0
+    digits[lead:] = (kept(c, f"_lex{tail}", lex)
+                     if tail <= cells and not whole else lex())
+    if whole:
+        def score() -> np.ndarray:
+            best = np.ascontiguousarray(agree(digits).max(axis=1).T)
+            best.flags.writeable = False
+            return best
+        yield 0, kept(c, "_scores", score)
+        return
     for block, prefix in enumerate(itertools.product(range(a), repeat=lead)):
         if lead:
             digits[:lead] = np.array(prefix)[:, None]
-        yield block * rows, agree(digits).max(axis=1)
+        yield block * rows, agree(digits).max(axis=1).T
+
+
+def _row_sums(table: np.ndarray, most: int) -> np.ndarray:
+    """Sums of the rows of table, each at most ``most``, in the smallest
+    dtype holding it: einsum sums byte rows about twice as fast as
+    ``sum(axis=1)``."""
+    return np.einsum("re->r", table, dtype=np.min_scalar_type(most))
 
 
 def csp_value_exact(c: CspInstance,
@@ -201,7 +223,7 @@ def csp_value_exact(c: CspInstance,
                  "csp_value_local_search")
     best, witness = -1, 0
     for start, agreement in _agreement_blocks(c):
-        counts = (agreement == c.arity).sum(axis=0)
+        counts = _row_sums(agreement == c.arity, len(c.constraints))
         i = int(counts.argmax())  # first maximum: lex-smallest in the block
         if counts[i] > best:
             best, witness = int(counts[i]), start + i
@@ -420,9 +442,11 @@ def cheat_acceptance(c: CspInstance, profile: CheatProfile) -> Fraction:
 
 def _score_matrix(c: CspInstance) -> np.ndarray:
     """scores[i, e]: agreement of the i-th assignment (lex order) with
-    constraint e's best satisfying tuple (0 when e has none)."""
-    return np.concatenate([agreement.T for _, agreement in
-                           _agreement_blocks(c)])
+    constraint e's best satisfying tuple (0 when e has none); the kept
+    table itself when c keeps one."""
+    blocks = [agreement for _, agreement in _agreement_blocks(c)]
+    return (np.concatenate(blocks) if len(blocks) > 1
+            else np.ascontiguousarray(blocks[0]))
 
 
 # The last two cheat slots are scored as one matrix product.  Scores are
@@ -445,24 +469,28 @@ def _pair_scan(scores, suffix_max, table, prefix, start, best_total):
     sum_e max(prefix_e, S[i, e], S[j, e]), beats best_total: returns
     (total, [i, j]), or (best_total, []) when no pair beats it."""
     (n, m), km = scores.shape, table.shape[1]
-    rows_max = np.maximum(prefix, scores[start:])
-    bound = np.maximum(rows_max, suffix_max[start:]).sum(1, dtype=np.int64)
-    keep = np.flatnonzero(bound > best_total)  # the rest cannot beat it
-    rows, row_table = keep + start, _thresholds(rows_max[keep], km // m)
-    product = np.empty(min(len(rows) * (n - start),  # any block's cells
+    # Row i's pairs total at most sum_e max(prefix_e, suffix_max[i, e]), as
+    # suffix_max[i] covers row i; it never rises with i, so the rows that
+    # can beat best_total are those from start up to end.
+    bound = _row_sums(np.maximum(prefix, suffix_max[start:]), km)
+    end = start + int(np.count_nonzero(bound > best_total))
+    if prefix.any():
+        row_table = _thresholds(np.maximum(prefix, scores[start:end]), km // m)
+    else:  # a zero prefix leaves the rows, so their thresholds, as they are
+        row_table = table[start:end]
+    product = np.empty(min((end - start) * (n - start),  # any block's cells
                            max(PAIR_CELLS, n - start)), row_table.dtype)
-    best, b = [], 0
-    while b < len(rows):
-        r0 = int(rows[b])
-        h, w = min(max(1, PAIR_CELLS // (n - r0)), len(rows) - b), n - r0
-        # A pair (i, j < i) totals the same as (j, i): if j is kept, (j, i)
-        # comes first in row-major order; if not, neither beats best_total.
-        dots = np.matmul(row_table[b:b + h], table[r0:].T,
+    best, r0 = [], start
+    while r0 < end:
+        h, w = min(max(1, PAIR_CELLS // (n - r0)), end - r0), n - r0
+        # A pair (i, j < i) totals the same as (j, i), a kept row's pair
+        # that comes first in row-major order.
+        dots = np.matmul(row_table[r0 - start:r0 - start + h], table[r0:].T,
                          out=product[:h * w].reshape(h, w))
         p, q = divmod(int(dots.argmin()), w)  # row-major: lex-first
         if km - int(dots[p, q]) > best_total:
-            best_total, best = km - int(dots[p, q]), [int(rows[b + p]), r0 + q]
-        b += h
+            best_total, best = km - int(dots[p, q]), [r0 + p, r0 + q]
+        r0 += h
     return best_total, best
 
 
@@ -515,7 +543,7 @@ def optimal_cheat(c: CspInstance, leak_bits: int,
                                   fallback=RUN_FALLBACK)
 
     scores, r = _score_matrix(c), min(slots, n)
-    totals = scores.sum(axis=1, dtype=np.int64)
+    totals = _row_sums(scores, c.arity * m)
     best_total, best = int(totals.max()), [int(totals.argmax())]
     if r > 1:  # r slots reach the best row's total: start just below it
         best_total, best = best_total - 1, []
@@ -640,12 +668,13 @@ def load_instance(text: str) -> CspInstance | LabelCover:
 def save_csp(c: CspInstance) -> str:
     if c.alphabet_size > 10:
         raise InvalidInputError("alphabet > 10 not representable as digits")
-    out = [f"csp {c.num_vars} {c.alphabet_size} {c.arity}"]
-    for con in c.constraints:
-        scope = " ".join(str(v) for v in con.scope)
-        tuples = " ".join("".join(str(d) for d in t) for t in con.allowed)
-        out.append(f"con {scope} : {tuples}".rstrip())
-    return "\n".join(out) + "\n"
+    # one %-format per line: the scope, then one digit string per tuple
+    scope, digits = "con" + " %d" * c.arity + " :", " " + "%d" * c.arity
+    lines = [f"csp {c.num_vars} {c.alphabet_size} {c.arity}"]
+    lines += [(scope + digits * len(con.allowed))
+              % (*con.scope, *itertools.chain.from_iterable(con.allowed))
+              for con in c.constraints]
+    return "\n".join(lines) + "\n"
 
 
 def save_label_cover(lc: LabelCover) -> str:

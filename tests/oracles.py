@@ -326,3 +326,13 @@ def naive_local_search(c, seed: int, restarts: int = 10):
         if sat > best_sat:
             best_sat, best = sat, tuple(current)
     return Fraction(best_sat, len(c.constraints)), best
+
+
+def naive_save_csp(c):
+    """``csp.save_csp`` by generator joins, one per scope and per tuple."""
+    out = [f"csp {c.num_vars} {c.alphabet_size} {c.arity}"]
+    for con in c.constraints:
+        scope = " ".join(str(v) for v in con.scope)
+        tuples = " ".join("".join(str(d) for d in t) for t in con.allowed)
+        out.append(f"con {scope} : {tuples}".rstrip())
+    return "\n".join(out) + "\n"

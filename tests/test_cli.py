@@ -303,13 +303,14 @@ def test_row_commands_keep_their_columns(argv, columns, tmp_path, capsys):
                          ids=["value", "gen"])
 def test_unwritable_out_exits_invalid(argv, tmp_path, capsys):
     # --out naming a file, a directory under one, or a NUL byte cannot be
-    # created
+    # created; the failed write prints no result
     blocker = tmp_path / "file"
     blocker.write_text("")
     for out in (blocker, blocker / "sub", tmp_path / "nul\0byte"):
         assert main(["--out", str(out), *argv]) == EXIT_INVALID
-        assert capsys.readouterr().err.startswith(
-            "error (invalid input): cannot write")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error (invalid input): cannot write")
     assert blocker.read_text() == ""
 
 

@@ -157,27 +157,90 @@ def _kept(c):
 
 
 def test_every_solver_reads_the_tables_packed_once(monkeypatch):
-    # value, cheats at 0, 1 and 2 bits, best responses and local search on
-    # one instance pack it and build its digit table once, then read them
+    # value and cheats at 0, 1 and 2 bits on one instance run the agreement
+    # kernel over its assignments once and read the kept score table; best
+    # responses and local search read the same packed constraints
     c, _ = find_low_value_instance(4, 2, 2, Fraction(1, 2), 5,
                                    num_constraints=16)
     c = CspInstance(c.num_vars, c.alphabet_size, c.arity, c.constraints)
     built, indices = [], np.indices
     monkeypatch.setattr(np, "indices",
                         lambda *args: built.append(args) or indices(*args))
+    scored, agreement = [], csp._agreement
+
+    def counted(instance):
+        agree, allowed = agreement(instance)
+        return (lambda digits: scored.append(digits.shape[1])
+                or agree(digits)), allowed
+    monkeypatch.setattr(csp, "_agreement", counted)
     csp_value_exact(c)
     tables = _kept(c)
-    assert set(tables) == {"_packed", "_lex4"}
+    assert set(tables) == {"_packed", "_scores"}
+    for bits in (0, 1, 2):
+        optimal_cheat(c, bits)
+    assert scored == [16]
     for bits in (0, 1, 2):
         best_response(c, optimal_cheat(c, bits)[1])
     csp_value_local_search(c, seed=1, restarts=2)
-    assert len(built) == 1
+    assert scored.count(16) == 1 and len(built) == 1
     assert _kept(c).keys() == tables.keys()
     assert all(_kept(c)[name] is table for name, table in tables.items())
-    for array in (*tables["_packed"], tables["_lex4"]):
+    for array in (*tables["_packed"], tables["_scores"]):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[...] = 0
+
+
+def test_kept_score_table_is_the_naive_one_read_only():
+    # every sweep shape fits one block under the cap: the table is kept,
+    # read-only, and is the score matrix itself
+    rng = random.Random(137)
+    for shape in SWEEP_SHAPES:
+        c = _sweep_instance(rng, *shape)
+        value = csp_value_exact(c)
+        table = _kept(c)["_scores"]
+        assert csp._score_matrix(c) is table
+        assert table.flags.c_contiguous and not table.flags.writeable
+        assert (table == np.array(oracles.naive_score_matrix(c))).all()
+        assert value == oracles.naive_csp_value(c)
+
+
+def test_score_table_past_the_cap_is_not_kept(monkeypatch):
+    # 12 binary variables: 4096 assignments x 16 constraints is the cap's
+    # 2^16 cells, one constraint more streams; so do blocks under a
+    # smaller block cap
+    rng = random.Random(139)
+    cons = [make_constraint((rng.randrange(12), rng.randrange(12)),
+                            [(rng.randrange(2), rng.randrange(2))])
+            for _ in range(17)]
+    at_cap = CspInstance(12, 2, 2, tuple(cons[:16]))
+    past = CspInstance(12, 2, 2, tuple(cons))
+    for c, kept_names in ((at_cap, {"_packed", "_scores"}),
+                          (past, {"_packed", "_lex12"})):
+        assert csp_value_exact(c) == oracles.naive_csp_value(c)
+        assert set(_kept(c)) == kept_names
+    blocked = CspInstance(12, 2, 2, tuple(cons[:4]))
+    monkeypatch.setattr(csp, "AGREEMENT_CELLS", 2**8)
+    naive = np.array(oracles.naive_score_matrix(blocked))
+    assert (csp._score_matrix(blocked) == naive).all()
+    assert "_scores" not in _kept(blocked)
+
+
+def test_copies_of_a_solved_instance_solve_alike():
+    # a pickled copy carries the kept score table, a replaced one builds
+    # its own; both give the value, scores, cheats and responses of c
+    c, _ = find_low_value_instance(5, 2, 2, Fraction(1, 2), 13,
+                                   num_constraints=20)
+    results = {}
+    for name, copy in (("c", c), ("pickled", pickle.loads(pickle.dumps(c))),
+                       ("replaced", dataclasses.replace(c))):
+        assert ("_scores" in _kept(copy)) == (name != "replaced")
+        cheats = [optimal_cheat(copy, bits) for bits in (0, 1, 2)]
+        results[name] = (csp_value_exact(copy),
+                         csp._score_matrix(copy).tolist(), cheats,
+                         [best_response(copy, p) for _, p in cheats])
+        assert "_scores" in _kept(copy)
+    assert results["c"] == results["pickled"] == results["replaced"]
 
 
 def test_kept_tables_stay_outside_eq_hash_and_repr():
@@ -211,7 +274,9 @@ def test_replace_gets_no_stale_tables():
 
 def test_block_cap_switched_on_solved_instances(monkeypatch):
     # the digit table is kept by tail, so a cap switched between calls on
-    # an already-solved instance reads a table of the right width
+    # an already-solved instance reads a table of the right width (with no
+    # score table kept, which would skip the digits)
+    monkeypatch.setattr(csp, "SCORE_CELLS", 0)
     rng = random.Random(71)
     cases = [_sweep_instance(rng, *shape) for shape in SWEEP_SHAPES]
     naive = [(np.array(oracles.naive_score_matrix(c)),
@@ -724,6 +789,40 @@ def test_pair_scan_matches_reference_leaf_scan(num_vars, alphabet,
                 oracles.reference_optimal_cheat(c, bits)
 
 
+def _pruned_at_leak_1(c):
+    """Whether the leak-1 scan drops a row: one whose maxima with every
+    later row cannot beat the best single row's total."""
+    scores = np.array(oracles.naive_score_matrix(c))
+    suffix_max = np.maximum.accumulate(scores[::-1])[::-1]
+    bound = np.maximum(scores, suffix_max).sum(axis=1)
+    return bool((bound < scores.sum(axis=1).max()).any())
+
+
+def test_leak_1_pair_scan_reads_the_threshold_rows(monkeypatch):
+    # at leak 1 the prefix is zero, so the pair product's row side is rows
+    # of the one threshold table; values match the full (behavior, profile)
+    # enumeration whether the bound drops rows or keeps them all
+    built, thresholds = [], csp._thresholds
+    monkeypatch.setattr(csp, "_thresholds",
+                        lambda *args: built.append(args) or thresholds(*args))
+    rng = random.Random(151)
+    every = [(0,), (1,)]  # every row satisfies everything: none is dropped
+    cases = [CspInstance(2, 2, 1, (make_constraint((0,), every),
+                                   make_constraint((1,), every)))]
+    # two or three constraints: the naive scan tries 8^m behaviors
+    cases += [CspInstance(2, 2, 1, tuple(make_constraint(
+        (rng.randrange(2),), rng.sample(every, rng.randrange(3)))
+        for _ in range(rng.randint(2, 3)))) for _ in range(8)]
+    for c in cases:
+        for bits in (1, 2):
+            built.clear()
+            value, profile = optimal_cheat(c, bits)
+            assert value == oracles.naive_optimal_cheat(c, bits)
+            assert cheat_acceptance(c, profile) == value
+            assert bits == 2 or len(built) == 1
+    assert {_pruned_at_leak_1(c) for c in cases} == {False, True}
+
+
 @pytest.mark.parametrize("num_vars, alphabet", [(1, 1), (1, 2), (1, 3),
                                                 (2, 2)])
 def test_slots_past_assignments_repeat_the_first(num_vars, alphabet,
@@ -860,6 +959,25 @@ def test_csp_round_trip():
 def test_csp_round_trip_empty_allowed():
     c = CspInstance(2, 2, 2, (make_constraint((0, 1), []),))
     assert load_instance(save_csp(c)) == c
+
+
+def test_save_csp_matches_the_joined_formatter():
+    # the %-formatted lines are the per-digit joins' bytes, empty allowed
+    # sets, wide scopes and label covers included
+    fixture = load_instance((resources.files("leakygames") / "fixtures"
+                             / "lowval_k2.csp").read_text())
+    rng = random.Random(107)
+    cases = [fixture, TRIANGLE,
+             CspInstance(2, 2, 2, (make_constraint((0, 1), []),)),
+             helpers.random_label_cover(rng).to_csp()]
+    cases += [_sweep_instance(rng, *shape) for shape in SWEEP_SHAPES
+              if shape[1] <= 10]
+    cases += [find_low_value_instance(6, 3, 3, Fraction(1), seed,
+                                      num_constraints=24,
+                                      allowed_sizes=(0, 1, 4))[0]
+              for seed in range(3)]
+    for c in cases:
+        assert save_csp(c) == oracles.naive_save_csp(c)
 
 
 def test_label_cover_round_trip():
