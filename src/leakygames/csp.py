@@ -171,8 +171,7 @@ def _agreement_blocks(c: CspInstance):
     """Yield (start, best) per block of assignments in ``itertools.product``
     order, best[r, e] the most positions any allowed tuple of e agrees on
     with assignment start + r.  A block fixes the leading variables and takes
-    the trailing ones, as many as fit AGREEMENT_CELLS, from ``np.indices``,
-    kept on c by tail while no larger than the counter (tail <= m * T_max).
+    the trailing ones, as many as fit AGREEMENT_CELLS, from ``np.indices``.
     When one block covers every assignment in at most SCORE_CELLS cells, c
     keeps best itself, read-only, and later calls yield it unscored."""
     if "_scores" in vars(c):
@@ -185,14 +184,8 @@ def _agreement_blocks(c: CspInstance):
         tail += 1
     lead, rows = n - tail, a ** tail
     whole = (a == 1 or not lead) and rows * len(c.constraints) <= SCORE_CELLS
-
-    def lex() -> np.ndarray:
-        table = np.indices((a,) * tail, allowed.dtype).reshape(tail, rows)
-        table.flags.writeable = False
-        return table
     digits = np.zeros((n, rows), dtype=allowed.dtype)  # first block: prefix 0
-    digits[lead:] = (kept(c, f"_lex{tail}", lex)
-                     if tail <= cells and not whole else lex())
+    digits[lead:] = np.indices((a,) * tail, allowed.dtype).reshape(tail, rows)
     if whole:
         def score() -> np.ndarray:
             best = np.ascontiguousarray(agree(digits).max(axis=1).T)

@@ -343,6 +343,15 @@ def _game_support(g) -> tuple[tuple, tuple, int]:
     return kept(g, "_support", build)
 
 
+def _check_session(target, behaviors) -> None:
+    """Refuse, once per call, behaviors out of (first, second) order and a
+    label cover, which instance_id names but no session can play."""
+    if behaviors[0].role != "first" or behaviors[1].role != "second":
+        raise InvalidInputError("behaviors must be (first, second)")
+    if isinstance(target, LabelCover):
+        raise InvalidInputError("a label cover plays as its games or to_csp()")
+
+
 def _play_game(g, behaviors, model: LeakageModel, x: int, y: int):
     """Run the ordered message flow for one game question pair."""
     first, second = behaviors
@@ -397,8 +406,7 @@ def run_session(target, behaviors, model: LeakageModel, seed: int
     sample a uniform constraint and a uniform scope position.  Budget
     overflow flags the transcript and forces the verdict to reject.
     """
-    if behaviors[0].role != "first" or behaviors[1].role != "second":
-        raise InvalidInputError("behaviors must be (first, second)")
+    _check_session(target, behaviors)
     stream = SplitMixStream(seed)
     ident = instance_id(target)
     if isinstance(target, CspInstance):
@@ -482,6 +490,7 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
         raise InvalidInputError("sessions must be >= 1")
     if sessions > SESSION_CAP:
         raise BudgetExceededError(sessions, SESSION_CAP, "session sampling")
+    _check_session(target, behaviors)
     ident = instance_id(target)
     chunk = min(sessions, SESSION_CHUNK)
 

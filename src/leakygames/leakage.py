@@ -147,13 +147,20 @@ def _best_partition(value: list[int], k: int) -> int:
     return best[-1]
 
 
-def _label_strings(n: int, k: int, prefix: tuple[int, ...] = ()):
-    """Length-n strings over <= k labels, new blocks taking the next label."""
-    if len(prefix) == n:
-        yield prefix
-    else:
-        for label in range(min(max(prefix, default=-1) + 2, k)):
-            yield from _label_strings(n, k, prefix + (label,))
+def _label_strings(n: int, k: int):
+    """Length-n strings over <= k labels, new blocks taking the next label,
+    in lex order: each step raises the last label that can still rise (to
+    at most one past the labels before it) and zeroes the rest."""
+    labels, top = [0] * n, [0] * n  # top[i]: max(labels[:i + 1])
+    while True:
+        yield tuple(labels)
+        i = n - 1
+        while i > 0 and labels[i] > min(top[i - 1], k - 2):
+            i -= 1
+        if i < 1:
+            return
+        labels[i:] = [labels[i] + 1] + [0] * (n - 1 - i)
+        top[i:] = [max(top[i - 1], labels[i])] * (n - i)
 
 
 def _string_count(n: int, k: int) -> int:
@@ -232,56 +239,43 @@ def _heard(c: np.ndarray, labels: tuple[int, ...]) -> np.ndarray:
         x_size, a_size, -1, b_size)
 
 
-def _split_x(g, m: LeakageModel) -> tuple[Fraction, LeakyStrategy]:
-    """Alice's message splits X: one fold scores every subset of X, and one
-    fold over the chosen blocks, alice's blocks being independent, gives
-    each block's lex-smallest optimal answers and bob's smallest best
-    responses (0 to labels never sent)."""
-    c, denom = gain_tensor(g)
-    best, labels = _partition(best_values_per_x_subset(c), g.x_size,
-                              m.msgs_ab)
-    _, alice, bob = best_tables(_heard(c, labels))
-    k = max(labels) + 1
-    unused = (0,) * (m.msgs_ab - k)
-    return Fraction(best, denom), LeakyStrategy(
-        labels, (0,) * g.y_size, tuple((a,) for a in alice),
-        tuple(bob[y * k:(y + 1) * k] + unused for y in range(g.y_size)))
-
-
-def _split_y(g, m: LeakageModel) -> tuple[Fraction, LeakyStrategy]:
-    """Bob's message splits Y, once per alice label string in lex order.
-    With alice's labels fixed, bob answers (y, label), and one fold over
-    alice's tables scores every subset of Y.  The first string that
-    strictly improves is kept; none passes the merged-prover value, so the
-    scan stops there.  Each of its bob blocks is then solved once, alice
-    answering 0 to labels never sent."""
-    c, denom = gain_tensor(g)
-    k1 = min(m.msgs_ab, g.x_size)
-    merged = c.max(axis=(1, 3)).sum()
-    best_num = -1
-    for alice_msg in _label_strings(g.x_size, k1):
-        if best_num == merged:
-            break
-        eff = _heard(c, alice_msg)
-        num, bob_msg = _partition(
-            best_values_per_y_subset(eff, max(alice_msg) + 1), g.y_size,
-            m.msgs_ba)
-        if num > best_num:
-            best_num, best = num, (alice_msg, bob_msg, eff)
-    alice_msg, bob_msg, eff = best
+def _solve(c: np.ndarray, m: LeakageModel) -> tuple[int, LeakyStrategy]:
+    """The best numerator and witness on the gain tensor ``c``.  With no
+    bits to alice one fold scores every subset of X for her string.
+    Otherwise her strings run in lex order, each scored by bob's split of Y
+    (bob answering (y, label); one fold scores every subset of Y), keeping
+    the first that strictly improves; none passes the merged-prover value,
+    so the scan stops there.  Each of bob's blocks (one when he is silent)
+    is then solved once, answering 0 to labels never sent."""
+    x_size, _, y_size, _ = c.shape
+    if not m.bits_ba:
+        best, alice_msg = _partition(best_values_per_x_subset(c), x_size,
+                                     m.msgs_ab)
+        heard, bob_msg = _heard(c, alice_msg), (0,) * y_size
+    else:
+        merged, best = c.max(axis=(1, 3)).sum(), -1
+        for labels in _label_strings(x_size, min(m.msgs_ab, x_size)):
+            if best == merged:
+                break
+            eff = _heard(c, labels)
+            num, split = _partition(
+                best_values_per_y_subset(eff, max(labels) + 1), y_size,
+                m.msgs_ba)
+            if num > best:
+                best, alice_msg, bob_msg, heard = num, labels, split, eff
     k = max(alice_msg) + 1
     unused = (0,) * (m.msgs_ab - k)
-    alice_ans, bob_ans = [], [()] * g.y_size
+    alice_ans, bob_ans = [], [()] * y_size
     for v in range(max(bob_msg) + 1):
         ys = [y for y, w in enumerate(bob_msg) if w == v]
-        _, alice, bob = best_tables(eff[:, :, np.repeat(np.equal(bob_msg, v),
-                                                         k)])
+        _, alice, bob = best_tables(
+            heard.take([y * k + j for y in ys for j in range(k)], axis=2))
         alice_ans.append(alice)
         for i, y in enumerate(ys):
             bob_ans[y] = bob[i * k:(i + 1) * k] + unused
-    alice_ans += [(0,) * g.x_size] * (m.msgs_ba - len(alice_ans))
-    return Fraction(best_num, denom), LeakyStrategy(
-        alice_msg, bob_msg, tuple(zip(*alice_ans)), tuple(bob_ans))
+    alice_ans += [(0,) * x_size] * (m.msgs_ba - len(alice_ans))
+    return best, LeakyStrategy(alice_msg, bob_msg, tuple(zip(*alice_ans)),
+                               tuple(bob_ans))
 
 
 def leaky_value_exact(g, m: LeakageModel,
@@ -296,15 +290,17 @@ def leaky_value_exact(g, m: LeakageModel,
     sender's questions into at most 2^bits blocks, each its own classical
     game; a subset DP over partitions gives the value, and the first label
     string reaching it, with each block's lex-smallest optimal answers (0
-    for unused labels), the witness.  With no bits to alice (one-way-ab,
-    simultaneous(L, 0)) alice's message splits X; otherwise bob's splits Y
-    once per alice label string, one-way-ba being a single constant string.
+    for unused labels), the witness.  The solve reads only the game's gain
+    tensor: alice's string splits X, and bob's splits Y once per alice
+    string, one-way-ab being bob's constant string and one-way-ba alice's.
     """
     check_budget(budget, "leaky-strategy enumeration",
                  lambda: _log2_enumeration_size(g, m),
                  lambda: leaky_enumeration_size(g, m),
                  "leaky_value_upper_bound")
-    return _split_y(g, m) if m.bits_ba else _split_x(g, m)
+    c, denom = gain_tensor(g)
+    best, witness = _solve(c, m)
+    return Fraction(best, denom), witness
 
 
 def guess_and_abort_value(g, m: LeakageModel, s: LeakyStrategy) -> Fraction:

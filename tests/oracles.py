@@ -103,6 +103,16 @@ def naive_best_partition(value, n, k):
     return max(sum(value[b] for b in blocks) for blocks in partitions(0, []))
 
 
+def label_strings(n, k, prefix=()):
+    """Length-n strings over <= k labels, new blocks taking the next label,
+    in lex order, one recursion level per position."""
+    if len(prefix) == n:
+        yield prefix
+    else:
+        for label in range(min(max(prefix, default=-1) + 2, k)):
+            yield from label_strings(n, k, prefix + (label,))
+
+
 def iter_leaky_strategies(g, m: LeakageModel):
     """Every deterministic leaky strategy for the model, lex order."""
     m1, m2 = m.msgs_ab, m.msgs_ba
@@ -193,6 +203,22 @@ def naive_csp_value(c):
             best = sat
             best_a = assignment
     return Fraction(best, len(c.constraints)), best_a
+
+
+def verifier_tensor(c):
+    """The constraint-sampling verifier as a gain tensor, and its
+    denominator m * k: x is a constraint e, a indexes e's allowed tuples
+    (padded to the longest list; padding gains nothing), y is a variable v
+    and b a value.  c'[e, t, v, b] counts the scope positions p of e with
+    scope[p] = v and t[p] = b, so a repeated scope variable counts twice."""
+    t_max = max(1, *(len(con.allowed) for con in c.constraints))
+    gains = np.zeros((len(c.constraints), t_max, c.num_vars,
+                      c.alphabet_size), dtype=np.int64)
+    for e, con in enumerate(c.constraints):
+        for t, tup in enumerate(con.allowed):
+            for v, b in zip(con.scope, tup):
+                gains[e, t, v, b] += 1
+    return gains, len(c.constraints) * c.arity
 
 
 def naive_label_cover_value(lc):

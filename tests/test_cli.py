@@ -107,6 +107,17 @@ def test_leaky_value_command(tmp_path):
     assert row["upper_bound"] == "1/1"
 
 
+def test_leaky_value_past_the_recursion_limit(tmp_path):
+    # one-way-ba on 1200 alice questions: alice's one label string is as
+    # long as her questions
+    game = tmp_path / "tall.game"
+    game.write_text(save_game(make_game("tall", 1200, 1, 1, 1, [1] * 1200,
+                                        lambda *_: True)))
+    assert main(["--out", str(tmp_path), "leaky-value", str(game),
+                 "--model", "one-way-ba", "--bits-ba", "1"]) == EXIT_OK
+    assert read_rows(tmp_path / "leaky-value.csv")[0]["value"] == "1/1"
+
+
 def test_repeat_command(tmp_path):
     assert main(["--out", str(tmp_path), "repeat", CHSH_PATH,
                  "-n", "2"]) == EXIT_OK

@@ -200,6 +200,27 @@ def test_csp_session_rejects_other_models():
         run_session(c, behaviors, one_way_ba(1), seed=0)
 
 
+def test_sessions_refuse_swapped_behaviors():
+    # the estimator refuses a swapped pair as a session does, before it
+    # scores any question cell
+    first, second = best_chsh_behaviors()
+    with pytest.raises(InvalidInputError, match="first, second"):
+        run_session(chsh(), (second, first), NO_LEAK, 7)
+    with pytest.raises(InvalidInputError, match="first, second"):
+        estimate_acceptance(chsh(), (second, first), NO_LEAK, 1000, 7)
+
+
+def test_sessions_refuse_a_label_cover():
+    # instance_id names a label cover, but no session can play one
+    lc = helpers.random_label_cover(random.Random(17))
+    assert instance_id(lc).startswith("label-cover:")
+    behaviors = best_chsh_behaviors()
+    with pytest.raises(InvalidInputError, match="label cover"):
+        run_session(lc, behaviors, NO_LEAK, 7)
+    with pytest.raises(InvalidInputError, match="label cover"):
+        estimate_acceptance(lc, behaviors, NO_LEAK, 1000, 7)
+
+
 def test_malformed_answers_raise():
     bad = (ProverBehavior(lambda x, m: 99, silent_rule, "first"),
            ProverBehavior(lambda y, m: 0, silent_rule, "second"))

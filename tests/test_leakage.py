@@ -15,6 +15,7 @@ import pytest
 import helpers
 import oracles
 from leakygames import games, leakage
+from leakygames.csp import CspInstance, make_constraint, optimal_cheat
 from leakygames.errors import BudgetExceededError, InvalidInputError
 from leakygames.games import (StrategyPair, chsh, classical_value, make_game,
                               merged_prover_value, strategy_value)
@@ -233,6 +234,37 @@ def test_best_partition_matches_naive_partitions():
                 value = [rng.randint(-4, 12) for _ in range(1 << n)]
                 assert leakage._best_partition(value, k) == \
                     oracles.naive_best_partition(value, n, k)
+
+
+def test_label_strings_match_the_recursive_reference():
+    # same strings, same lex order, as many as the budget counts
+    for n in range(9):
+        for k in range(1, 6):
+            strings = list(leakage._label_strings(n, k))
+            assert strings == list(oracles.label_strings(n, k))
+            assert len(strings) == leakage._string_count(n, k)
+
+
+def test_core_on_the_verifier_tensor_matches_optimal_cheat():
+    # the constraint-sampling verifier with one-way leakage from the
+    # constraint prover is the core's one-way-ab game on verifier_tensor;
+    # repeated scope variables only raise counts
+    rng = random.Random(151)
+    repeated = 0
+    for _ in range(96):
+        arity, num_vars = rng.randint(1, 3), rng.randint(1, 3)
+        cons = [make_constraint(
+            [rng.randrange(num_vars) for _ in range(arity)],
+            [[rng.randrange(2) for _ in range(arity)]
+             for _ in range(rng.randint(0, 3))])
+            for _ in range(rng.randint(1, 4))]
+        c = CspInstance(num_vars, 2, arity, tuple(cons))
+        repeated += any(len(set(con.scope)) < arity for con in cons)
+        gains, denom = oracles.verifier_tensor(c)
+        for bits in range(3):
+            num, _ = leakage._solve(gains, one_way_ab(bits))
+            assert Fraction(num, denom) == optimal_cheat(c, bits)[0]
+    assert repeated > 20
 
 
 def _zero_row_game(rng, x, y, a, b):
