@@ -76,7 +76,12 @@ def compute_params(leak_bits: int, answer_bits: int, epsilon: float,
     reps = k_multiplier * max(leak_bits, 1)
     params = repetition.RepetitionBoundParams(
         epsilon=epsilon, s=2 * answer_bits + 1, c_exp=c_exp, c_rate=c_rate)
-    pre = (2.0 ** leak_bits) * repetition.repetition_bound(params, reps)
+    try:
+        pre = (2.0 ** leak_bits) * repetition.repetition_bound(params, reps)
+    except OverflowError:  # 2^leak_bits or the decay exponent
+        raise InvalidInputError(
+            f"soundness claim at {leak_bits} leak bits and {reps} "
+            f"repetitions is out of float range") from None
     return ParamReport(
         leak_bits=leak_bits, answer_bits=answer_bits, epsilon=epsilon,
         k_multiplier=k_multiplier, c_exp=c_exp, c_rate=c_rate,

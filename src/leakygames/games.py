@@ -52,9 +52,14 @@ class Game:
             raise InvalidInputError(
                 f"dist has {len(self.dist)} entries, expected "
                 f"{self.x_size * self.y_size}")
-        if any(w < 0 for w in self.dist):
+        try:
+            weights, denom = _over_common_denominator(self.dist)
+        except (AttributeError, TypeError):  # no integer ratio
+            raise InvalidInputError("question weights must be rationals"
+                                    ) from None
+        if min(weights) < 0:
             raise InvalidInputError("negative question weight")
-        if sum(self.dist) != 1:
+        if sum(weights) != denom:
             raise InvalidInputError("question weights must sum to exactly 1")
         expected = self.x_size * self.y_size * self.a_size * self.b_size
         if len(self.pred) != expected:
@@ -84,10 +89,9 @@ class Game:
         The denominator equals the weight total, so value numerators from
         the solvers divide by it exactly.
         """
-        denom = math.lcm(*(w.denominator for w in self.dist))
-        weights = np.array([w.numerator * (denom // w.denominator)
-                            for w in self.dist], dtype=_int_dtype(denom))
-        return weights.reshape(self.x_size, self.y_size), denom
+        weights, denom = _over_common_denominator(self.dist)
+        return (np.array(weights, dtype=_int_dtype(denom)).reshape(
+            self.x_size, self.y_size), denom)
 
     def win_rows(self) -> np.ndarray:
         """wins[x, y, a, b]: the acceptance predicate as a bool tensor."""
@@ -105,6 +109,12 @@ def kept(obj, name: str, build: Callable[[], Any]) -> Any:
     if name not in obj.__dict__:
         object.__setattr__(obj, name, build())
     return obj.__dict__[name]
+
+
+def _over_common_denominator(weights) -> tuple[list[int], int]:
+    """Rational weights as integers over their least common denominator."""
+    denom = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (denom // w.denominator) for w in weights], denom
 
 
 def _int_dtype(bound: int):
@@ -380,17 +390,11 @@ def save_game(g: Game) -> str:
     """Render a game in the file format; load(save(g)) == g exactly."""
     if any(ch.isspace() for ch in g.name) or not g.name:
         raise InvalidInputError("game name must be a single token")
-    denom = math.lcm(*(w.denominator for w in g.dist))
     out = [f"game {g.name} {g.x_size} {g.y_size} {g.a_size} {g.b_size}", "dist"]
-    for x in range(g.x_size):
-        row = [str(int(g.weight(x, y) * denom)) for y in range(g.y_size)]
-        out.append(" ".join(row))
+    out += (" ".join(map(str, row)) for row in g.int_weights()[0].tolist())
     out.append("pred")
-    for x in range(g.x_size):
-        for y in range(g.y_size):
-            base = (x * g.y_size + y) * g.a_size * g.b_size
-            out.append("".join(
-                str(g.pred[base + i]) for i in range(g.a_size * g.b_size)))
+    bits, cell = "".join(map(str, g.pred)), g.a_size * g.b_size
+    out += (bits[i:i + cell] for i in range(0, len(bits), cell))
     return "\n".join(out) + "\n"
 
 

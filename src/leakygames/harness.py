@@ -18,6 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import threading
 from bisect import bisect_right
 from collections.abc import Hashable
 from dataclasses import asdict, dataclass
@@ -480,11 +482,15 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
     questions exactly as :func:`run_session` does.  Behaviors are
     deterministic, so verdicts are computed once per question cell, or per
     residue when a game's weight total is at most SESSION_CHUNK.  The fast
-    path samples SESSION_CHUNK sessions at a time in numpy buffers
-    allocated once, draw-for-draw identical to scalar sessions: a table of
-    golden-ratio steps turns each chunk's seeds, and each draw, into one
-    scalar add and the finalizer.  Counts above SESSION_CAP are refused
-    before anything is allocated.
+    path samples SESSION_CHUNK sessions at a time, draw-for-draw identical
+    to scalar sessions: a table of golden-ratio steps turns each chunk's
+    seeds, and each draw, into one scalar add and the finalizer.  The
+    chunks are dealt round-robin to one worker per usable CPU, never more
+    than there are chunks: the calling thread, and threads joined before
+    it returns.  Each worker has its own buffers, allocated once; numpy
+    releases the GIL in the finalizer's passes.  The accepted counts are
+    summed, so the record does not depend on the worker count.  Counts
+    above SESSION_CAP are refused before anything is allocated.
     """
     if sessions < 1:
         raise InvalidInputError("sessions must be >= 1")
@@ -499,13 +505,11 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
         verdicts = table = np.array(
             [_play_csp(target, behaviors, model, e, pos)[3]
              for e in range(m) for pos in range(k)], dtype=bool)
-        second = np.empty(chunk, dtype=np.uint64)
 
-        def cells_np(seeds, out, tmp):  # constraint, then position
+        def cells_np(seeds, out, tmp, second):  # constraint, then position
             cells, extra = _below_np(seeds, 0, m, out, tmp)
             cells *= np.uint64(k)
-            cells += _below_np(seeds, 1, k, second[:len(seeds)], tmp,
-                               extra)[0]
+            cells += _below_np(seeds, 1, k, second, tmp, extra)[0]
             return cells
 
         def cell(stream):
@@ -530,15 +534,40 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
             return bisect_right(cums, stream.below(total))
 
     if fast:
-        accepted = 0
+        starts = range(0, sessions, chunk)
+        workers = min(_cpu_count(), len(starts))
         steps = np.arange(1, chunk + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        seeds, draws, tmp = np.empty((3, chunk), dtype=np.uint64)
-        for start in range(0, sessions, chunk):
-            n = min(chunk, sessions - start)
-            _session_seeds_np(master_seed, start, steps[:n], seeds[:n],
-                              tmp[:n])
-            cells = cells_np(seeds[:n], draws[:n], tmp[:n])
-            accepted += int(np.count_nonzero(table[cells.view(np.int64)]))
+        # per worker: seeds, draws, scratch and a csp's second draws
+        buffers = np.empty((workers, 3 + (protocol == "csp"), chunk),
+                           dtype=np.uint64)
+        counts = [0] * workers
+        errors: list[BaseException] = []
+
+        def work(w):  # every workers-th chunk from the w-th, until an error
+            try:
+                for start in starts[w::workers]:
+                    if errors:
+                        return
+                    n = min(chunk, sessions - start)
+                    rows = buffers[w, :, :n]
+                    _session_seeds_np(master_seed, start, steps[:n], rows[0],
+                                      rows[2])
+                    cells = cells_np(*rows)
+                    counts[w] += int(np.count_nonzero(
+                        table[cells.view(np.int64)]))
+            except BaseException as exc:  # an interrupt too: re-raised below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(w,))
+                   for w in range(1, workers)]
+        for thread in threads:
+            thread.start()
+        work(0)
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
+        accepted = sum(counts)
     else:
         accepted = sum(
             bool(verdicts[cell(SplitMixStream(session_seed(master_seed, i)))])
@@ -550,6 +579,14 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
     return ExperimentRecord(sessions, accepted, p,
                             Z_99 * math.sqrt(p * (1.0 - p) / sessions),
                             config, master_seed)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: the estimator's most workers."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _session_seeds_np(master_seed: int, start: int, steps: np.ndarray,

@@ -147,8 +147,9 @@ class RepetitionBoundParams:
             raise InvalidInputError("epsilon must be in (0, 1/2]")
         if self.s < 1:
             raise InvalidInputError("s must be >= 1")
-        if self.c_exp <= 0 or self.c_rate <= 0:
-            raise InvalidInputError("exponent constants must be positive")
+        if not (0 < self.c_exp < math.inf and 0 < self.c_rate < math.inf):
+            raise InvalidInputError(
+                "exponent constants must be positive and finite")
 
 
 def repetition_bound(p: RepetitionBoundParams, n: int) -> float:

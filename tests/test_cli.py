@@ -402,6 +402,38 @@ def test_params_validation():
         compute_params(1, 2, 0.25, 0)
 
 
+@pytest.mark.parametrize("argv, message", [
+    # 2.0 ** 1024 overflows a float, and the decay exponent of 10^400
+    # repetitions does too
+    (["--leak-bits", "1024", "--answer-bits", "1", "--epsilon", "0.1",
+      "-k", "1"], "out of float range"),
+    (["--leak-bits", "1", "--answer-bits", "1", "--epsilon", "0.1",
+      "-k", str(10**400)], "out of float range"),
+    (["--leak-bits", "1", "--answer-bits", "1", "--epsilon", "0.1",
+      "-k", "1", "--c-exp", "nan"], "positive and finite"),
+    (["--leak-bits", "1", "--answer-bits", "1", "--epsilon", "0.1",
+      "-k", "1", "--c-exp", "inf"], "positive and finite"),
+    (["--leak-bits", "1", "--answer-bits", "1", "--epsilon", "0.1",
+      "-k", "1", "--c-rate", "nan"], "positive and finite"),
+    (["--leak-bits", "1", "--answer-bits", "1", "--epsilon", "0.1",
+      "-k", "1", "--c-rate=-inf"], "positive and finite"),
+], ids=["leak-1024", "k-10^400", "c-exp-nan", "c-exp-inf", "c-rate-nan",
+        "c-rate-minus-inf"])
+def test_params_refuses_claims_a_float_cannot_hold(argv, message, tmp_path,
+                                                   capsys):
+    assert main(["--out", str(tmp_path), "params", *argv]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_params_largest_leak_within_float_range():
+    # 2^1023 times a decay below one: finite, clamped and vacuous
+    report = compute_params(1023, 1, 0.1, 1)
+    assert math.isfinite(report.pre_clamp) and report.pre_clamp > 1.0
+    assert report.soundness_claim == 1.0 and report.vacuous
+
+
 @pytest.mark.parametrize("argv", [
     ["--budget", "5", "repeat", CHSH_PATH, "-n", "2"],
     ["--budget", "5", "leaky-value", CHSH_PATH, "--bits-ab", "1"],

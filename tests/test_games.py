@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +12,8 @@ import pytest
 import helpers
 import oracles
 from leakygames import games
-from leakygames.errors import BudgetExceededError, FormatError
+from leakygames.errors import (BudgetExceededError, FormatError,
+                               InvalidInputError)
 from leakygames.games import (Game, StrategyPair, chsh, classical_value,
                               load_game, make_game, merged_prover_value,
                               save_game, strategy_value)
@@ -347,6 +349,52 @@ def test_zero_weight_questions_are_valid():
     value, witness = classical_value(g)
     assert value == 1
     assert merged_prover_value(g) == 1
+
+
+def reference_save_game(g: Game) -> str:
+    """The file format written with Fraction arithmetic, bit by bit."""
+    denom = math.lcm(*(w.denominator for w in g.dist))
+    out = [f"game {g.name} {g.x_size} {g.y_size} {g.a_size} {g.b_size}",
+           "dist"]
+    for x in range(g.x_size):
+        out.append(" ".join(str(int(g.weight(x, y) * denom))
+                            for y in range(g.y_size)))
+    out.append("pred")
+    for x in range(g.x_size):
+        for y in range(g.y_size):
+            out.append("".join(str(int(g.wins(x, y, a, b)))
+                               for a in range(g.a_size)
+                               for b in range(g.b_size)))
+    return "\n".join(out) + "\n"
+
+
+def test_save_matches_the_fraction_formatter():
+    # integer rows from int_weights and one joined bit string, past int64
+    rng = random.Random(19)
+    for i in range(150):
+        sizes = [rng.randint(1, 4) for _ in range(4)]
+        top = rng.choice([3, 2**70, 7**30])
+        weights = [rng.randrange(top) for _ in range(sizes[0] * sizes[1])]
+        weights[rng.randrange(len(weights))] += 1
+        bits = [rng.randrange(2) for _ in range(math.prod(sizes))]
+        g = make_game(f"g{i}", *sizes, weights,
+                      lambda x, y, a, b, s=sizes: bits[
+                          ((x * s[1] + y) * s[2] + a) * s[3] + b])
+        assert save_game(g) == reference_save_game(g)
+
+
+@pytest.mark.parametrize("dist, message", [
+    ((0.25, 0.25, 0.25, 0.25), "rationals"),
+    (("1/4",) * 4, "rationals"),
+    ((Fraction(1, 2), Fraction(-1, 4), Fraction(1, 2), Fraction(1, 4)),
+     "negative"),
+    ((Fraction(2**70), Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+     "sum to exactly 1"),
+    ((Fraction(1, 3),) * 4, "sum to exactly 1"),
+])
+def test_game_weights_are_checked_as_integers(dist, message):
+    with pytest.raises(InvalidInputError, match=message):
+        Game("g", 2, 2, 2, 2, dist, chsh().pred)
 
 
 def test_save_rejects_bad_names():

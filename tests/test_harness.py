@@ -6,6 +6,8 @@ import dataclasses
 import gc
 import pickle
 import random
+import sys
+import threading
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -305,11 +307,16 @@ def test_estimator_fast_matches_scalar_csp():
     assert fast == slow
 
 
+def heavy_chsh(name, weights):
+    """CHSH's predicate under integer question weights."""
+    return make_game(name, 2, 2, 2, 2, weights,
+                     lambda x, y, a, b: (a ^ b) == (x & y))
+
+
 def test_estimator_fast_matches_scalar_with_rejections():
     # weight total 3 * 2^61: cells found by searchsorted, and a quarter of
     # the draws rejected and drawn again
-    g = make_game("heavy", 2, 2, 2, 2, [1, 2**61, 2**61, 2**61 - 1],
-                  lambda x, y, a, b: (a ^ b) == (x & y))
+    g = heavy_chsh("heavy", [1, 2**61, 2**61, 2**61 - 1])
     assert g.int_weights()[1] == 3 * 2**61
     behaviors = behaviors_from_strategy_pair(classical_value(g)[1])
     fast = estimate_acceptance(g, behaviors, NO_LEAK, 3000, 19, fast=True)
@@ -320,8 +327,7 @@ def test_estimator_fast_matches_scalar_with_rejections():
 def test_estimator_fast_matches_scalar_past_2_63():
     # weight total 3 * 2^62 + 12345: past int64, still drawn and looked up
     # in uint64, with a quarter of the draws rejected
-    g = make_game("heavier", 2, 2, 2, 2, [2**62, 2**62, 2**62, 12345],
-                  lambda x, y, a, b: (a ^ b) == (x & y))
+    g = heavy_chsh("heavier", [2**62, 2**62, 2**62, 12345])
     assert 2**63 <= g.int_weights()[1] == 3 * 2**62 + 12345
     behaviors = behaviors_from_strategy_pair(classical_value(g)[1])
     fast = estimate_acceptance(g, behaviors, NO_LEAK, 3000, 23, fast=True)
@@ -368,10 +374,76 @@ def test_estimator_chunks_match_one_chunk(monkeypatch):
                                        17) == record
 
 
+def pin_workers(monkeypatch, workers):
+    """Run the estimator on ``workers`` workers, whatever the host."""
+    monkeypatch.setattr(harness, "_cpu_count", lambda: workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_estimator_workers_match_scalar(monkeypatch, workers):
+    # 16 chunks of 64 sessions, the last one cut short, dealt to 1-3
+    # workers and to more workers than CPUs, with threads switched as
+    # often as the interpreter allows: CHSH, a csp cheat (two draws per
+    # session), and weight totals 3 * 2^61 and 3 * 2^62 + 12345
+    # (searchsorted, a quarter rejected); a lost count moves the record
+    pin_workers(monkeypatch, workers)
+    monkeypatch.setattr(harness, "SESSION_CHUNK", 64)
+    c, _ = helpers.satisfiable_csp(random.Random(5))
+    cases = [(chsh(), best_chsh_behaviors(), NO_LEAK),
+             (c, behaviors_from_cheat_profile(c, optimal_cheat(c, 1)[1]),
+              one_way_ab(1))]
+    for g in (heavy_chsh("heavy", [1, 2**61, 2**61, 2**61 - 1]),
+              heavy_chsh("heavier", [2**62, 2**62, 2**62, 12345])):
+        cases.append((g, behaviors_from_strategy_pair(classical_value(g)[1]),
+                      NO_LEAK))
+    samplers = set()
+    original = harness._below_np
+
+    def below(*args, **kwargs):
+        samplers.add(threading.current_thread())
+        return original(*args, **kwargs)
+    monkeypatch.setattr(harness, "_below_np", below)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for target, behaviors, model in cases:
+            samplers.clear()
+            fast = estimate_acceptance(target, behaviors, model, 1000, 29)
+            assert len(samplers) == workers
+            assert threading.active_count() == threads
+            assert fast == estimate_acceptance(target, behaviors, model,
+                                               1000, 29, fast=False)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_estimator_sampling_errors_propagate(monkeypatch, failing):
+    # an error in any worker's sampling leaves estimate_acceptance, and
+    # every thread it started is joined first
+    pin_workers(monkeypatch, 3)
+    monkeypatch.setattr(harness, "SESSION_CHUNK", 64)
+    caller = threading.get_ident()
+    original = harness._below_np
+
+    def below(*args, **kwargs):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            raise RuntimeError(f"{failing} failed")
+        return original(*args, **kwargs)
+    monkeypatch.setattr(harness, "_below_np", below)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{failing} failed"):
+        estimate_acceptance(chsh(), best_chsh_behaviors(), NO_LEAK, 1000, 3)
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("kind", ["game", "csp"])
-def test_estimator_memory_is_bounded_by_the_chunk(kind):
-    # the traced peak stays within eight chunk-sized uint64 arrays, and
-    # sixteen chunks of sessions peak no higher than one
+def test_estimator_memory_is_bounded_by_the_chunk(monkeypatch, kind):
+    # at 1-3 workers the traced peak stays within eight chunk-sized uint64
+    # arrays per worker, and sixteen chunks of sessions peak no higher than
+    # one chunk per worker; workers may hold their one-byte-per-session
+    # verdict gathers at the same moment, which 16 chunks do more often
     if kind == "csp":
         target, _ = helpers.satisfiable_csp(random.Random(6))
         model = one_way_ab(1)
@@ -380,17 +452,20 @@ def test_estimator_memory_is_bounded_by_the_chunk(kind):
     else:
         target, model, behaviors = chsh(), NO_LEAK, best_chsh_behaviors()
     estimate_acceptance(target, behaviors, model, 10, 0)  # warm the caches
-    peaks = []
-    for chunks in (1, 16):
-        tracemalloc.start()
-        try:
-            estimate_acceptance(target, behaviors, model,
-                                chunks * harness.SESSION_CHUNK, 5)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert max(peaks) <= 8 * 8 * harness.SESSION_CHUNK
-    assert peaks[1] <= peaks[0] + 4096
+    for workers in (1, 2, 3):
+        pin_workers(monkeypatch, workers)
+        peaks = []
+        for chunks in (workers, 16):
+            tracemalloc.start()
+            try:
+                estimate_acceptance(target, behaviors, model,
+                                    chunks * harness.SESSION_CHUNK, 5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= workers * 8 * 8 * harness.SESSION_CHUNK
+        assert peaks[1] <= (peaks[0] + (workers - 1) * harness.SESSION_CHUNK
+                            + 4096)
 
 
 def test_estimator_refuses_sessions_past_cap():
@@ -437,11 +512,13 @@ def test_estimator_pinned_counts():
 def test_estimator_samples_through_the_module_helpers(monkeypatch):
     # the traced benchmark rebinds these two names to time all sampling
     calls = {"_session_seeds_np": 0, "_below_np": 0}
+    lock = threading.Lock()  # the estimator's workers call them too
     for name in calls:
         original = getattr(harness, name)
 
         def counted(*args, name=name, original=original, **kwargs):
-            calls[name] += 1
+            with lock:
+                calls[name] += 1
             return original(*args, **kwargs)
         monkeypatch.setattr(harness, name, counted)
     targets = pinned_targets()
