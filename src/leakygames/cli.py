@@ -182,10 +182,14 @@ def _emit(args, command: str, row: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _budget(args) -> dict:
+    """``budget=`` for a solver when --budget was given: else its default."""
+    return {} if args.budget is None else {"budget": args.budget}
+
+
 def cmd_value(args) -> dict:
     g = _load_game(args.game)
-    budget = args.budget or games.DEFAULT_PAIR_BUDGET
-    value, witness = games.classical_value(g, budget)
+    value, witness = games.classical_value(g, **_budget(args))
     merged = games.merged_prover_value(g)
     pq, fl = _frac_cols(value)
     mq, mf = _frac_cols(merged)
@@ -197,10 +201,9 @@ def cmd_value(args) -> dict:
 def cmd_leaky_value(args) -> dict:
     g = _load_game(args.game)
     model = _build_model(args.model, args.bits_ab, args.bits_ba)
-    budget = args.budget or leakage.DEFAULT_LEAKY_BUDGET
-    value, witness = leakage.leaky_value_exact(g, model, budget)
-    cap = leakage.leaky_value_upper_bound(
-        g, model.total_bits, args.budget or games.DEFAULT_PAIR_BUDGET)
+    value, witness = leakage.leaky_value_exact(g, model, **_budget(args))
+    cap = leakage.leaky_value_upper_bound(g, model.total_bits,
+                                          **_budget(args))
     pq, fl = _frac_cols(value)
     cq, cf = _frac_cols(cap)
     return {"instance": harness.instance_id(g), "model": args.model,
@@ -215,10 +218,9 @@ def cmd_leaky_value(args) -> dict:
 
 def cmd_repeat(args) -> dict:
     g = _load_game(args.game)
-    budget = args.budget or games.DEFAULT_PAIR_BUDGET
     rg = repetition.repeat_game(g, args.copies)
-    value, witness = repetition.repeated_exact_value(rg, budget)
-    base_value, base_witness = games.classical_value(g, budget)
+    value, witness = repetition.repeated_exact_value(rg, **_budget(args))
+    base_value, base_witness = games.classical_value(g, **_budget(args))
     lower = base_value ** args.copies
     pq, fl = _frac_cols(value)
     lq, lf = _frac_cols(lower)
@@ -232,13 +234,12 @@ def cmd_repeat(args) -> dict:
 
 def cmd_csp_val(args) -> dict:
     c = _load_csp(args.csp)
-    budget = args.budget or csp_mod.DEFAULT_ASSIGNMENT_BUDGET
     if args.local_search:
         value, witness = csp_mod.csp_value_local_search(
             c, args.seed, args.restarts)
         method = "local-search"
     else:
-        value, witness = csp_mod.csp_value_exact(c, budget)
+        value, witness = csp_mod.csp_value_exact(c, **_budget(args))
         method = "exact"
     pq, fl = _frac_cols(value)
     return {"instance": harness.instance_id(c), "method": method,
@@ -247,8 +248,7 @@ def cmd_csp_val(args) -> dict:
 
 def cmd_cheat(args) -> dict:
     c = _load_csp(args.csp)
-    budget = args.budget or csp_mod.DEFAULT_CHEAT_BUDGET
-    value, profile = csp_mod.optimal_cheat(c, args.leak_bits, budget)
+    value, profile = csp_mod.optimal_cheat(c, args.leak_bits, **_budget(args))
     cap = 1 - Fraction(1, 2 * c.arity)
     pq, fl = _frac_cols(value)
     cq, cf = _frac_cols(cap)
@@ -259,29 +259,26 @@ def cmd_cheat(args) -> dict:
             "profile": "|".join(_seq(a) for a in profile.assignments)}
 
 
-def _behaviors_for_run(config: dict, target, model, budget):
+def _behaviors_for_run(config: dict, target, model, budget: dict):
     behavior = config.get("behavior", "honest")
     if isinstance(target, csp_mod.CspInstance):
         if behavior == "honest":
-            value, witness = csp_mod.csp_value_exact(
-                target, budget or csp_mod.DEFAULT_ASSIGNMENT_BUDGET)
+            value, witness = csp_mod.csp_value_exact(target, **budget)
             if value != 1:
                 raise InvalidInputError(
                     "honest csp behavior needs a satisfiable instance")
             return harness.honest_csp_behaviors(target, witness), "honest"
         if behavior == "cheat":
-            _, profile = csp_mod.optimal_cheat(
-                target, model.bits_ab, budget or csp_mod.DEFAULT_CHEAT_BUDGET)
+            _, profile = csp_mod.optimal_cheat(target, model.bits_ab,
+                                               **budget)
             return (harness.behaviors_from_cheat_profile(target, profile),
                     "optimal-cheat")
         raise InvalidInputError(f"unknown csp behavior {behavior!r}")
     if behavior == "honest":
-        _, witness = games.classical_value(
-            target, budget or games.DEFAULT_PAIR_BUDGET)
+        _, witness = games.classical_value(target, **budget)
         return harness.behaviors_from_strategy_pair(witness), "best-classical"
     if behavior == "leaky":
-        _, witness = leakage.leaky_value_exact(
-            target, model, budget or leakage.DEFAULT_LEAKY_BUDGET)
+        _, witness = leakage.leaky_value_exact(target, model, **budget)
         return (harness.behaviors_from_leaky_strategy(model, witness),
                 "best-leaky")
     raise InvalidInputError(f"unknown game behavior {behavior!r}")
@@ -315,7 +312,8 @@ def cmd_run(args) -> dict:
         raise InvalidInputError("config kind must be 'game' or 'csp'")
     seed = _config_int(config.get("seed", args.seed), "seed")
     sessions = _config_int(config["sessions"], "sessions")
-    behaviors, label = _behaviors_for_run(config, target, model, args.budget)
+    behaviors, label = _behaviors_for_run(config, target, model,
+                                          _budget(args))
     record = harness.estimate_acceptance(target, behaviors, model,
                                          sessions, seed)
     pq, _ = _frac_cols(record.estimate_exact)
@@ -365,7 +363,7 @@ def cmd_gen(args) -> None:
         instance, value = csp_mod.find_low_value_instance(
             args.vars, args.alphabet, args.arity, target, args.seed,
             num_constraints=args.constraints, attempts=args.attempts,
-            budget=args.budget or csp_mod.DEFAULT_ASSIGNMENT_BUDGET)
+            **_budget(args))
         text = (f"# certified value {value.numerator}/{value.denominator}"
                 f" <= {args.target}\n") + csp_mod.save_csp(instance)
         name = f"lowval-{args.seed}.csp"
@@ -391,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed (default 0)")
     parser.add_argument("--budget", type=int, default=None,
-                        help="enumeration budget override")
+                        help="enumeration budget override, at least 1")
     parser.add_argument("--out", default=None, help="artifact directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="artifact format (default csv)")
@@ -460,6 +458,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("budget", "constraints"):  # counts, when given
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise InvalidInputError(f"--{flag} must be >= 1, got {value}")
         row = args.func(args)
         if row is not None:
             _emit(args, args.command, row)

@@ -21,7 +21,6 @@ import math
 import os
 import threading
 from bisect import bisect_right
-from collections.abc import Hashable
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Any, Callable
@@ -298,7 +297,7 @@ class Transcript:
 
 def instance_id(target) -> str:
     """Stable identifier, kept on the target: name plus serialization hash."""
-    if not isinstance(target, Hashable) or not hasattr(target, "__dict__"):
+    if type(target).__hash__ is None or not hasattr(target, "__dict__"):
         raise InvalidInputError(f"cannot identify {type(target).__name__}")
     return kept(target, "_instance_id", lambda: _serialized_id(target))
 
@@ -321,11 +320,31 @@ def _serialized_id(target) -> str:
 
 
 def _check_answer(value, size: int, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    # an exact int skips both isinstance calls: every replay checks answers
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, int)):
         raise MalformedBehaviorError(f"{what} must be an int, got {value!r}")
     if not 0 <= value < size:
         raise MalformedBehaviorError(f"{what} {value} out of range")
     return value
+
+
+def _accepts(target, x: int, y: int, pos: int | None, a, b,
+             overflow: bool) -> bool:
+    """The verifier, for sessions and replays.  It refuses answers outside
+    the target's sizes, rejects an overflow, and otherwise accepts when the
+    game's predicate holds or, on a CSP, when constraint x allows the tuple
+    a and a agrees with the second answer b at scope position pos."""
+    if isinstance(target, CspInstance):
+        if not isinstance(a, tuple) or len(a) != target.arity:
+            raise MalformedBehaviorError("first answer must be a k-tuple")
+        for value in a + (b,):
+            _check_answer(value, target.alphabet_size, "csp answer")
+        return ((not overflow) and a in target.constraints[x].allowed
+                and a[pos] == b)
+    _check_answer(a, target.a_size, "first answer")
+    _check_answer(b, target.b_size, "second answer")
+    return (not overflow) and target.wins(x, y, a, b)
 
 
 def _game_support(g) -> tuple[tuple, tuple, int]:
@@ -355,49 +374,35 @@ def _check_session(target, behaviors) -> None:
 
 
 def _play_game(g, behaviors, model: LeakageModel, x: int, y: int):
-    """Run the ordered message flow for one game question pair."""
-    first, second = behaviors
-    channel = MeteredChannel(model.bits_ab, model.bits_ba)
-    if model.kind is LeakageKind.ONE_WAY_AB:
-        a = first.answer_rule(x, "")
-        delivered = channel.send("ab", first.leak_rule(x))
-        b = second.answer_rule(y, delivered or "")
-    elif model.kind is LeakageKind.ONE_WAY_BA:
-        b = second.answer_rule(y, "")
-        delivered = channel.send("ba", second.leak_rule(y))
-        a = first.answer_rule(x, delivered or "")
-    else:  # simultaneous single exchange, each message from own question only
-        to_b = channel.send("ab", first.leak_rule(x))
-        to_a = channel.send("ba", second.leak_rule(y))
-        a = first.answer_rule(x, to_a or "")
-        b = second.answer_rule(y, to_b or "")
-    a = _check_answer(a, g.a_size, "first answer")
-    b = _check_answer(b, g.b_size, "second answer")
-    verdict = (not channel.overflowed) and g.wins(x, y, a, b)
-    return a, b, channel, verdict
+    """Play one game question pair: (a, b, channel, verdict)."""
+    return _play(g, behaviors, model, model.kind, x, y, None)
 
 
 def _play_csp(c: CspInstance, behaviors, model: LeakageModel,
               e: int, pos: int):
-    """Constraint-sampling verifier: first prover answers the whole scope
-    (then may leak), second prover answers the sampled variable."""
+    """Constraint-sampling verifier: the first prover answers constraint e
+    and may leak, the second answers the variable at scope position pos."""
     if model.kind is not LeakageKind.ONE_WAY_AB and model.total_bits:
         raise InvalidInputError("csp sessions support one-way ab leakage only")
+    return _play(c, behaviors, model, LeakageKind.ONE_WAY_AB,
+                 e, c.constraints[e].scope[pos], pos)
+
+
+def _play(target, behaviors, model: LeakageModel, kind: LeakageKind,
+          x: int, y: int, pos: int | None):
+    """The one message schedule: each prover that ``kind`` lets speak sends
+    from its own question (x, or y), ab before ba; then both answer what was
+    delivered to them, "" when nothing was or the send overflowed."""
     first, second = behaviors
     channel = MeteredChannel(model.bits_ab, model.bits_ba)
-    con = c.constraints[e]
-    tup = first.answer_rule(e, "")
-    if (not isinstance(tup, tuple) or len(tup) != c.arity):
-        raise MalformedBehaviorError("first answer must be an arity-k tuple")
-    tup = tuple(_check_answer(v, c.alphabet_size, "first answer entry")
-                for v in tup)
-    delivered = channel.send("ab", first.leak_rule(e))
-    var = con.scope[pos]
-    label = _check_answer(second.answer_rule(var, delivered or ""),
-                          c.alphabet_size, "second answer")
-    verdict = ((not channel.overflowed)
-               and tup in con.allowed and tup[pos] == label)
-    return tup, label, channel, verdict
+    to_first = to_second = ""
+    if kind is not LeakageKind.ONE_WAY_BA:
+        to_second = channel.send("ab", first.leak_rule(x)) or ""
+    if kind is not LeakageKind.ONE_WAY_AB:
+        to_first = channel.send("ba", second.leak_rule(y)) or ""
+    a = first.answer_rule(x, to_first)
+    b = second.answer_rule(y, to_second)
+    return a, b, channel, _accepts(target, x, y, pos, a, b, channel.overflowed)
 
 
 def run_session(target, behaviors, model: LeakageModel, seed: int
@@ -410,39 +415,38 @@ def run_session(target, behaviors, model: LeakageModel, seed: int
     """
     _check_session(target, behaviors)
     stream = SplitMixStream(seed)
-    ident = instance_id(target)
     if isinstance(target, CspInstance):
-        e = stream.below(len(target.constraints))
+        x = stream.below(len(target.constraints))
         pos = stream.below(target.arity)
-        tup, label, channel, verdict = _play_csp(target, behaviors, model,
-                                                 e, pos)
-        return Transcript(seed, ident, "csp",
-                          e, target.constraints[e].scope[pos], pos,
-                          tuple(channel.events), tuple(channel.rejected),
-                          tup, label, channel.overflowed, verdict)
-    cells, cums, total = _game_support(target)
-    r = stream.below(total)
-    x, y = cells[bisect_right(cums, r)]
-    a, b, channel, verdict = _play_game(target, behaviors, model, x, y)
-    return Transcript(seed, ident, "game", x, y, None,
+        y = target.constraints[x].scope[pos]
+        a, b, channel, verdict = _play_csp(target, behaviors, model, x, pos)
+    else:
+        cells, cums, total = _game_support(target)
+        (x, y), pos = cells[bisect_right(cums, stream.below(total))], None
+        a, b, channel, verdict = _play_game(target, behaviors, model, x, y)
+    return Transcript(seed, instance_id(target),
+                      "game" if pos is None else "csp", x, y, pos,
                       tuple(channel.events), tuple(channel.rejected),
                       a, b, channel.overflowed, verdict)
 
 
 def replay_verify(t: Transcript, target) -> bool:
-    """Recompute the verdict from the stored questions and answers."""
+    """Recompute the verdict from the stored questions and answers, refusing
+    a transcript that no session of the target could produce."""
     if instance_id(target) != t.instance:
         raise IdentifierMismatchError(
             f"transcript is for {t.instance}, got {instance_id(target)}")
-    if t.protocol == "csp":
-        con = target.constraints[t.question_first]
-        fresh = (t.answer_first in con.allowed
-                 and t.answer_first[t.position] == t.answer_second)
+    x, y, pos = t.question_first, t.question_second, t.position
+    if isinstance(target, CspInstance):
+        _check_answer(x, len(target.constraints), "constraint")
+        _check_answer(pos, target.arity, "position")
+        if y != target.constraints[x].scope[pos]:
+            raise MalformedBehaviorError(f"variable {y} is not at {pos}")
     else:
-        fresh = target.wins(t.question_first, t.question_second,
-                            t.answer_first, t.answer_second)
-    fresh = fresh and not t.overflow
-    return fresh == t.verdict
+        _check_answer(x, target.x_size, "first question")
+        _check_answer(y, target.y_size, "second question")
+    return t.verdict == _accepts(target, x, y, pos, t.answer_first,
+                                 t.answer_second, t.overflow)
 
 
 # ---------------------------------------------------------------------------
@@ -478,51 +482,62 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
                         fast: bool = True) -> ExperimentRecord:
     """Acceptance estimate over independent seeded sessions.
 
-    Session i is keyed by ``session_seed(master_seed, i)`` and samples its
-    questions exactly as :func:`run_session` does.  Behaviors are
-    deterministic, so verdicts are computed once per question cell, or per
-    residue when a game's weight total is at most SESSION_CHUNK.  The fast
-    path samples SESSION_CHUNK sessions at a time, draw-for-draw identical
-    to scalar sessions: a table of golden-ratio steps turns each chunk's
-    seeds, and each draw, into one scalar add and the finalizer.  The
-    chunks are dealt round-robin to one worker per usable CPU, never more
-    than there are chunks: the calling thread, and threads joined before
-    it returns.  Each worker has its own buffers, allocated once; numpy
-    releases the GIL in the finalizer's passes.  The accepted counts are
-    summed, so the record does not depend on the worker count.  Counts
-    above SESSION_CAP are refused before anything is allocated.
+    Session i is ``run_session(..., session_seed(master_seed, i))``; with
+    ``fast=False`` each is played so, which is the reference the vector
+    path must match count for count.  Counts above SESSION_CAP are refused
+    before anything is allocated.
     """
     if sessions < 1:
         raise InvalidInputError("sessions must be >= 1")
     if sessions > SESSION_CAP:
         raise BudgetExceededError(sessions, SESSION_CAP, "session sampling")
     _check_session(target, behaviors)
-    ident = instance_id(target)
-    chunk = min(sessions, SESSION_CHUNK)
+    config = {"protocol": "csp" if isinstance(target, CspInstance) else "game",
+              "instance": instance_id(target), "model": model.kind.value,
+              "bits_ab": model.bits_ab, "bits_ba": model.bits_ba,
+              "sessions": sessions}
+    if fast:
+        accepted = _count_np(target, behaviors, model, sessions, master_seed)
+    else:
+        accepted = sum(run_session(target, behaviors, model,
+                                   session_seed(master_seed, i)).verdict
+                       for i in range(sessions))
+    p = accepted / sessions
+    return ExperimentRecord(sessions, accepted, p,
+                            Z_99 * math.sqrt(p * (1.0 - p) / sessions),
+                            config, master_seed)
 
-    if isinstance(target, CspInstance):
-        protocol, m, k = "csp", len(target.constraints), target.arity
-        verdicts = table = np.array(
-            [_play_csp(target, behaviors, model, e, pos)[3]
-             for e in range(m) for pos in range(k)], dtype=bool)
+
+def _count_np(target, behaviors, model: LeakageModel, sessions: int,
+              master_seed: int) -> int:
+    """The estimator's vector path: its accepted count.  Behaviors are
+    deterministic, so verdicts are computed once per question cell, or per
+    residue when a game's weight total is at most SESSION_CHUNK.  Sessions
+    are drawn SESSION_CHUNK at a time, draw for draw as run_session: a table
+    of golden-ratio steps turns each chunk's seeds, and each draw, into one
+    scalar add and the finalizer.  The chunks are dealt round-robin to one
+    worker per usable CPU and chunk, the caller and threads joined before
+    it returns, each with its own buffers (numpy releases the GIL in the
+    finalizer's passes); counts are summed, so workers change nothing."""
+    chunk = min(sessions, SESSION_CHUNK)
+    csp = isinstance(target, CspInstance)
+    if csp:  # cell e*k + position
+        m, k = len(target.constraints), target.arity
+        table = np.array([_play_csp(target, behaviors, model, e, pos)[3]
+                          for e in range(m) for pos in range(k)], dtype=bool)
 
         def cells_np(seeds, out, tmp, second):  # constraint, then position
             cells, extra = _below_np(seeds, 0, m, out, tmp)
             cells *= np.uint64(k)
             cells += _below_np(seeds, 1, k, second, tmp, extra)[0]
             return cells
-
-        def cell(stream):
-            return stream.below(m) * k + stream.below(k)
     else:
         support, cums, total = _game_support(target)
-        protocol = "game"
-        verdicts = table = np.array(
-            [_play_game(target, behaviors, model, x, y)[3]
-             for x, y in support], dtype=bool)
+        table = np.array([_play_game(target, behaviors, model, x, y)[3]
+                          for x, y in support], dtype=bool)
         dense = total <= SESSION_CHUNK  # one verdict per residue
         if dense:
-            table = np.repeat(verdicts, np.diff(cums, prepend=0))
+            table = np.repeat(table, np.diff(cums, prepend=0))
         else:
             bounds = np.array(cums, dtype=np.uint64)
 
@@ -530,55 +545,39 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
             r = _below_np(seeds, 0, total, out, tmp)[0]
             return r if dense else np.searchsorted(bounds, r, side="right")
 
-        def cell(stream):
-            return bisect_right(cums, stream.below(total))
+    starts = range(0, sessions, chunk)
+    workers = min(_cpu_count(), len(starts))
+    steps = np.arange(1, chunk + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    # per worker: seeds, draws, scratch and a csp's second draws
+    buffers = np.empty((workers, 3 + csp, chunk), dtype=np.uint64)
+    counts = [0] * workers
+    errors: list[BaseException] = []
 
-    if fast:
-        starts = range(0, sessions, chunk)
-        workers = min(_cpu_count(), len(starts))
-        steps = np.arange(1, chunk + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        # per worker: seeds, draws, scratch and a csp's second draws
-        buffers = np.empty((workers, 3 + (protocol == "csp"), chunk),
-                           dtype=np.uint64)
-        counts = [0] * workers
-        errors: list[BaseException] = []
+    def work(w):  # every workers-th chunk from the w-th, until an error
+        try:
+            for start in starts[w::workers]:
+                if errors:
+                    return
+                n = min(chunk, sessions - start)
+                rows = buffers[w, :, :n]
+                _session_seeds_np(master_seed, start, steps[:n], rows[0],
+                                  rows[2])
+                cells = cells_np(*rows)
+                counts[w] += int(np.count_nonzero(
+                    table[cells.view(np.int64)]))
+        except BaseException as exc:  # an interrupt too: re-raised below
+            errors.append(exc)
 
-        def work(w):  # every workers-th chunk from the w-th, until an error
-            try:
-                for start in starts[w::workers]:
-                    if errors:
-                        return
-                    n = min(chunk, sessions - start)
-                    rows = buffers[w, :, :n]
-                    _session_seeds_np(master_seed, start, steps[:n], rows[0],
-                                      rows[2])
-                    cells = cells_np(*rows)
-                    counts[w] += int(np.count_nonzero(
-                        table[cells.view(np.int64)]))
-            except BaseException as exc:  # an interrupt too: re-raised below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=work, args=(w,))
-                   for w in range(1, workers)]
-        for thread in threads:
-            thread.start()
-        work(0)
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        accepted = sum(counts)
-    else:
-        accepted = sum(
-            bool(verdicts[cell(SplitMixStream(session_seed(master_seed, i)))])
-            for i in range(sessions))
-    config = {"protocol": protocol, "instance": ident,
-              "model": model.kind.value, "bits_ab": model.bits_ab,
-              "bits_ba": model.bits_ba, "sessions": sessions}
-    p = accepted / sessions
-    return ExperimentRecord(sessions, accepted, p,
-                            Z_99 * math.sqrt(p * (1.0 - p) / sessions),
-                            config, master_seed)
+    threads = [threading.Thread(target=work, args=(w,))
+               for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return sum(counts)
 
 
 def _cpu_count() -> int:

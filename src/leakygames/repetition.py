@@ -21,7 +21,7 @@ from .errors import (RUN_FALLBACK, BudgetExceededError, InvalidInputError,
 from .games import (DEFAULT_PAIR_BUDGET, Game, StrategyPair, _index_to_tuple,
                     _int_dtype, classical_value)
 from .leakage import (DEFAULT_LEAKY_BUDGET, LeakageModel, LeakyStrategy,
-                      leaky_value_exact)
+                      leaky_value_exact, leaky_value_upper_bound)
 
 DEFAULT_TABLE_CELLS = 10**7
 
@@ -178,10 +178,9 @@ def leaky_repetition_experiment(g: Game, copies: int, model: LeakageModel,
                                 ) -> LeakyRepetitionResult:
     """Leaky value of the N-fold product: exact when enumerable.
 
-    Falls back to min(1, 2^bits * classical value of the product), and if
-    even the product's classical value is out of range, to
-    min(1, 2^bits * classical value of the base), which still upper-bounds
-    the leaky repeated value since repetition never increases the value.
+    Falls back to leaky_value_upper_bound of the product, and if even the
+    product's classical value is out of range, of the base game, which still
+    bounds the product since repetition never increases the value.
     """
     rg = repeat_game(g, copies)
     try:
@@ -190,8 +189,7 @@ def leaky_repetition_experiment(g: Game, copies: int, model: LeakageModel,
     except BudgetExceededError:
         pass
     try:
-        classical, _ = classical_value(rg, pair_budget)
+        bound = leaky_value_upper_bound(rg, model.total_bits, pair_budget)
     except BudgetExceededError:
-        classical, _ = classical_value(g, pair_budget)
-    bound = min(Fraction(1), (1 << model.total_bits) * classical)
+        bound = leaky_value_upper_bound(g, model.total_bits, pair_budget)
     return LeakyRepetitionResult(bound, None, False)

@@ -160,6 +160,31 @@ def test_budget_exit_code():
     assert main(["--budget", "5", "value", CHSH_PATH]) == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("argv", [
+    ["--budget", "0", "value", CHSH_PATH],
+    ["--budget", "-1", "value", CHSH_PATH],
+    ["--budget", "0", "leaky-value", CHSH_PATH, "--bits-ab", "1"],
+    ["--budget", "0", "csp-val", LOWVAL_PATH, "--local-search"],
+    ["--budget", "-1", "gen", "--kind", "game"],
+    ["gen", "--kind", "csp", "--constraints", "0"],
+    ["gen", "--kind", "csp", "--constraints", "-3"],
+    ["gen", "--kind", "low-val-csp", "--constraints", "0"],
+])
+def test_counts_below_one_exit_invalid(argv, tmp_path, capsys):
+    # a budget of 0 once ran every solver at its default and one of -1
+    # refused every solve; 0 constraints once wrote 4 * vars of them
+    out = tmp_path / "x"
+    assert main(["--out", str(out), *argv]) == EXIT_INVALID
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_budget_of_one_is_a_budget():
+    # the smallest budget is honoured, not replaced by a default
+    assert main(["--budget", "1", "value", CHSH_PATH]) == EXIT_BUDGET
+    assert main(["--budget", "16", "value", CHSH_PATH]) == EXIT_OK
+
+
 def test_generator_cap_exit_code(tmp_path):
     assert main(["--out", str(tmp_path), "gen", "--kind", "low-val-csp",
                  "--target", "-1", "--attempts", "3"]) == EXIT_GENERATOR_CAP

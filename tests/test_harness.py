@@ -34,9 +34,9 @@ from leakygames.harness import (ChannelEvent, ExperimentRecord,
                                 estimate_acceptance, honest_csp_behaviors,
                                 instance_id, replay_verify, run_session,
                                 session_seed, silent_rule, splitmix64)
-from leakygames.leakage import (LeakyStrategy, leaky_strategy_value,
-                                leaky_value_exact, one_way_ab, one_way_ba,
-                                simultaneous)
+from leakygames.leakage import (LeakageKind, LeakyStrategy,
+                                leaky_strategy_value, leaky_value_exact,
+                                one_way_ab, one_way_ba, simultaneous)
 from leakygames.repetition import repeat_game, repeated_exact_value
 
 NO_LEAK = one_way_ab(0)
@@ -138,6 +138,81 @@ def test_replay_identifier_mismatch():
     other, _ = helpers.satisfiable_csp(random.Random(0))
     with pytest.raises(IdentifierMismatchError):
         replay_verify(t, other)
+
+
+def lowval_k2():
+    return load_instance((resources.files("leakygames") / "fixtures"
+                          / "lowval_k2.csp").read_text())
+
+
+def test_replay_refuses_transcripts_no_session_produces():
+    # a negative answer or position would index from the end of the
+    # target's tables, and a question or position past its sizes past them;
+    # such a transcript is refused as invalid input, like one of another
+    # target, instead of being judged
+    g, c = chsh(), lowval_k2()
+    game = run_session(g, best_chsh_behaviors(), NO_LEAK, seed=1)
+    session = run_session(c, behaviors_from_cheat_profile(
+        c, optimal_cheat(c, 1)[1]), one_way_ab(1), seed=1)
+    scope = c.constraints[session.question_first].scope
+    other = next(v for v in range(c.num_vars) if v not in scope)
+    cases = [(g, {"answer_second": -1}), (g, {"question_first": 2}),
+             (g, {"answer_first": True}), (c, {"position": -1}),
+             (c, {"position": 5}), (c, {"question_second": other}),
+             (c, {"answer_first": session.answer_first[:1]})]
+    assert issubclass(MalformedBehaviorError, InvalidInputError)
+    for target, change in cases:
+        with pytest.raises(MalformedBehaviorError):
+            replay_verify(dataclasses.replace(
+                game if target is g else session, **change), target)
+    assert replay_verify(game, g) and replay_verify(session, c)
+
+
+def recording_behaviors(log, leaks=("1", "0")):
+    """A prover pair that logs every rule call as (prover, rule, question,
+    heard bits), leaks ``leaks`` and answers 0."""
+    def behavior(role, payload):
+        def leak(q):
+            log.append((role, "leak", q, None))
+            return payload
+
+        def answer(q, heard):
+            log.append((role, "answer", q, heard))
+            return 0
+        return ProverBehavior(answer, leak, role)
+    return behavior("first", leaks[0]), behavior("second", leaks[1])
+
+
+@pytest.mark.parametrize("model, leaks, heard", [
+    (one_way_ab(1), ("1", "0"), {"first": "", "second": "1"}),
+    (one_way_ba(1), ("1", "0"), {"first": "0", "second": ""}),
+    (simultaneous(1, 1), ("1", "0"), {"first": "0", "second": "1"}),
+    # an overflowed send reaches its receiver as ""
+    (one_way_ab(1), ("11", "0"), {"first": "", "second": ""}),
+    (simultaneous(1, 1), ("1", "00"), {"first": "", "second": "1"}),
+])
+def test_message_schedule(model, leaks, heard):
+    # each prover the model lets speak sends from its own question, ab
+    # before ba; a silent prover's leak rule is never called; then each
+    # answers the other's delivered payload only
+    speakers = {"first": model.kind is not LeakageKind.ONE_WAY_BA,
+                "second": model.kind is not LeakageKind.ONE_WAY_AB}
+    for seed in range(8):
+        log = []
+        t = run_session(chsh(), recording_behaviors(log, leaks), model, seed)
+        questions = {"first": t.question_first,
+                     "second": t.question_second}
+        calls = {(role, rule): (q, bits) for role, rule, q, bits in log}
+        assert len(calls) == len(log)  # each rule is called at most once
+        for role, q in questions.items():
+            assert ((role, "leak") in calls) == speakers[role]
+            if speakers[role]:
+                assert calls[role, "leak"] == (q, None)
+            assert calls[role, "answer"] == (q, heard[role])
+        sent = [e.direction for e in t.leaks + t.rejected]
+        assert sent == sorted(sent)  # ab before ba
+        assert sent == [d for d, role in (("ab", "first"), ("ba", "second"))
+                        if speakers[role]]
 
 
 def test_leaky_session_matches_strategy_value_per_cell():
@@ -479,8 +554,7 @@ def pinned_targets():
     its leak-1 cheat, each with the behaviors the estimator runs."""
     square = repeat_game(chsh(), 2)
     g = helpers.random_game_exact(random.Random(3), 5, 5, 3, 3)
-    c = load_instance((resources.files("leakygames") / "fixtures"
-                       / "lowval_k2.csp").read_text())
+    c = lowval_k2()
     model = one_way_ab(1)
     return {"chsh": (chsh(), best_chsh_behaviors(), NO_LEAK),
             "chsh2": (square, behaviors_from_strategy_pair(
@@ -541,6 +615,27 @@ def test_estimator_matches_sessions_exactly():
                     seed=session_seed(13, i)).verdict
         for i in range(500))
     assert record.accepted == accepted
+
+
+def test_scalar_estimator_plays_each_session(monkeypatch):
+    # fast=False is the reference: each session is a run_session, and no
+    # verdict table is built first, so cells are played once per session
+    played = []
+    original = harness._play_game
+
+    def play(*args):
+        played.append(args[3:])
+        return original(*args)
+    monkeypatch.setattr(harness, "_play_game", play)
+    behaviors = best_chsh_behaviors()
+    record = estimate_acceptance(chsh(), behaviors, NO_LEAK, 50, 13,
+                                 fast=False)
+    sessions = [run_session(chsh(), behaviors, NO_LEAK, session_seed(13, i))
+                for i in range(50)]
+    assert played[:50] == [(t.question_first, t.question_second)
+                           for t in sessions]
+    assert len(played) == 100
+    assert record.accepted == sum(t.verdict for t in sessions)
 
 
 def test_estimator_certain_acceptance_has_zero_width():
