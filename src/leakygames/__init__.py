@@ -18,8 +18,7 @@ from .leakage import (LeakageKind, LeakageModel, LeakyStrategy,
                       guess_and_abort_value, leaky_strategy_value,
                       leaky_value_exact, leaky_value_upper_bound, one_way_ab,
                       one_way_ba, simultaneous)
-from .repetition import (RepeatedGame, RepetitionBoundParams,
-                         leaky_repetition_experiment, repeat_game,
-                         repeated_exact_value, repetition_bound)
+from .repetition import (RepeatedGame, leaky_repetition_experiment,
+                         repeat_game, repeated_exact_value)
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ import csv as csv_mod
 import functools
 import io
 import json
+import math
 import random
 import sys
 from dataclasses import asdict, dataclass
@@ -27,7 +28,7 @@ from pathlib import Path
 from . import csp as csp_mod
 from . import games, harness, leakage, repetition
 from .errors import (BudgetExceededError, GeneratorCapError,
-                     InvalidInputError)
+                     InvalidInputError, check_budget)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -68,16 +69,23 @@ def compute_params(leak_bits: int, answer_bits: int, epsilon: float,
                    k_multiplier: int, c_exp: float = 1.0,
                    c_rate: float = 1.0 / 16.0,
                    question_bits: int | None = None) -> ParamReport:
-    """Pure function of its inputs; see ParamReport."""
+    """Pure function of its inputs, each checked here; see ParamReport.
+    Theory leaves the decay curve's exponent constants open: the defaults
+    (1, 1/16) make it illustrative, not a claim about any concrete game."""
     if not 0 < epsilon <= 0.5:
         raise InvalidInputError("epsilon must be in (0, 1/2]")
     if leak_bits < 0 or k_multiplier < 1 or answer_bits < 0:
         raise InvalidInputError("leak_bits, answer_bits >= 0 and k >= 1")
+    if question_bits is not None and question_bits < 0:
+        raise InvalidInputError(
+            f"question_bits must be >= 0, got {question_bits}")
+    if not (0 < c_exp < math.inf and 0 < c_rate < math.inf):
+        raise InvalidInputError(
+            "exponent constants must be positive and finite")
     reps = k_multiplier * max(leak_bits, 1)
-    params = repetition.RepetitionBoundParams(
-        epsilon=epsilon, s=2 * answer_bits + 1, c_exp=c_exp, c_rate=c_rate)
     try:
-        pre = (2.0 ** leak_bits) * repetition.repetition_bound(params, reps)
+        pre = (2.0 ** leak_bits) * (1.0 - epsilon ** c_exp) ** (
+            c_rate * reps / (2 * answer_bits + 1))
     except OverflowError:  # 2^leak_bits or the decay exponent
         raise InvalidInputError(
             f"soundness claim at {leak_bits} leak bits and {reps} "
@@ -337,8 +345,14 @@ def cmd_params(args) -> dict:
 def cmd_gen(args) -> None:
     """Write a fixture file to --out, or its text to stdout; no row."""
     rng = random.Random(args.seed)
+    cap = args.budget or repetition.DEFAULT_TABLE_CELLS
     if args.kind == "game":
         x, y, a, b = args.sizes
+        if min(args.sizes) < 1:  # two negative sizes multiply to a count
+            raise InvalidInputError(f"sizes must be >= 1: {x} {y} {a} {b}")
+        check_budget(cap, "predicate table",
+                     lambda: sum(map(math.log2, args.sizes)),
+                     lambda: x * y * a * b)
         weights = [rng.randrange(1, 4) for _ in range(x * y)]
         bits = [rng.randrange(2) for _ in range(x * y * a * b)]
         g = games.make_game(f"random-{args.seed}", x, y, a, b, weights,
@@ -348,8 +362,12 @@ def cmd_gen(args) -> None:
         name = f"random-{args.seed}.game"
     elif args.kind == "csp":
         tuples = csp_mod.tuple_count(args.vars, args.alphabet, args.arity)
+        m = args.constraints or 4 * args.vars
+        check_budget(cap, "constraint scopes",
+                     lambda: math.log2(m) + math.log2(args.arity),
+                     lambda: m * args.arity)
         cons = []
-        for _ in range(args.constraints or 4 * args.vars):
+        for _ in range(m):
             scope = tuple(rng.randrange(args.vars) for _ in range(args.arity))
             allowed = [games._index_to_tuple(i, args.alphabet, args.arity)
                        for i in rng.sample(range(tuples), min(2, tuples))]
@@ -458,8 +476,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag in ("budget", "constraints"):  # counts, when given
-            value = getattr(args, flag, None)
+        for flag in ("budget", "constraints", "restarts", "attempts"):
+            value = getattr(args, flag, None)  # counts, when given
             if value is not None and value < 1:
                 raise InvalidInputError(f"--{flag} must be >= 1, got {value}")
         row = args.func(args)

@@ -233,10 +233,12 @@ def csp_value_local_search(c: CspInstance, seed: int, restarts: int = 10
     a full sweep makes no improvement.  Returns the best assignment found;
     its value is always a valid lower bound.
     """
+    if restarts < 1:
+        raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
     rng = random.Random(seed)
     agree, _ = _agreement(c)
     best_sat, best = -1, ()
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         current = np.array([rng.randrange(c.alphabet_size)
                             for _ in range(c.num_vars)])
         improved = True

@@ -352,6 +352,11 @@ def _game_support(g) -> tuple[tuple, tuple, int]:
     kept like the instance id, for targets instance_id accepted.  Sessions
     draw the total's residues from 64-bit words, so a total of 2^64 or more
     is refused."""
+    try:  # every session and replay reads it: once kept, build no closure
+        return g.__dict__["_support"]
+    except KeyError:
+        pass
+
     def build():
         weights, total = g.int_weights()
         if total >= 1 << 64:
@@ -445,6 +450,10 @@ def replay_verify(t: Transcript, target) -> bool:
     else:
         _check_answer(x, target.x_size, "first question")
         _check_answer(y, target.y_size, "second question")
+        cells = _game_support(target)[0]  # sorted: (x, y) is the last <= it
+        if cells[bisect_right(cells, (x, y)) - 1] != (x, y):
+            raise MalformedBehaviorError(f"question pair ({x}, {y}) has "
+                                         f"zero weight")
     return t.verdict == _accepts(target, x, y, pos, t.answer_first,
                                  t.answer_second, t.overflow)
 

@@ -1,4 +1,4 @@
-"""Parallel repetition: implicit product games and repetition bounds.
+"""Parallel repetition: implicit product games and their leaky values.
 
 A repeated game plays N independent copies at once and wins only when all
 coordinates win.  The product is represented implicitly through mixed-radix
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -53,19 +54,20 @@ class RepeatedGame:
     def name(self) -> str:
         return f"{self.base.name}^{self.copies}"
 
-    @property
+    # built on first read, kept out of eq, hash and repr; guards read floats
+    @cached_property
     def x_size(self) -> int:
         return self.base.x_size ** self.copies
 
-    @property
+    @cached_property
     def y_size(self) -> int:
         return self.base.y_size ** self.copies
 
-    @property
+    @cached_property
     def a_size(self) -> int:
         return self.base.a_size ** self.copies
 
-    @property
+    @cached_property
     def b_size(self) -> int:
         return self.base.b_size ** self.copies
 
@@ -125,40 +127,6 @@ def repeated_exact_value(rg: RepeatedGame,
                          ) -> tuple[Fraction, StrategyPair]:
     """Exact classical value of the N-fold product."""
     return classical_value(rg, budget)
-
-
-@dataclass(frozen=True)
-class RepetitionBoundParams:
-    """Inputs to the heuristic repetition decay curve.
-
-    ``epsilon`` is one minus the base value, ``s`` is log2 of the answer
-    pair count plus one.  The exponent constants are unspecified by theory;
-    the defaults (1, 1/16) make the curve illustrative only, never an
-    assertion about a concrete game.
-    """
-
-    epsilon: float
-    s: float
-    c_exp: float = 1.0
-    c_rate: float = 1.0 / 16.0
-
-    def __post_init__(self):
-        if not 0 < self.epsilon <= 0.5:
-            raise InvalidInputError("epsilon must be in (0, 1/2]")
-        if self.s < 1:
-            raise InvalidInputError("s must be >= 1")
-        if not (0 < self.c_exp < math.inf and 0 < self.c_rate < math.inf):
-            raise InvalidInputError(
-                "exponent constants must be positive and finite")
-
-
-def repetition_bound(p: RepetitionBoundParams, n: int) -> float:
-    """(1 - epsilon^c_exp) ** (c_rate * n / s); 1.0 at n = 0."""
-    if n < 0:
-        raise InvalidInputError("n must be non-negative")
-    if n == 0:
-        return 1.0
-    return (1.0 - p.epsilon ** p.c_exp) ** (p.c_rate * n / p.s)
 
 
 @dataclass(frozen=True)

@@ -336,7 +336,7 @@ def naive_local_search(c, seed: int, restarts: int = 10):
     ``satisfied_count``: the same random draws, sweeps and tie rules."""
     rng = random.Random(seed)
     best_sat, best = -1, ()
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         current = [rng.randrange(c.alphabet_size) for _ in range(c.num_vars)]
         improved = True
         while improved:

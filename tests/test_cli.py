@@ -169,13 +169,21 @@ def test_budget_exit_code():
     ["gen", "--kind", "csp", "--constraints", "0"],
     ["gen", "--kind", "csp", "--constraints", "-3"],
     ["gen", "--kind", "low-val-csp", "--constraints", "0"],
+    ["csp-val", LOWVAL_PATH, "--local-search", "--restarts", "-5"],
+    ["csp-val", LOWVAL_PATH, "--local-search", "--restarts", "0"],
+    ["gen", "--kind", "low-val-csp", "--attempts", "0"],
+    ["params", "--leak-bits", "1", "--answer-bits", "1", "--epsilon", "0.1",
+     "-k", "2", "--question-bits", "-3"],
 ])
 def test_counts_below_one_exit_invalid(argv, tmp_path, capsys):
     # a budget of 0 once ran every solver at its default and one of -1
-    # refused every solve; 0 constraints once wrote 4 * vars of them
+    # refused every solve; 0 constraints once wrote 4 * vars of them;
+    # -5 restarts once ran one, 0 attempts exhausted the generator cap and
+    # -3 question bits printed -6 repeated ones
     out = tmp_path / "x"
     assert main(["--out", str(out), *argv]) == EXIT_INVALID
-    assert "must be >= 1" in capsys.readouterr().err
+    floor = 0 if "--question-bits" in argv else 1
+    assert f"must be >= {floor}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -237,6 +245,31 @@ def test_gen_csp_lists_no_tuple_space(capsys):
 @pytest.mark.parametrize("kind", ["csp", "low-val-csp"])
 def test_gen_csp_bad_sizes_exit_invalid(kind, sizes):
     assert main(["gen", "--kind", kind, *sizes]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "game", "--sizes", "1000", "1000", "100", "100"],
+    ["gen", "--kind", "csp", "--vars", "3", "--constraints", "1000000000"],
+    ["--budget", "15", "gen", "--kind", "game"],
+])
+def test_gen_refuses_outputs_past_the_cell_cap(argv, tmp_path, capsys):
+    # 10^10 predicate cells and 2 * 10^9 scope entries are refused before
+    # any is drawn; --budget moves the cap, here below the 16 cells of a
+    # 2x2x2x2 game
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    assert main(["--out", str(out), *argv]) == EXIT_BUDGET
+    assert time.perf_counter() - start < 2
+    assert "budget is" in capsys.readouterr().err and not out.exists()
+    assert main(["--budget", "16", "gen", "--kind", "game"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("sizes", [["0", "2", "2", "2"],
+                                   ["-100000", "-100000", "0", "2"]])
+def test_gen_game_bad_sizes_exit_invalid(sizes, capsys):
+    # two negative sizes once drew 10^10 question weights
+    assert main(["gen", "--kind", "game", "--sizes", *sizes]) == EXIT_INVALID
+    assert "sizes must be >= 1: " in capsys.readouterr().err
 
 
 def test_gen_low_val_csp(tmp_path):
@@ -387,6 +420,11 @@ def test_params_zero_leakage_is_plain_bound():
     assert report.pre_clamp == pytest.approx(
         (1 - 0.25) ** ((1 / 16) * 10 / 5))
     assert report.soundness_claim == report.pre_clamp  # 2^0 factor
+    # the plug-in point: (1 - 1/4) ** (1 * 3 / 3), falling with every k
+    curve = [compute_params(0, 1, 0.25, k, c_rate=1.0).pre_clamp
+             for k in range(1, 11)]
+    assert curve[2] == 0.75
+    assert all(x > y for x, y in zip(curve, curve[1:]))
 
 
 def test_params_vacuous_flag():
@@ -419,6 +457,8 @@ def test_params_doubling_k_squares_the_decay(leak, answer, eps, k):
 
 
 def test_params_validation():
+    with pytest.raises(InvalidInputError, match="epsilon"):
+        compute_params(1, 2, 0.0, 3)
     with pytest.raises(InvalidInputError):
         compute_params(1, 2, 0.75, 3)
     with pytest.raises(InvalidInputError):

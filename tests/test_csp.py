@@ -393,6 +393,14 @@ def test_single_constraint_local_search():
     assert csp_value_local_search(c, seed=1)[0] == 1
 
 
+@pytest.mark.parametrize("restarts", [0, -5])
+def test_local_search_refuses_restarts_below_one(restarts):
+    # once clamped to one restart
+    c = CspInstance(2, 2, 2, (make_constraint((0, 1), NE),))
+    with pytest.raises(InvalidInputError, match="restarts must be >= 1"):
+        csp_value_local_search(c, seed=1, restarts=restarts)
+
+
 # -- generator ---------------------------------------------------------------
 
 

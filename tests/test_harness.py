@@ -148,24 +148,35 @@ def lowval_k2():
 def test_replay_refuses_transcripts_no_session_produces():
     # a negative answer or position would index from the end of the
     # target's tables, and a question or position past its sizes past them;
-    # such a transcript is refused as invalid input, like one of another
-    # target, instead of being judged
+    # no session samples a zero-weight question pair, where the predicate
+    # is kept but never counts; such a transcript is refused as invalid
+    # input, like one of another target, instead of being judged
     g, c = chsh(), lowval_k2()
+    z = make_game("z", 2, 2, 2, 2, [1, 0, 1, 1], lambda x, y, a, b:
+                  (a ^ b) == (x & y))
     game = run_session(g, best_chsh_behaviors(), NO_LEAK, seed=1)
     session = run_session(c, behaviors_from_cheat_profile(
         c, optimal_cheat(c, 1)[1]), one_way_ab(1), seed=1)
     scope = c.constraints[session.question_first].scope
     other = next(v for v in range(c.num_vars) if v not in scope)
-    cases = [(g, {"answer_second": -1}), (g, {"question_first": 2}),
-             (g, {"answer_first": True}), (c, {"position": -1}),
-             (c, {"position": 5}), (c, {"question_second": other}),
-             (c, {"answer_first": session.answer_first[:1]})]
+    zero_weight = dataclasses.replace(
+        run_session(z, best_chsh_behaviors(), NO_LEAK, seed=1),
+        question_first=0, question_second=1, answer_first=0,
+        answer_second=0, verdict=True)
+    cases = [(g, game, {"answer_second": -1}),
+             (g, game, {"question_first": 2}),
+             (g, game, {"answer_first": True}), (c, session, {"position": -1}),
+             (c, session, {"position": 5}),
+             (c, session, {"question_second": other}),
+             (c, session, {"answer_first": session.answer_first[:1]}),
+             (z, zero_weight, {})]
     assert issubclass(MalformedBehaviorError, InvalidInputError)
-    for target, change in cases:
+    for target, transcript, change in cases:
         with pytest.raises(MalformedBehaviorError):
-            replay_verify(dataclasses.replace(
-                game if target is g else session, **change), target)
+            replay_verify(dataclasses.replace(transcript, **change), target)
     assert replay_verify(game, g) and replay_verify(session, c)
+    assert replay_verify(dataclasses.replace(zero_weight, question_second=0),
+                         z)
 
 
 def recording_behaviors(log, leaks=("1", "0")):

@@ -1,4 +1,4 @@
-"""Implicit product games, repetition values, and the decay-curve calculator."""
+"""Implicit product games, repetition values and leaky repetition."""
 
 from __future__ import annotations
 
@@ -10,14 +10,13 @@ import pytest
 import helpers
 import oracles
 from leakygames import games, repetition
-from leakygames.errors import BudgetExceededError, InvalidInputError
+from leakygames.errors import BudgetExceededError
 from leakygames.games import (StrategyPair, chsh, classical_value, make_game,
                               strategy_value)
 from leakygames.harness import behaviors_from_strategy_pair, run_session
 from leakygames.leakage import one_way_ab
-from leakygames.repetition import (RepetitionBoundParams,
-                                   leaky_repetition_experiment, repeat_game,
-                                   repeated_exact_value, repetition_bound)
+from leakygames.repetition import (leaky_repetition_experiment, repeat_game,
+                                   repeated_exact_value)
 
 ONES = make_game("ones", 2, 2, 2, 2, [1, 1, 1, 1], lambda *_: True)
 ZEROS = make_game("zeros", 2, 2, 2, 2, [1, 1, 1, 1], lambda *_: False)
@@ -117,21 +116,16 @@ def test_size_guards_build_no_sizes(monkeypatch):
     assert not result.exact and result.value == 1
 
 
-def test_bound_params_validation():
-    with pytest.raises(InvalidInputError):
-        RepetitionBoundParams(epsilon=0.0, s=3)
-    with pytest.raises(InvalidInputError):
-        RepetitionBoundParams(epsilon=0.7, s=3)
-    with pytest.raises(InvalidInputError):
-        RepetitionBoundParams(epsilon=0.1, s=0.5)
-
-
-def test_bound_curve_plug_in():
-    p = RepetitionBoundParams(epsilon=0.25, s=3, c_exp=1.0, c_rate=1.0)
-    assert repetition_bound(p, 3) == pytest.approx(0.75, abs=1e-12)
-    assert repetition_bound(p, 0) == 1.0
-    values = [repetition_bound(p, n) for n in range(1, 11)]
-    assert all(x > y for x, y in zip(values, values[1:]))
+def test_repeated_sizes_kept():
+    # each size is built on its first read only, and kept out of eq, hash
+    # and repr
+    rg, twin = repeat_game(chsh(), 3), repeat_game(chsh(), 3)
+    sizes = (rg.x_size, rg.y_size, rg.a_size, rg.b_size)
+    assert sizes == (8, 8, 8, 8)
+    assert [vars(rg)[n] for n in ("x_size", "y_size", "a_size", "b_size")
+            ] == list(sizes)
+    assert (rg == twin and hash(rg) == hash(twin)
+            and repr(rg) == repr(twin))
 
 
 def test_leaky_repetition_exact_chsh():
