@@ -243,6 +243,12 @@ def cmd_repeat(args) -> dict:
 def cmd_csp_val(args) -> dict:
     c = _load_csp(args.csp)
     if args.local_search:
+        # every restart sweeps every variable at least once; one step's
+        # arrays are bounded by the instance already loaded
+        check_budget(args.budget or repetition.DEFAULT_TABLE_CELLS,
+                     "local search",
+                     lambda: math.log2(args.restarts) + math.log2(c.num_vars),
+                     lambda: args.restarts * c.num_vars)
         value, witness = csp_mod.csp_value_local_search(
             c, args.seed, args.restarts)
         method = "local-search"

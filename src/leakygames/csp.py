@@ -21,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (RUN_FALLBACK, BudgetExceededError, FormatError,
-                     GeneratorCapError, InvalidInputError, check_budget)
+                     GeneratorCapError, InvalidInputError, check_budget,
+                     check_range)
 from .games import Game, _content_lines, _index_to_tuple, kept, make_game
 
 DEFAULT_ASSIGNMENT_BUDGET = 10**7
@@ -400,8 +401,7 @@ class CheatProfile:
         for a in dict.fromkeys(map(tuple, self.assignments)):
             if len(a) != c.num_vars:
                 raise InvalidInputError("assignment length != num_vars")
-            if any(v < 0 or v >= c.alphabet_size for v in a):
-                raise InvalidInputError("assignment value out of range")
+            check_range(a, c.alphabet_size, "assignment value")
 
 
 def best_response(c: CspInstance, profile: CheatProfile

@@ -8,6 +8,7 @@ distinction matters to a caller.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 
 class InvalidInputError(ValueError):
@@ -70,6 +71,13 @@ def check_budget(budget: int, what: str, log2_count, count,
     required = count()
     if required > budget:
         raise BudgetExceededError(required, budget, what, fallback=fallback)
+
+
+def check_range(values, size: int, what: str) -> None:
+    """Raise InvalidInputError unless every value is an integer in
+    0..size-1."""
+    if any(not isinstance(v, Integral) or not 0 <= v < size for v in values):
+        raise InvalidInputError(f"{what} out of range")
 
 
 class GeneratorCapError(RuntimeError):

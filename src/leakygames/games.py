@@ -17,7 +17,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import (RUN_FALLBACK, FormatError, InvalidInputError,
-                     check_budget)
+                     check_budget, check_range)
 
 # Default cap on (alice strategies) x (bob strategies) for exact solves.
 DEFAULT_PAIR_BUDGET = 10**8
@@ -132,22 +132,28 @@ class StrategyPair:
     def check_shapes(self, g) -> None:
         if len(self.alice) != g.x_size or len(self.bob) != g.y_size:
             raise InvalidInputError("strategy tables do not match game shape")
-        if any(a < 0 or a >= g.a_size for a in self.alice):
-            raise InvalidInputError("alice answer out of range")
-        if any(b < 0 or b >= g.b_size for b in self.bob):
-            raise InvalidInputError("bob answer out of range")
+        check_range(self.alice, g.a_size, "alice answer")
+        check_range(self.bob, g.b_size, "bob answer")
+
+
+def _accepted(g, answers: Callable[[int, int], tuple[int, int] | None]
+              ) -> Fraction:
+    """Weight of the question pairs (x, y) where ``answers(x, y)``, an
+    answer pair or None for an abort, wins; read cell by cell through
+    ``weight`` and ``wins``, zero weights skipped."""
+    total = Fraction(0)
+    for x in range(g.x_size):
+        for y in range(g.y_size):
+            if ((ab := answers(x, y)) is not None
+                    and (w := g.weight(x, y)) and g.wins(x, y, *ab)):
+                total += w
+    return total
 
 
 def strategy_value(g, s: StrategyPair) -> Fraction:
     """Exact acceptance probability of a deterministic strategy pair."""
     s.check_shapes(g)
-    total = Fraction(0)
-    for x in range(g.x_size):
-        for y in range(g.y_size):
-            w = g.weight(x, y)
-            if w and g.wins(x, y, s.alice[x], s.bob[y]):
-                total += w
-    return total
+    return _accepted(g, lambda x, y: (s.alice[x], s.bob[y]))
 
 
 def merged_prover_value(g) -> Fraction:

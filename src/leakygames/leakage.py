@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidInputError, check_budget
-from .games import (DEFAULT_PAIR_BUDGET, best_tables,
+from .errors import InvalidInputError, check_budget, check_range
+from .games import (DEFAULT_PAIR_BUDGET, _accepted, best_tables,
                     best_values_per_x_subset, best_values_per_y_subset,
                     classical_value, gain_tensor)
 
@@ -95,40 +95,25 @@ class LeakyStrategy:
     def check_shapes(self, g, m: LeakageModel) -> None:
         if len(self.alice_msg) != g.x_size or len(self.bob_msg) != g.y_size:
             raise InvalidInputError("message tables do not match game shape")
-        if any(v < 0 or v >= m.msgs_ab for v in self.alice_msg):
-            raise InvalidInputError("alice message out of range")
-        if any(v < 0 or v >= m.msgs_ba for v in self.bob_msg):
-            raise InvalidInputError("bob message out of range")
-        if m.kind is LeakageKind.ONE_WAY_AB and any(self.bob_msg):
-            raise InvalidInputError("one-way-ab forces bob_msg constant 0")
-        if m.kind is LeakageKind.ONE_WAY_BA and any(self.alice_msg):
-            raise InvalidInputError("one-way-ba forces alice_msg constant 0")
+        check_range(self.alice_msg, m.msgs_ab, "alice message")
+        check_range(self.bob_msg, m.msgs_ba, "bob message")
         if (len(self.alice_ans) != g.x_size
                 or any(len(row) != m.msgs_ba for row in self.alice_ans)):
             raise InvalidInputError("alice answer table shape mismatch")
         if (len(self.bob_ans) != g.y_size
                 or any(len(row) != m.msgs_ab for row in self.bob_ans)):
             raise InvalidInputError("bob answer table shape mismatch")
-        if any(a < 0 or a >= g.a_size for row in self.alice_ans for a in row):
-            raise InvalidInputError("alice answer out of range")
-        if any(b < 0 or b >= g.b_size for row in self.bob_ans for b in row):
-            raise InvalidInputError("bob answer out of range")
+        check_range((a for row in self.alice_ans for a in row), g.a_size,
+                    "alice answer")
+        check_range((b for row in self.bob_ans for b in row), g.b_size,
+                    "bob answer")
 
 
 def leaky_strategy_value(g, m: LeakageModel, s: LeakyStrategy) -> Fraction:
     """Exact acceptance probability of one leaky strategy."""
     s.check_shapes(g, m)
-    total = Fraction(0)
-    for x in range(g.x_size):
-        for y in range(g.y_size):
-            w = g.weight(x, y)
-            if not w:
-                continue
-            a = s.alice_ans[x][s.bob_msg[y]]
-            b = s.bob_ans[y][s.alice_msg[x]]
-            if g.wins(x, y, a, b):
-                total += w
-    return total
+    return _accepted(g, lambda x, y: (s.alice_ans[x][s.bob_msg[y]],
+                                      s.bob_ans[y][s.alice_msg[x]]))
 
 
 def _best_partition(value: list[int], k: int) -> int:
@@ -314,24 +299,14 @@ def guess_and_abort_value(g, m: LeakageModel, s: LeakyStrategy) -> Fraction:
     2^-bits * leaky_strategy_value(g, m, s) exactly.
     """
     s.check_shapes(g, m)
-    m1, m2 = m.msgs_ab, m.msgs_ba
-    total = Fraction(0)
-    for guess_ab in range(m1):
-        for guess_ba in range(m2):
-            for x in range(g.x_size):
-                if s.alice_msg[x] != guess_ab:
-                    continue  # alice aborts on every y
-                for y in range(g.y_size):
-                    if s.bob_msg[y] != guess_ba:
-                        continue  # bob aborts
-                    w = g.weight(x, y)
-                    if not w:
-                        continue
-                    a = s.alice_ans[x][guess_ba]
-                    b = s.bob_ans[y][guess_ab]
-                    if g.wins(x, y, a, b):
-                        total += w
-    return total / (m1 * m2)
+
+    def answers(guess_ab, guess_ba):  # abort unless both messages match
+        return lambda x, y: (
+            None if s.alice_msg[x] != guess_ab or s.bob_msg[y] != guess_ba
+            else (s.alice_ans[x][guess_ba], s.bob_ans[y][guess_ab]))
+    total = sum(_accepted(g, answers(i, j)) for i in range(m.msgs_ab)
+                for j in range(m.msgs_ba))
+    return total / (m.msgs_ab * m.msgs_ba)
 
 
 def leaky_value_upper_bound(g, total_bits: int,

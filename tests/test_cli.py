@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -264,6 +265,43 @@ def test_gen_refuses_outputs_past_the_cell_cap(argv, tmp_path, capsys):
     assert main(["--budget", "16", "gen", "--kind", "game"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["csp-val", LOWVAL_PATH, "--local-search", "--restarts", "1000000000"],
+     EXIT_BUDGET),
+    (["csp-val", LOWVAL_PATH, "--local-search"], EXIT_OK),
+    (["--budget", "39", "csp-val", LOWVAL_PATH, "--local-search"],
+     EXIT_BUDGET),
+    (["--budget", "40", "csp-val", LOWVAL_PATH, "--local-search"], EXIT_OK),
+])
+def test_local_search_restarts_meet_the_cell_cap(argv, code, tmp_path):
+    # 10^9 restarts once climbed until killed; every restart sweeps the
+    # fixture's 4 variables, so the default 10 take at least 40 steps, and
+    # --budget moves the cap
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    assert main(["--out", str(out), *argv]) == code
+    assert time.perf_counter() - start < 2
+    assert out.exists() == (code == EXIT_OK)
+
+
+def test_local_search_cap_admits_generated_instances(tmp_path, monkeypatch):
+    # a gen --kind csp instance the exact solver refuses, naming local
+    # search as its fallback, passes the cap at the default restarts; a
+    # stub stands in for the climb, which takes seconds
+    assert main(["--out", str(tmp_path), "gen", "--kind", "csp",
+                 "--vars", "300"]) == EXIT_OK
+    path = str(tmp_path / "random-0.csp")
+    assert main(["--out", str(tmp_path / "x"), "csp-val", path]) \
+        == EXIT_BUDGET
+    calls = []
+    monkeypatch.setattr(cli.csp_mod, "csp_value_local_search",
+                        lambda c, seed, restarts: calls.append(restarts)
+                        or (Fraction(0), (0,) * c.num_vars))
+    assert main(["--out", str(tmp_path / "y"), "csp-val", path,
+                 "--local-search"]) == EXIT_OK
+    assert calls == [10]
+
+
 @pytest.mark.parametrize("sizes", [["0", "2", "2", "2"],
                                    ["-100000", "-100000", "0", "2"]])
 def test_gen_game_bad_sizes_exit_invalid(sizes, capsys):
@@ -404,7 +442,6 @@ def test_run_refuses_weight_totals_past_64_bits(tmp_path):
 
 
 def test_parse_fraction():
-    from fractions import Fraction
     assert parse_fraction("3/4") == Fraction(3, 4)
     assert parse_fraction("0.25") == Fraction(1, 4)
     with pytest.raises(InvalidInputError):

@@ -15,7 +15,8 @@ import pytest
 import helpers
 import oracles
 from leakygames import games, leakage
-from leakygames.csp import CspInstance, make_constraint, optimal_cheat
+from leakygames.csp import (CheatProfile, CspInstance, make_constraint,
+                            optimal_cheat)
 from leakygames.errors import BudgetExceededError, InvalidInputError
 from leakygames.games import (StrategyPair, chsh, classical_value, make_game,
                               merged_prover_value, strategy_value)
@@ -130,6 +131,17 @@ def test_guess_and_abort_identity_full_scan():
     for s in oracles.iter_leaky_strategies(g, model):
         transformed = guess_and_abort_value(g, model, s)
         assert transformed == leaky_strategy_value(g, model, s) / 2
+
+
+@pytest.mark.parametrize("model", [simultaneous(1, 1), one_way_ab(2)],
+                         ids=["simultaneous-1-1", "one-way-ab-2"])
+def test_guess_and_abort_identity_more_messages(model):
+    # 4 x 4 guess pairs with both parties aborting, and four messages one
+    # way; every CHSH strategy keeps exactly 2^-bits of its value
+    g = chsh()
+    for s in oracles.iter_leaky_strategies(g, model):
+        assert guess_and_abort_value(g, model, s) == \
+            leaky_strategy_value(g, model, s) / (1 << model.total_bits)
 
 
 def test_guess_and_abort_examples():
@@ -462,6 +474,71 @@ def test_chsh_squared_two_bits():
     assert value == 1 == merged_prover_value(rg)
     assert witness.alice_msg == (0, 1, 2, 3)
     assert leaky_strategy_value(rg, one_way_ab(2), witness) == 1
+
+
+def _leaky(alice_msg=(0, 0), bob_msg=(0, 0), alice_ans=((0,), (0,)),
+           bob_ans=((0, 0), (0, 0))):
+    """A CHSH strategy under one_way_ab(1), one table replaced."""
+    return LeakyStrategy(alice_msg, bob_msg, alice_ans, bob_ans)
+
+
+SHAPES_CSP = CspInstance(3, 2, 2, (make_constraint((0, 1), [(0, 1)]),))
+AB1, BA1 = one_way_ab(1), one_way_ba(1)
+REFUSALS = [  # (check, message)
+    (lambda: StrategyPair((0,), (0, 0)).check_shapes(chsh()),
+     "strategy tables do not match game shape"),
+    (lambda: StrategyPair((0, 0), (0, 0, 0)).check_shapes(chsh()),
+     "strategy tables do not match game shape"),
+    (lambda: StrategyPair((0, 2), (0, 0)).check_shapes(chsh()),
+     "alice answer out of range"),
+    (lambda: StrategyPair((0, 0), (-1, 0)).check_shapes(chsh()),
+     "bob answer out of range"),
+    (lambda: StrategyPair((0, 0), (1.0, 0)).check_shapes(chsh()),
+     "bob answer out of range"),
+    (lambda: _leaky(alice_msg=(0,)).check_shapes(chsh(), AB1),
+     "message tables do not match game shape"),
+    (lambda: _leaky(bob_msg=(0, 0, 0)).check_shapes(chsh(), AB1),
+     "message tables do not match game shape"),
+    (lambda: _leaky(alice_msg=(0, 2)).check_shapes(chsh(), AB1),
+     "alice message out of range"),
+    (lambda: _leaky(alice_msg=(-1, 0)).check_shapes(chsh(), AB1),
+     "alice message out of range"),
+    # the silent side has one message, so it can only send 0
+    (lambda: _leaky(bob_msg=(1, 0)).check_shapes(chsh(), AB1),
+     "bob message out of range"),
+    (lambda: _leaky(bob_msg=(0.5, 0)).check_shapes(chsh(), AB1),
+     "bob message out of range"),
+    (lambda: _leaky(alice_msg=(0, 1), alice_ans=((0, 0), (0, 0)),
+                    bob_ans=((0,), (0,))).check_shapes(chsh(), BA1),
+     "alice message out of range"),
+    (lambda: _leaky(alice_ans=((0,),)).check_shapes(chsh(), AB1),
+     "alice answer table shape mismatch"),
+    (lambda: _leaky(alice_ans=((0, 0), (0, 0))).check_shapes(chsh(), AB1),
+     "alice answer table shape mismatch"),
+    (lambda: _leaky(bob_ans=((0, 0),)).check_shapes(chsh(), AB1),
+     "bob answer table shape mismatch"),
+    (lambda: _leaky(bob_ans=((0,), (0,))).check_shapes(chsh(), AB1),
+     "bob answer table shape mismatch"),
+    (lambda: _leaky(alice_ans=((0,), (2,))).check_shapes(chsh(), AB1),
+     "alice answer out of range"),
+    (lambda: _leaky(bob_ans=((0, 0), (0, -1))).check_shapes(chsh(), AB1),
+     "bob answer out of range"),
+    (lambda: CheatProfile(((0, 1),)).check_shapes(SHAPES_CSP),
+     "assignment length != num_vars"),
+    (lambda: CheatProfile(((0, 1, 1), (0, 2, 1))).check_shapes(SHAPES_CSP),
+     "assignment value out of range"),
+    (lambda: CheatProfile(((0, -1, 1),)).check_shapes(SHAPES_CSP),
+     "assignment value out of range"),
+]
+
+
+@pytest.mark.parametrize("check, message", REFUSALS,
+                         ids=[f"{i}-{m.replace(' ', '-')}"
+                              for i, (_, m) in enumerate(REFUSALS)])
+def test_check_shapes_refusals(check, message):
+    with pytest.raises(InvalidInputError) as info:
+        check()
+    assert info.type is InvalidInputError and str(info.value) == message
 
 
 def test_strategy_shape_validation():
