@@ -8,6 +8,7 @@ index sets 0..size-1 throughout; semantic labels belong in file comments.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,8 +53,9 @@ class Game:
             raise InvalidInputError(
                 f"dist has {len(self.dist)} entries, expected "
                 f"{self.x_size * self.y_size}")
-        try:
-            weights, denom = _over_common_denominator(self.dist)
+        try:  # kept: int_weights reads them
+            weights, denom = kept(self, "_weights",
+                                  lambda: _over_common_denominator(self.dist))
         except (AttributeError, TypeError):  # no integer ratio
             raise InvalidInputError("question weights must be rationals"
                                     ) from None
@@ -89,13 +91,14 @@ class Game:
         The denominator equals the weight total, so value numerators from
         the solvers divide by it exactly.
         """
-        weights, denom = _over_common_denominator(self.dist)
+        weights, denom = self._weights
         return (np.array(weights, dtype=_int_dtype(denom)).reshape(
             self.x_size, self.y_size), denom)
 
     def win_rows(self) -> np.ndarray:
         """wins[x, y, a, b]: the acceptance predicate as a bool tensor."""
-        return np.array(self.pred, dtype=bool).reshape(
+        # the bits are checked to be 0 or 1; bytes convert them in one call
+        return np.frombuffer(bytearray(self.pred), dtype=bool).reshape(
             self.x_size, self.y_size, self.a_size, self.b_size)
 
     def float_sizes(self) -> tuple[float, float, float, float]:
@@ -136,16 +139,16 @@ class StrategyPair:
         check_range(self.bob, g.b_size, "bob answer")
 
 
-def _accepted(g, answers: Callable[[int, int], tuple[int, int] | None]
-              ) -> Fraction:
-    """Weight of the question pairs (x, y) where ``answers(x, y)``, an
-    answer pair or None for an abort, wins; read cell by cell through
-    ``weight`` and ``wins``, zero weights skipped."""
+def _accepted(g, answers: Callable[[int, int], tuple[int, int]], *,
+              xs: Sequence[int] | None = None,
+              ys: Sequence[int] | None = None) -> Fraction:
+    """Weight of the question pairs (x, y) in ``xs`` x ``ys`` (every
+    question by default) where the answer pair ``answers(x, y)`` wins; read
+    cell by cell through ``weight`` and ``wins``, zero weights skipped."""
     total = Fraction(0)
-    for x in range(g.x_size):
-        for y in range(g.y_size):
-            if ((ab := answers(x, y)) is not None
-                    and (w := g.weight(x, y)) and g.wins(x, y, *ab)):
+    for x in range(g.x_size) if xs is None else xs:
+        for y in range(g.y_size) if ys is None else ys:
+            if (w := g.weight(x, y)) and g.wins(x, y, *answers(x, y)):
                 total += w
     return total
 
@@ -232,54 +235,120 @@ def best_tables(c: np.ndarray) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return best
 
 
-def best_values_per_x_subset(c: np.ndarray) -> list[int]:
+@functools.lru_cache(maxsize=32)  # a few shapes recur; bounded for the rest
+def _x_segments(x_size: int, a_size: int, split: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, bounds, heads), read-only, for the x-subset fold's suffix
+    tables over the extended alphabet: ``order`` sorts them stably by the
+    mask of their answers below ``a_size``, mask q's segment of it is
+    ``bounds[q]:bounds[q + 1]``, and ``heads[q]`` is q's subset bits."""
+    places = np.arange(split, x_size)
+    digits = (np.arange((a_size + 1) ** (x_size - split))[:, None]
+              // (a_size + 1) ** (x_size - 1 - places) % (a_size + 1))
+    segs = (digits < a_size) @ (1 << (places - split))  # suffix subsets
+    order = np.argsort(segs, kind="stable")
+    bounds = np.searchsorted(segs[order], np.arange((1 << len(places)) + 1))
+    heads = np.arange(1 << len(places)) << split
+    for array in (order, bounds, heads):
+        array.setflags(write=False)
+    return order, bounds, heads
+
+
+def best_values_per_x_subset(c: np.ndarray
+                             ) -> tuple[list[int], Callable[[int], tuple]]:
     """The value of ``best_tables(c[xs])`` for every subset xs of the
-    questions x, by bitmask.
+    questions x, by bitmask, and ``read(mask)``, that subset's (alice, bob)
+    tables as ``best_tables(c[xs])`` gives them.
 
     One fold over an extended alphabet: answer A ("x is not in xs") gains
-    nothing, so a table's subset is the mask of its answers below A.
+    nothing, so a table's subset is the mask of its answers below A, and
+    on that mask the tables run in lex order of their digits there.
     Sorted by mask, each subset's suffix tables are a segment, and each
-    prefix raises every segment's subset to the segment's maximum.
+    prefix raises every segment's subset to the segment's maximum.  A read
+    rescores only the first prefix that strictly raised its subset.
     """
     x_size, a_size, y_size, b_size = c.shape
     ext = np.concatenate([c, np.zeros_like(c[:, :1])], axis=1)
     ext, split, suffix = _fold(ext, y_size * b_size)
-    places = np.arange(split, x_size)
-    digits = (np.arange(suffix.shape[2])[:, None]
-              // (a_size + 1) ** (x_size - 1 - places) % (a_size + 1))
-    segs = (digits < a_size) @ (1 << (places - split))  # suffix subsets
-    order = np.argsort(segs, kind="stable")
-    starts = np.searchsorted(segs[order], np.arange(1 << (x_size - split)))
-    heads = np.arange(len(starts)) << split
-    nums = np.zeros(1 << x_size, dtype=c.dtype)
-    for prefix in itertools.product(range(a_size + 1), repeat=split):
+    order, bounds, heads = _x_segments(x_size, a_size, split)
+    nums = np.full(1 << x_size, -1, dtype=c.dtype)  # any prefix raises it
+    first = (np.zeros(1 << x_size,
+                      np.min_scalar_type((a_size + 1) ** split - 1))
+             if split else None)  # each subset's first strictly raising prefix
+
+    def scored(prefix):
         scores = suffix + sum(ext[x, a] for x, a in enumerate(prefix))
-        totals = scores.max(axis=0).sum(axis=0)[order]
+        return scores, scores.max(axis=0).sum(axis=0)[order]
+
+    prefixes = itertools.product(range(a_size + 1), repeat=split)
+    for p, prefix in enumerate(prefixes):
+        scores, totals = scored(prefix)
         subsets = heads | sum(1 << x for x, a in enumerate(prefix)
                               if a < a_size)
-        nums[subsets] = np.maximum(nums[subsets],
-                                   np.maximum.reduceat(totals, starts))
-    return nums.tolist()
+        best = np.maximum.reduceat(totals, bounds[:-1])
+        if split:
+            first[subsets[best > nums[subsets]]] = p
+        nums[subsets] = np.maximum(nums[subsets], best)
+
+    last = None if split else (scores, totals)  # the fold's one prefix
+
+    def read(mask):
+        prefix = _index_to_tuple(int(first[mask]) if split else 0,
+                                 a_size + 1, split)
+        scores, totals = scored(prefix) if split else last
+        lo, hi = bounds[mask >> split], bounds[(mask >> split) + 1]
+        i = int(order[lo + totals[lo:hi].argmax()])
+        digits = prefix + _index_to_tuple(i, a_size + 1, x_size - split)
+        return (tuple(a for a in digits if a < a_size),
+                tuple(scores[:, :, i].argmax(axis=0).tolist()))
+
+    return nums.tolist(), read
 
 
-def best_values_per_y_subset(c: np.ndarray, width: int) -> list[int]:
+def best_values_per_y_subset(c: np.ndarray, width: int
+                             ) -> tuple[list[int], Callable[[int], tuple]]:
     """The value of ``best_tables(c)`` counting only the questions y in a
     subset of the groups of ``width`` consecutive y, for every subset by
-    bitmask.  Each table's subset totals are built from its group totals by
-    doubling, within the fold's cells.
+    bitmask, and ``read(mask)``, that subset's first maximizing alice table
+    and bob's smallest best response on its y.  Each table's subset totals
+    are built from its group totals by doubling, within the fold's cells;
+    a read rescores only the first prefix that strictly raised its subset.
     """
-    _, a_size, y_size, b_size = c.shape
+    x_size, a_size, y_size, b_size = c.shape
     groups = y_size // width
     c, split, suffix = _fold(c, max(y_size * b_size, 1 << groups))
     totals = np.zeros((1 << groups, suffix.shape[2]), dtype=c.dtype)
-    nums = np.zeros(1 << groups, dtype=c.dtype)
-    for prefix in itertools.product(range(a_size), repeat=split):
+    nums = np.full(1 << groups, -1, dtype=c.dtype)  # any prefix raises it
+    first = (np.zeros(1 << groups, np.min_scalar_type(a_size ** split - 1))
+             if split else None)  # each subset's first strictly raising prefix
+
+    def scored(prefix):  # fills totals
         scores = suffix + sum(c[x, a] for x, a in enumerate(prefix))
         per_group = scores.max(axis=0).reshape(groups, width, -1).sum(axis=1)
         for j in range(groups):
             np.add(totals[:1 << j], per_group[j], out=totals[1 << j:2 << j])
-        nums = np.maximum(nums, totals.max(axis=1))
-    return nums.tolist()
+        return scores
+
+    for p, prefix in enumerate(itertools.product(range(a_size),
+                                                 repeat=split)):
+        scores = scored(prefix)
+        best = totals.max(axis=1)
+        if split:
+            first[best > nums] = p
+        nums = np.maximum(nums, best)
+
+    last = None if split else scores  # the fold's one prefix
+
+    def read(mask):
+        prefix = _index_to_tuple(int(first[mask]) if split else 0,
+                                 a_size, split)
+        scores = scored(prefix) if split else last  # a rescore refills totals
+        i = int(totals[mask].argmax())
+        ys = [y for y in range(y_size) if mask >> (y // width) & 1]
+        return (prefix + _index_to_tuple(i, a_size, x_size - split),
+                tuple(scores[:, ys, i].argmax(axis=0).tolist()))
+
+    return nums.tolist(), read
 
 
 def classical_value(g, budget: int = DEFAULT_PAIR_BUDGET

@@ -14,6 +14,7 @@ deterministic point and shared randomness is a convex mixture.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,9 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError, check_budget, check_range
-from .games import (DEFAULT_PAIR_BUDGET, _accepted, best_tables,
-                    best_values_per_x_subset, best_values_per_y_subset,
-                    classical_value, gain_tensor)
+from .games import (DEFAULT_PAIR_BUDGET, _accepted, best_values_per_x_subset,
+                    best_values_per_y_subset, classical_value, gain_tensor)
 
 MAX_TOTAL_BITS = 30
 DEFAULT_LEAKY_BUDGET = 10**7
@@ -148,6 +148,7 @@ def _label_strings(n: int, k: int):
         top[i:] = [max(top[i - 1], labels[i])] * (n - i)
 
 
+@functools.cache
 def _string_count(n: int, k: int) -> int:
     """How many strings ``_label_strings(n, k)`` yields."""
     strings = [1] + [0] * k  # strings[j]: prefixes using j labels
@@ -230,36 +231,45 @@ def _solve(c: np.ndarray, m: LeakageModel) -> tuple[int, LeakyStrategy]:
     Otherwise her strings run in lex order, each scored by bob's split of Y
     (bob answering (y, label); one fold scores every subset of Y), keeping
     the first that strictly improves; none passes the merged-prover value,
-    so the scan stops there.  Each of bob's blocks (one when he is silent)
-    is then solved once, answering 0 to labels never sent."""
+    so the scan stops there.  The kept fold's reads give each chosen
+    block's tables, bob answering 0 to labels never sent."""
     x_size, _, y_size, _ = c.shape
     if not m.bits_ba:
-        best, alice_msg = _partition(best_values_per_x_subset(c), x_size,
-                                     m.msgs_ab)
-        heard, bob_msg = _heard(c, alice_msg), (0,) * y_size
+        values, read = best_values_per_x_subset(c)
+        best, alice_msg = _partition(values, x_size, m.msgs_ab)
+        bob_msg = (0,) * y_size
     else:
         merged, best = c.max(axis=(1, 3)).sum(), -1
         for labels in _label_strings(x_size, min(m.msgs_ab, x_size)):
             if best == merged:
                 break
-            eff = _heard(c, labels)
-            num, split = _partition(
-                best_values_per_y_subset(eff, max(labels) + 1), y_size,
-                m.msgs_ba)
+            values, read_y = best_values_per_y_subset(_heard(c, labels),
+                                                      max(labels) + 1)
+            num, split = _partition(values, y_size, m.msgs_ba)
             if num > best:
-                best, alice_msg, bob_msg, heard = num, labels, split, eff
+                best, alice_msg, bob_msg, read = num, labels, split, read_y
     k = max(alice_msg) + 1
     unused = (0,) * (m.msgs_ab - k)
-    alice_ans, bob_ans = [], [()] * y_size
+    if not m.bits_ba:  # alice's blocks: one answer column, bob's per label
+        alice_ans, bob_rows = [()] * x_size, []
+        for j in range(k):
+            xs = [x for x, v in enumerate(alice_msg) if v == j]
+            alice, bob = read(sum(1 << x for x in xs))
+            for x, a in zip(xs, alice):
+                alice_ans[x] = (a,)
+            bob_rows.append(bob)
+        return best, LeakyStrategy(alice_msg, bob_msg, tuple(alice_ans),
+                                   tuple(row + unused
+                                         for row in zip(*bob_rows)))
+    alice_cols, bob_ans = [], [()] * y_size  # bob's blocks
     for v in range(max(bob_msg) + 1):
         ys = [y for y, w in enumerate(bob_msg) if w == v]
-        _, alice, bob = best_tables(
-            heard.take([y * k + j for y in ys for j in range(k)], axis=2))
-        alice_ans.append(alice)
+        alice, bob = read(sum(1 << y for y in ys))
+        alice_cols.append(alice)
         for i, y in enumerate(ys):
             bob_ans[y] = bob[i * k:(i + 1) * k] + unused
-    alice_ans += [(0,) * x_size] * (m.msgs_ba - len(alice_ans))
-    return best, LeakyStrategy(alice_msg, bob_msg, tuple(zip(*alice_ans)),
+    alice_cols += [(0,) * x_size] * (m.msgs_ba - len(alice_cols))
+    return best, LeakyStrategy(alice_msg, bob_msg, tuple(zip(*alice_cols)),
                                tuple(bob_ans))
 
 
@@ -299,13 +309,16 @@ def guess_and_abort_value(g, m: LeakageModel, s: LeakyStrategy) -> Fraction:
     2^-bits * leaky_strategy_value(g, m, s) exactly.
     """
     s.check_shapes(g, m)
-
-    def answers(guess_ab, guess_ba):  # abort unless both messages match
-        return lambda x, y: (
-            None if s.alice_msg[x] != guess_ab or s.bob_msg[y] != guess_ba
-            else (s.alice_ans[x][guess_ba], s.bob_ans[y][guess_ab]))
-    total = sum(_accepted(g, answers(i, j)) for i in range(m.msgs_ab)
-                for j in range(m.msgs_ba))
+    # a guess pair (i, j) is played only by the x sending i and the y
+    # sending j; every other question aborts under it
+    xs = [[x for x, v in enumerate(s.alice_msg) if v == i]
+          for i in range(m.msgs_ab)]
+    ys = [[y for y, w in enumerate(s.bob_msg) if w == j]
+          for j in range(m.msgs_ba)]
+    total = sum(_accepted(g, lambda x, y, i=i, j=j: (s.alice_ans[x][j],
+                                                     s.bob_ans[y][i]),
+                          xs=xs[i], ys=ys[j])
+                for i in range(m.msgs_ab) for j in range(m.msgs_ba))
     return total / (m.msgs_ab * m.msgs_ba)
 
 

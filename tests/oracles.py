@@ -65,25 +65,29 @@ def naive_classical_value(g):
     return Fraction(best, denom), best_pair
 
 
-def per_subset_values(c):
+def per_subset_tables(c):
     """The library fold once per subset xs of the questions x, by bitmask:
-    the value of ``best_tables(c[xs])``."""
-    return [best_tables(c[[x for x in range(c.shape[0]) if mask >> x & 1]])[0]
+    ``best_tables(c[xs])``, (value, alice on xs, bob on every y)."""
+    return [best_tables(c[[x for x in range(c.shape[0]) if mask >> x & 1]])
             for mask in range(1 << c.shape[0])]
 
 
-def naive_group_subset_values(c, width):
+def naive_group_subset_tables(c, width):
     """Every alice table in lex order against every subset of the groups of
     ``width`` consecutive y, by bitmask: the largest total over the
-    subset's y, summed with Python integers."""
+    subset's y, summed with Python integers, the first alice table reaching
+    it, and bob's smallest best answer at each of the subset's y."""
     x_size, a_size, y_size, b_size = c.shape
-    best = [0] * (1 << (y_size // width))
+    best = [(-1, (), ())] * (1 << (y_size // width))
     for alice in itertools.product(range(a_size), repeat=x_size):
-        scores = [max(sum(int(c[x, a, y, b]) for x, a in enumerate(alice))
-                      for b in range(b_size)) for y in range(y_size)]
+        scores = [[sum(int(c[x, a, y, b]) for x, a in enumerate(alice))
+                   for b in range(b_size)] for y in range(y_size)]
         for mask in range(len(best)):
-            best[mask] = max(best[mask], sum(
-                scores[y] for y in range(y_size) if mask >> (y // width) & 1))
+            ys = [y for y in range(y_size) if mask >> (y // width) & 1]
+            total = sum(max(scores[y]) for y in ys)
+            if total > best[mask][0]:
+                best[mask] = (total, alice, tuple(
+                    scores[y].index(max(scores[y])) for y in ys))
     return best
 
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from leakygames import cli
+from leakygames import cli, games
 from leakygames.cli import (EXIT_BUDGET, EXIT_GENERATOR_CAP, EXIT_INVALID,
                             EXIT_OK, compute_params, main, parse_fraction)
 from leakygames.csp import (CspInstance, load_instance, make_constraint,
@@ -58,6 +58,17 @@ def test_value_command(tmp_path, capsys):
     assert rows[0]["value_float"] == "0.75"
     assert rows[0]["alice"] == "0,0" and rows[0]["bob"] == "0,0"
     assert "3/4" in capsys.readouterr().out
+
+
+def test_value_reduces_each_game_once(tmp_path, monkeypatch):
+    # the game keeps the integer weights it checked on construction, so the
+    # value, the merged value and the instance id reuse them
+    calls = []
+    reduce = games._over_common_denominator
+    monkeypatch.setattr(games, "_over_common_denominator",
+                        lambda weights: calls.append(1) or reduce(weights))
+    assert main(["--out", str(tmp_path), "value", CHSH_PATH]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_main_reuses_one_parser(tmp_path, capsys):

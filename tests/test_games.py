@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -70,6 +72,31 @@ def test_int_weights_match_fraction_products():
         weights, denom = g.int_weights()
         assert weights.dtype == (object if denom >= 2**63 else "int64")
         assert weights.ravel().tolist() == [int(w * denom) for w in g.dist]
+
+
+def test_games_keep_their_integer_weights():
+    # int_weights reads the weights the game reduced when it was checked;
+    # they live outside the fields, so eq, hash, repr, pickles and
+    # dataclasses.replace behave as for the fields alone
+    built = [make_game("made", 2, 3, 1, 1, [3, 0, 1, 4, 1, 5],
+                       lambda *_: True),
+             load_game(CHSH_TEXT),
+             Game("fracs", 1, 3, 1, 1,
+                  (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)),
+                  (1, 0, 1)),
+             make_game("heavy", 1, 3, 1, 1, [2**64, 1, 3], lambda *_: True)]
+    for g in built:
+        weights, denom = g.int_weights()
+        assert (weights.ravel().tolist(), denom) == \
+            games._over_common_denominator(g.dist)
+        replaced = dataclasses.replace(g)
+        pickled = pickle.loads(pickle.dumps(g))
+        for copy in (replaced, pickled):
+            assert copy == g and hash(copy) == hash(g)
+            assert repr(copy) == repr(g) and "_weights" not in repr(g)
+            assert copy.int_weights()[1] == denom
+            assert copy.int_weights()[0].tolist() == weights.tolist()
+    assert built[-1].int_weights()[0].dtype == object
 
 
 def test_load_zero_total_weight():
@@ -207,27 +234,38 @@ def _fold_cases():
     return tensors
 
 
+def _assert_fold_reads(fold, tables):
+    """A subset fold's (values, read) against per-subset (value, alice,
+    bob) tables, every subset read."""
+    values, read = fold
+    assert values == [value for value, _, _ in tables]
+    assert [read(mask) for mask in range(len(tables))] == \
+        [(alice, bob) for _, alice, bob in tables]
+
+
 @pytest.mark.parametrize("cells", [None, 1, 7, 40])
 def test_x_subset_fold_matches_per_subset_folds(cells, monkeypatch):
-    # one fold over the extended alphabet against one fold per subset
+    # one fold over the extended alphabet against one fold per subset, each
+    # subset's read against that subset's tables
     cases = _fold_cases()
-    expected = [oracles.per_subset_values(c) for c in cases]
+    expected = [oracles.per_subset_tables(c) for c in cases]
     if cells:
         monkeypatch.setattr(games, "FOLD_CELLS", cells)
-    for c, values in zip(cases, expected):
-        assert games.best_values_per_x_subset(c) == values
+    for c, tables in zip(cases, expected):
+        _assert_fold_reads(games.best_values_per_x_subset(c), tables)
 
 
 @pytest.mark.parametrize("cells", [None, 1, 7, 40])
 @pytest.mark.parametrize("width", [1, 2])
 def test_y_subset_fold_matches_naive_scan(width, cells, monkeypatch):
-    # doubling sums against a per-subset scan of every alice table
+    # doubling sums against a per-subset scan of every alice table, each
+    # subset's read against the scan's first table and bob's answers
     if cells:
         monkeypatch.setattr(games, "FOLD_CELLS", cells)
     for c in _fold_cases():
         if c.shape[2] % width == 0:
-            assert games.best_values_per_y_subset(c, width) == \
-                oracles.naive_group_subset_values(c, width)
+            _assert_fold_reads(games.best_values_per_y_subset(c, width),
+                               oracles.naive_group_subset_tables(c, width))
 
 
 def _tie_games():
@@ -261,11 +299,11 @@ def _assert_tied_answers_are_zero(c, s):
             assert len(scores) > 1 or b == 0
 
 
-@pytest.mark.parametrize("cells", [None, 1, 7])
+@pytest.mark.parametrize("cells", [None, 1, 7, 40])
 def test_folds_break_ties_to_the_first_answer(cells, monkeypatch):
-    # the classical fold and the subset folds against their oracles where
-    # most answers tie, and the leaky witnesses built from the subset folds
-    # (one fold over the chosen blocks) against the generic enumerator
+    # the classical fold and the subset folds (values and reads) against
+    # their oracles where most answers tie, and the leaky witnesses read
+    # off the subset folds against the generic enumerator
     models = [(one_way_ab(1), simultaneous(1, 0)),
               (one_way_ab(2), simultaneous(2, 0)),
               (one_way_ba(1), simultaneous(0, 1)),
@@ -273,23 +311,24 @@ def test_folds_break_ties_to_the_first_answer(cells, monkeypatch):
     cases = _tie_games()
     tensors = [games.gain_tensor(g)[0] for g in cases]
     expected = [(oracles.naive_classical_value(g),
-                 oracles.per_subset_values(c),
-                 {width: oracles.naive_group_subset_values(c, width)
+                 oracles.per_subset_tables(c),
+                 {width: oracles.naive_group_subset_tables(c, width)
                   for width in (1, 2) if c.shape[2] % width == 0},
                  [oracles.generic_simultaneous_value(g, generic)
                   for _, generic in models])
                 for g, c in zip(cases, tensors)]
     if cells:
         monkeypatch.setattr(games, "FOLD_CELLS", cells)
-    for g, c, (naive, x_values, y_values, leaky) in zip(cases, tensors,
+    for g, c, (naive, x_tables, y_tables, leaky) in zip(cases, tensors,
                                                           expected):
         value, witness = classical_value(g)
         assert (value, (witness.alice, witness.bob)) == naive
         assert witness.alice[0] == witness.alice[-1] == 0
         _assert_tied_answers_are_zero(c, helpers.from_strategy_pair(witness))
-        assert games.best_values_per_x_subset(c) == x_values
-        for width, values in y_values.items():
-            assert games.best_values_per_y_subset(c, width) == values
+        _assert_fold_reads(games.best_values_per_x_subset(c), x_tables)
+        for width, tables in y_tables.items():
+            _assert_fold_reads(games.best_values_per_y_subset(c, width),
+                               tables)
         for (model, _), generic in zip(models, leaky):
             value, witness = leaky_value_exact(g, model)
             assert (value, witness) == generic

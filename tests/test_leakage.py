@@ -168,6 +168,50 @@ def test_guess_and_abort_two_directions():
             leaky_strategy_value(g, model, witness) / 4
 
 
+class _CountingGame:
+    """A game that counts its ``weight`` and ``wins`` reads."""
+
+    def __init__(self, g):
+        self.g, self.reads = g, {"weight": 0, "wins": 0}
+
+    def __getattr__(self, name):
+        return getattr(self.g, name)
+
+    def weight(self, x, y):
+        self.reads["weight"] += 1
+        return self.g.weight(x, y)
+
+    def wins(self, x, y, a, b):
+        self.reads["wins"] += 1
+        return self.g.wins(x, y, a, b)
+
+
+def test_guess_and_abort_reads_each_question_pair_once(monkeypatch):
+    # a question pair is played only under the guess pair matching its own
+    # messages; every other guess aborts it unread, its answers unasked
+    played = []
+    accepted = leakage._accepted
+    monkeypatch.setattr(leakage, "_accepted", lambda g, answers, **kw:
+                        accepted(g, lambda x, y: played.append((x, y))
+                                 or answers(x, y), **kw))
+    rng = random.Random(43)
+    g = helpers.random_game_exact(rng, 4, 3, 2, 2)
+    for model in (one_way_ab(3), one_way_ba(2), simultaneous(2, 1)):
+        s = LeakyStrategy(
+            tuple(rng.randrange(model.msgs_ab) for _ in range(4)),
+            tuple(rng.randrange(model.msgs_ba) for _ in range(3)),
+            tuple(tuple(rng.randrange(2) for _ in range(model.msgs_ba))
+                  for _ in range(4)),
+            tuple(tuple(rng.randrange(2) for _ in range(model.msgs_ab))
+                  for _ in range(3)))
+        value = leaky_strategy_value(g, model, s)
+        spy, played[:] = _CountingGame(g), []
+        assert guess_and_abort_value(spy, model, s) == \
+            value / (1 << model.total_bits)
+        assert max(spy.reads.values()) <= 4 * 3
+        assert len(set(played)) == len(played) <= 4 * 3
+
+
 def test_upper_bound():
     g = chsh()
     assert leaky_value_upper_bound(g, 1) == 1
