@@ -265,16 +265,14 @@ def best_values_per_x_subset(c: np.ndarray
     on that mask the tables run in lex order of their digits there.
     Sorted by mask, each subset's suffix tables are a segment, and each
     prefix raises every segment's subset to the segment's maximum.  A read
-    rescores only the first prefix that strictly raised its subset.
+    rescores the first prefix that strictly raised its subset, if not the last.
     """
     x_size, a_size, y_size, b_size = c.shape
     ext = np.concatenate([c, np.zeros_like(c[:, :1])], axis=1)
     ext, split, suffix = _fold(ext, y_size * b_size)
     order, bounds, heads = _x_segments(x_size, a_size, split)
     nums = np.full(1 << x_size, -1, dtype=c.dtype)  # any prefix raises it
-    first = (np.zeros(1 << x_size,
-                      np.min_scalar_type((a_size + 1) ** split - 1))
-             if split else None)  # each subset's first strictly raising prefix
+    first = np.zeros(len(nums), np.min_scalar_type((a_size + 1) ** split - 1))
 
     def scored(prefix):
         scores = suffix + sum(ext[x, a] for x, a in enumerate(prefix))
@@ -286,16 +284,16 @@ def best_values_per_x_subset(c: np.ndarray
         subsets = heads | sum(1 << x for x, a in enumerate(prefix)
                               if a < a_size)
         best = np.maximum.reduceat(totals, bounds[:-1])
-        if split:
+        if p:  # each subset's first strictly raising prefix, 0 to start
             first[subsets[best > nums[subsets]]] = p
         nums[subsets] = np.maximum(nums[subsets], best)
 
-    last = None if split else (scores, totals)  # the fold's one prefix
+    last = (p, scores, totals)  # the last walked prefix's tables
 
     def read(mask):
-        prefix = _index_to_tuple(int(first[mask]) if split else 0,
-                                 a_size + 1, split)
-        scores, totals = scored(prefix) if split else last
+        p = int(first[mask])
+        prefix = _index_to_tuple(p, a_size + 1, split)
+        scores, totals = last[1:] if p == last[0] else scored(prefix)
         lo, hi = bounds[mask >> split], bounds[(mask >> split) + 1]
         i = int(order[lo + totals[lo:hi].argmax()])
         digits = prefix + _index_to_tuple(i, a_size + 1, x_size - split)
@@ -312,37 +310,37 @@ def best_values_per_y_subset(c: np.ndarray, width: int
     bitmask, and ``read(mask)``, that subset's first maximizing alice table
     and bob's smallest best response on its y.  Each table's subset totals
     are built from its group totals by doubling, within the fold's cells;
-    a read rescores only the first prefix that strictly raised its subset.
+    reads take the rule of ``best_values_per_x_subset``.
     """
     x_size, a_size, y_size, b_size = c.shape
     groups = y_size // width
     c, split, suffix = _fold(c, max(y_size * b_size, 1 << groups))
-    totals = np.zeros((1 << groups, suffix.shape[2]), dtype=c.dtype)
     nums = np.full(1 << groups, -1, dtype=c.dtype)  # any prefix raises it
-    first = (np.zeros(1 << groups, np.min_scalar_type(a_size ** split - 1))
-             if split else None)  # each subset's first strictly raising prefix
+    first = np.zeros(len(nums), np.min_scalar_type(a_size ** split - 1))
 
-    def scored(prefix):  # fills totals
+    def scored(prefix):
         scores = suffix + sum(c[x, a] for x, a in enumerate(prefix))
         per_group = scores.max(axis=0).reshape(groups, width, -1).sum(axis=1)
+        totals = np.empty((1 << groups, scores.shape[2]), dtype=c.dtype)
+        totals[0] = 0
         for j in range(groups):
             np.add(totals[:1 << j], per_group[j], out=totals[1 << j:2 << j])
-        return scores
+        return scores, totals
 
     for p, prefix in enumerate(itertools.product(range(a_size),
                                                  repeat=split)):
-        scores = scored(prefix)
+        scores, totals = scored(prefix)
         best = totals.max(axis=1)
-        if split:
+        if p:  # each subset's first strictly raising prefix, 0 to start
             first[best > nums] = p
         nums = np.maximum(nums, best)
 
-    last = None if split else scores  # the fold's one prefix
+    last = (p, scores, totals)  # the last walked prefix's tables
 
     def read(mask):
-        prefix = _index_to_tuple(int(first[mask]) if split else 0,
-                                 a_size, split)
-        scores = scored(prefix) if split else last  # a rescore refills totals
+        p = int(first[mask])
+        prefix = _index_to_tuple(p, a_size, split)
+        scores, totals = last[1:] if p == last[0] else scored(prefix)
         i = int(totals[mask].argmax())
         ys = [y for y in range(y_size) if mask >> (y // width) & 1]
         return (prefix + _index_to_tuple(i, a_size, x_size - split),

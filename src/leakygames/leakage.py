@@ -231,16 +231,17 @@ def _solve(c: np.ndarray, m: LeakageModel) -> tuple[int, LeakyStrategy]:
     Otherwise her strings run in lex order, each scored by bob's split of Y
     (bob answering (y, label); one fold scores every subset of Y), keeping
     the first that strictly improves; none passes the merged-prover value,
-    so the scan stops there.  The kept fold's reads give each chosen
-    block's tables, bob answering 0 to labels never sent."""
+    so a scan of two or more stops there.  The kept fold's reads give each
+    chosen block's tables, bob answering 0 to labels never sent."""
     x_size, _, y_size, _ = c.shape
     if not m.bits_ba:
         values, read = best_values_per_x_subset(c)
         best, alice_msg = _partition(values, x_size, m.msgs_ab)
         bob_msg = (0,) * y_size
     else:
-        merged, best = c.max(axis=(1, 3)).sum(), -1
-        for labels in _label_strings(x_size, min(m.msgs_ab, x_size)):
+        k1, best = min(m.msgs_ab, x_size), -1
+        merged = c.max(axis=(1, 3)).sum() if k1 > 1 else None
+        for labels in _label_strings(x_size, k1):
             if best == merged:
                 break
             values, read_y = best_values_per_y_subset(_heard(c, labels),

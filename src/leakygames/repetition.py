@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import (RUN_FALLBACK, BudgetExceededError, InvalidInputError,
                      check_budget)
-from .games import (DEFAULT_PAIR_BUDGET, Game, StrategyPair, _index_to_tuple,
-                    _int_dtype, classical_value)
+from .games import (DEFAULT_PAIR_BUDGET, Game, StrategyPair, _int_dtype,
+                    classical_value)
 from .leakage import (DEFAULT_LEAKY_BUDGET, LeakageModel, LeakyStrategy,
                       leaky_value_exact, leaky_value_upper_bound)
 
@@ -77,11 +77,12 @@ class RepeatedGame:
         return tuple(n ** self.copies for n in self.base.float_sizes())
 
     def weight(self, x: int, y: int) -> Fraction:
-        out = Fraction(1)
-        for xi, yi in zip(_index_to_tuple(x, self.base.x_size, self.copies),
-                          _index_to_tuple(y, self.base.y_size, self.copies)):
-            out *= self.base.weight(xi, yi)
-        return out
+        base, num = self.base, 1
+        weights, denom = base._weights  # integers over denom, kept by Game
+        for _ in range(self.copies):  # one digit per copy, last copy first
+            (x, xi), (y, yi) = divmod(x, base.x_size), divmod(y, base.y_size)
+            num *= weights[xi * base.y_size + yi]
+        return Fraction(num, denom ** self.copies)
 
     def wins(self, x: int, y: int, a: int, b: int) -> bool:
         base = self.base

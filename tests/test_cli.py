@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from leakygames import cli, games
+from leakygames import cli, games, harness, leakage
 from leakygames.cli import (EXIT_BUDGET, EXIT_GENERATOR_CAP, EXIT_INVALID,
                             EXIT_OK, compute_params, main, parse_fraction)
 from leakygames.csp import (CspInstance, load_instance, make_constraint,
@@ -359,6 +359,62 @@ def test_run_command_csp_honest(tmp_path):
     row = read_rows(tmp_path / "run.csv")[0]
     assert row["accepted"] == "5000"
 
+
+
+@pytest.mark.parametrize("spec, model", [
+    ({"kind": "one-way-ab", "bits_ab": 1}, leakage.one_way_ab(1)),
+    ({"kind": "one-way-ba", "bits_ba": 1}, leakage.one_way_ba(1)),
+    ({"kind": "simultaneous", "bits_ab": 1, "bits_ba": 1},
+     leakage.simultaneous(1, 1)),
+])
+def test_run_command_game_leaky(spec, model, tmp_path):
+    # the best leaky witness, played by the harness: the count is the
+    # estimator's on that witness, and the artifact repeats byte for byte
+    g = helpers.random_game_exact(random.Random(9), 3, 3, 2, 2)
+    game = tmp_path / "g.game"
+    game.write_text(save_game(g))
+    value, witness = leakage.leaky_value_exact(g, model)
+    assert value < 1
+    config = {"kind": "game", "path": str(game), "behavior": "leaky",
+              "model": spec, "sessions": 3000, "seed": 7}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    artifacts = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main(["--out", str(out), "run", str(cfg)]) == EXIT_OK
+        artifacts.append((out / "run.csv").read_bytes())
+    assert artifacts[0] == artifacts[1]
+    row = read_rows(tmp_path / "a" / "run.csv")[0]
+    assert row["behavior"] == "best-leaky"
+    record = harness.estimate_acceptance(
+        g, harness.behaviors_from_leaky_strategy(model, witness), model,
+        3000, 7)
+    assert int(row["accepted"]) == record.accepted < 3000
+
+
+@pytest.mark.parametrize("kind, path, behavior, message", [
+    ("game", CHSH_PATH, "bogus", "unknown game behavior 'bogus'"),
+    ("csp", LOWVAL_PATH, "leaky", "unknown csp behavior 'leaky'"),
+    ("table", CHSH_PATH, "honest", "config kind must be 'game' or 'csp'"),
+])
+def test_run_refuses_unknown_kinds_and_behaviors(kind, path, behavior,
+                                                 message, tmp_path, capsys):
+    config = {"kind": kind, "path": path, "behavior": behavior,
+              "sessions": 100, "seed": 4}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg)]) == EXIT_INVALID
+    assert message in capsys.readouterr().err
+
+
+def test_cheat_refuses_score_tables_past_the_cap(tmp_path, capsys):
+    # 2^26 assignments x the generated constraints: refused before the
+    # score table is built
+    assert main(["--out", str(tmp_path), "gen", "--kind", "csp",
+                 "--vars", "26"]) == EXIT_OK
+    path = next(tmp_path.glob("*.csp"))
+    assert main(["cheat", str(path), "--leak-bits", "0"]) == EXIT_BUDGET
+    assert "cheat score table" in capsys.readouterr().err
 
 def test_json_artifact(tmp_path):
     assert main(["--out", str(tmp_path), "--format", "json", "value",

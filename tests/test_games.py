@@ -236,11 +236,13 @@ def _fold_cases():
 
 def _assert_fold_reads(fold, tables):
     """A subset fold's (values, read) against per-subset (value, alice,
-    bob) tables, every subset read."""
+    bob) tables, every subset read in order and again in reverse."""
     values, read = fold
     assert values == [value for value, _, _ in tables]
-    assert [read(mask) for mask in range(len(tables))] == \
-        [(alice, bob) for _, alice, bob in tables]
+    expected = [(alice, bob) for _, alice, bob in tables]
+    assert [read(mask) for mask in range(len(tables))] == expected
+    assert [read(mask) for mask in reversed(range(len(tables)))] == \
+        expected[::-1]
 
 
 @pytest.mark.parametrize("cells", [None, 1, 7, 40])
@@ -266,6 +268,29 @@ def test_y_subset_fold_matches_naive_scan(width, cells, monkeypatch):
         if c.shape[2] % width == 0:
             _assert_fold_reads(games.best_values_per_y_subset(c, width),
                                oracles.naive_group_subset_tables(c, width))
+
+
+@pytest.mark.parametrize("fold, shape, answers", [
+    (games.best_values_per_x_subset, (9, 2, 2, 2), 3),  # A + 1 answers
+    (lambda c: games.best_values_per_y_subset(c, 1), (14, 2, 2, 2), 2),
+], ids=["x", "y"])
+def test_subset_folds_past_the_default_cap(fold, shape, answers,
+                                           monkeypatch):
+    # at the default cap these folds walk one prefix digit, reads both
+    # reusing the last prefix's tables and rescoring; values and reads must
+    # equal the same fold with every table in one block
+    x_size, _, y_size, b_size = shape
+    cells = y_size * b_size * answers ** x_size  # every table in one block
+    assert cells // answers <= games.FOLD_CELLS < cells
+    rng = random.Random(17)
+    tensors = [games.gain_tensor(helpers.random_game_exact(rng, *shape))[0]
+               for _ in range(3)]
+    walked = [fold(c) for c in tensors]
+    monkeypatch.setattr(games, "FOLD_CELLS", cells)
+    for c, fold_walked in zip(tensors, walked):
+        values, read = fold(c)
+        _assert_fold_reads(fold_walked, [(value, *read(mask))
+                                         for mask, value in enumerate(values)])
 
 
 def _tie_games():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -127,6 +129,27 @@ def test_repeated_sizes_kept():
     assert (rg == twin and hash(rg) == hash(twin)
             and repr(rg) == repr(twin))
 
+
+def _digit_weight(rg, xs, ys):
+    """The product of the base game's weights over the copies' digits."""
+    return math.prod(rg.base.weight(x, y) for x, y in zip(xs, ys))
+
+
+def test_repeated_weight_is_the_product_over_copies():
+    # every cell of a 3-copy repeat with weights 1, 2, 3, 5, 7, 11, then
+    # sampled cells of CHSH^8; the first copy is the most significant digit
+    base = make_game("w", 2, 3, 2, 2, [1, 2, 3, 5, 7, 11],
+                     lambda x, y, a, b: a == b)
+    rg = repeat_game(base, 3)
+    for x, xs in enumerate(itertools.product(range(2), repeat=3)):
+        for y, ys in enumerate(itertools.product(range(3), repeat=3)):
+            assert rg.weight(x, y) == _digit_weight(rg, xs, ys)
+    rg, rng = repeat_game(chsh(), 8), random.Random(8)
+    for _ in range(500):
+        xs, ys = ([rng.randrange(2) for _ in range(8)] for _ in range(2))
+        x, y = (int("".join(map(str, d)), 2) for d in (xs, ys))
+        assert rg.weight(x, y) == _digit_weight(rg, xs, ys) == \
+            Fraction(1, 4**8)
 
 def test_leaky_repetition_exact_chsh():
     result = leaky_repetition_experiment(chsh(), 2, one_way_ab(1))
