@@ -22,8 +22,9 @@ from .errors import (RUN_FALLBACK, FormatError, InvalidInputError,
 
 # Default cap on (alice strategies) x (bob strategies) for exact solves.
 DEFAULT_PAIR_BUDGET = 10**8
-# Cells of the suffix score table in the fold (about 256 kB of int64).
-FOLD_CELLS = 2**15
+# Bytes of the suffix score table in the fold: 2^15 int64 cells, or 2^15
+# tables at most, each at least one int64 index entry in the x fold.
+FOLD_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class Game:
         if len(self.pred) != expected:
             raise InvalidInputError(
                 f"pred has {len(self.pred)} entries, expected {expected}")
-        if any(bit not in (0, 1) for bit in self.pred):
+        if self.pred.count(0) + self.pred.count(1) != expected:
             raise InvalidInputError("pred entries must be 0 or 1")
 
     def __hash__(self) -> int:
@@ -179,10 +180,12 @@ def _index_to_tuple(index: int, radix: int, length: int) -> tuple[int, ...]:
 
 def gain_tensor(g) -> tuple[np.ndarray, int]:
     """c[x, a, y, b] = integer weight of (x, y) if (a, b) wins there, plus
-    the weights' denominator; int64 while it fits, Python ints past that."""
+    the weights' denominator, in the narrowest of int8 ... int64 holding it
+    (object past them): sums over distinct x never pass the denominator."""
     weights, denom = g.int_weights()
+    narrow = np.min_scalar_type(-1 - denom)  # signed, so it holds denom too
     wins = g.win_rows().transpose(0, 2, 1, 3)
-    return weights[:, None, :, None] * wins, denom
+    return weights.astype(narrow)[:, None, :, None] * wins, denom
 
 
 def _answer_scores(c: np.ndarray) -> np.ndarray:
@@ -204,12 +207,14 @@ def _fold(c: np.ndarray, cells: int) -> tuple[np.ndarray, int, np.ndarray]:
     whose tables lie on the last, contiguous axis, so bob's best reply is
     elementwise passes over rows of tables.  The fold walks c's first
     ``split`` questions one answer at a time over the score table of the
-    rest, whose tables, ``cells`` cells each, are as many as fit
-    FOLD_CELLS, so memory stays bounded for any game."""
+    rest, whose tables, ``cells`` cells of c's dtype each but never under
+    8 bytes, are as many as fit FOLD_BYTES, so memory stays bounded for any
+    game."""
     c = c.transpose(0, 1, 3, 2)[..., None]
     split, a_size = c.shape[:2]
-    while split and cells * a_size <= FOLD_CELLS:
-        split, cells = split - 1, cells * a_size
+    size = max(cells * c.itemsize, 8)
+    while split and size * a_size <= FOLD_BYTES:
+        split, size = split - 1, size * a_size
     return c, split, _answer_scores(c[split:])
 
 
@@ -226,7 +231,7 @@ def best_tables(c: np.ndarray) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     best = (-1, (), ())
     for prefix in itertools.product(range(a_size), repeat=split):
         scores = suffix + sum(c[x, a] for x, a in enumerate(prefix))
-        totals = scores.max(axis=0).sum(axis=0)
+        totals = scores.max(axis=0).sum(axis=0, dtype=c.dtype)
         i = int(totals.argmax())  # first maximum: lex-smallest suffix
         if totals[i] > best[0]:
             best = (int(totals[i]),
@@ -242,13 +247,15 @@ def _x_segments(x_size: int, a_size: int, split: int
     tables over the extended alphabet: ``order`` sorts them stably by the
     mask of their answers below ``a_size``, mask q's segment of it is
     ``bounds[q]:bounds[q + 1]``, and ``heads[q]`` is q's subset bits."""
-    places = np.arange(split, x_size)
-    digits = (np.arange((a_size + 1) ** (x_size - split))[:, None]
-              // (a_size + 1) ** (x_size - 1 - places) % (a_size + 1))
-    segs = (digits < a_size) @ (1 << (places - split))  # suffix subsets
+    places = x_size - split
+    index = np.arange((a_size + 1) ** places)
+    segs = np.zeros_like(index)  # suffix subsets, one place at a time
+    for place in range(places):
+        digit = index // (a_size + 1) ** (places - 1 - place) % (a_size + 1)
+        segs[digit < a_size] |= 1 << place
     order = np.argsort(segs, kind="stable")
-    bounds = np.searchsorted(segs[order], np.arange((1 << len(places)) + 1))
-    heads = np.arange(1 << len(places)) << split
+    bounds = np.searchsorted(segs[order], np.arange((1 << places) + 1))
+    heads = np.arange(1 << places) << split
     for array in (order, bounds, heads):
         array.setflags(write=False)
     return order, bounds, heads
@@ -276,7 +283,7 @@ def best_values_per_x_subset(c: np.ndarray
 
     def scored(prefix):
         scores = suffix + sum(ext[x, a] for x, a in enumerate(prefix))
-        return scores, scores.max(axis=0).sum(axis=0)[order]
+        return scores, scores.max(axis=0).sum(axis=0, dtype=c.dtype)[order]
 
     prefixes = itertools.product(range(a_size + 1), repeat=split)
     for p, prefix in enumerate(prefixes):
@@ -309,7 +316,7 @@ def best_values_per_y_subset(c: np.ndarray, width: int
     subset of the groups of ``width`` consecutive y, for every subset by
     bitmask, and ``read(mask)``, that subset's first maximizing alice table
     and bob's smallest best response on its y.  Each table's subset totals
-    are built from its group totals by doubling, within the fold's cells;
+    are built from its group totals by doubling, within the fold's bytes;
     reads take the rule of ``best_values_per_x_subset``.
     """
     x_size, a_size, y_size, b_size = c.shape
@@ -320,7 +327,8 @@ def best_values_per_y_subset(c: np.ndarray, width: int
 
     def scored(prefix):
         scores = suffix + sum(c[x, a] for x, a in enumerate(prefix))
-        per_group = scores.max(axis=0).reshape(groups, width, -1).sum(axis=1)
+        per_group = scores.max(axis=0).reshape(groups, width, -1).sum(
+            axis=1, dtype=c.dtype)
         totals = np.empty((1 << groups, scores.shape[2]), dtype=c.dtype)
         totals[0] = 0
         for j in range(groups):
@@ -448,15 +456,21 @@ def load_game(text: str) -> Game:
         raise FormatError(pred_rows[-1][0] if pred_rows else lines[pos - 1][0],
                           f"pred has {len(pred_rows)} rows, expected "
                           f"{x_size * y_size}")
-    bits: list[int] = []
+    rows: list[str] = []
     for no, line in pred_rows:
         row = line.replace(" ", "")
-        if len(row) != a_size * b_size or any(c not in "01" for c in row):
+        if len(row) != a_size * b_size or row.strip("01"):
             raise FormatError(no, f"pred row must be {a_size * b_size} bits")
-        bits.extend(int(c) for c in row)
+        rows.append(row)
+    bits = "".join(rows).encode().translate(bytes.maketrans(b"01", b"\0\1"))
 
-    dist = tuple(Fraction(w, total) for w in weights)
-    return Game(name, x_size, y_size, a_size, b_size, dist, tuple(bits))
+    scale = math.gcd(*weights)
+    nums, denom = [w // scale for w in weights], total // scale
+    g = object.__new__(Game)  # its integer weights kept, not recovered
+    object.__setattr__(g, "_weights", (nums, denom))
+    g.__init__(name, x_size, y_size, a_size, b_size,
+               tuple(Fraction(n, denom) for n in nums), tuple(bits))
+    return g
 
 
 def save_game(g: Game) -> str:

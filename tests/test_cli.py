@@ -61,14 +61,15 @@ def test_value_command(tmp_path, capsys):
 
 
 def test_value_reduces_each_game_once(tmp_path, monkeypatch):
-    # the game keeps the integer weights it checked on construction, so the
-    # value, the merged value and the instance id reuse them
+    # a loaded game keeps the integer weights it parsed, reduced once by
+    # their gcd, so neither its check on construction, the value, the
+    # merged value nor the instance id recovers them from the Fractions
     calls = []
     reduce = games._over_common_denominator
     monkeypatch.setattr(games, "_over_common_denominator",
                         lambda weights: calls.append(1) or reduce(weights))
     assert main(["--out", str(tmp_path), "value", CHSH_PATH]) == EXIT_OK
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_main_reuses_one_parser(tmp_path, capsys):

@@ -9,6 +9,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import helpers
@@ -81,6 +82,8 @@ def test_games_keep_their_integer_weights():
     built = [make_game("made", 2, 3, 1, 1, [3, 0, 1, 4, 1, 5],
                        lambda *_: True),
              load_game(CHSH_TEXT),
+             load_game("game scaled 1 3 1 1\ndist\n6 9 12\npred\n1\n0\n1\n"),
+             load_game(f"game big 1 2 1 1\ndist\n{3 * 2**70} 6\npred\n1\n1\n"),
              Game("fracs", 1, 3, 1, 1,
                   (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)),
                   (1, 0, 1)),
@@ -204,13 +207,15 @@ def test_classical_matches_naive_on_random_games():
 
 def test_blocked_fold_matches_single_block(monkeypatch):
     # a tiny cap splits the questions into a scored suffix and a walk over
-    # many prefixes; value and witness must not move
+    # many prefixes; value and witness must not move.  A table takes at
+    # least a byte a cell, so a cap of n bytes walks no fewer prefixes than
+    # one of n cells
     rng = random.Random(3)
     cases = [helpers.random_game_exact(rng, 4, 3, 3, 2) for _ in range(6)]
     cases += [helpers.random_game(rng, 3, 3, 3, 3) for _ in range(6)]
     reference = [classical_value(g) for g in cases]
     for cap in (1, 40, 200):
-        monkeypatch.setattr(games, "FOLD_CELLS", cap)
+        monkeypatch.setattr(games, "FOLD_BYTES", cap)
         for g, (value, witness) in zip(cases, reference):
             assert classical_value(g) == (value, witness)
             oracle_value, oracle_pair = oracles.naive_classical_value(g)
@@ -252,7 +257,7 @@ def test_x_subset_fold_matches_per_subset_folds(cells, monkeypatch):
     cases = _fold_cases()
     expected = [oracles.per_subset_tables(c) for c in cases]
     if cells:
-        monkeypatch.setattr(games, "FOLD_CELLS", cells)
+        monkeypatch.setattr(games, "FOLD_BYTES", cells)
     for c, tables in zip(cases, expected):
         _assert_fold_reads(games.best_values_per_x_subset(c), tables)
 
@@ -263,7 +268,7 @@ def test_y_subset_fold_matches_naive_scan(width, cells, monkeypatch):
     # doubling sums against a per-subset scan of every alice table, each
     # subset's read against the scan's first table and bob's answers
     if cells:
-        monkeypatch.setattr(games, "FOLD_CELLS", cells)
+        monkeypatch.setattr(games, "FOLD_BYTES", cells)
     for c in _fold_cases():
         if c.shape[2] % width == 0:
             _assert_fold_reads(games.best_values_per_y_subset(c, width),
@@ -271,26 +276,104 @@ def test_y_subset_fold_matches_naive_scan(width, cells, monkeypatch):
 
 
 @pytest.mark.parametrize("fold, shape, answers", [
-    (games.best_values_per_x_subset, (9, 2, 2, 2), 3),  # A + 1 answers
-    (lambda c: games.best_values_per_y_subset(c, 1), (14, 2, 2, 2), 2),
+    (games.best_values_per_x_subset, (11, 2, 2, 2), 3),  # A + 1 answers
+    (lambda c: games.best_values_per_y_subset(c, 1), (16, 2, 2, 2), 2),
 ], ids=["x", "y"])
 def test_subset_folds_past_the_default_cap(fold, shape, answers,
                                            monkeypatch):
-    # at the default cap these folds walk one prefix digit, reads both
-    # reusing the last prefix's tables and rescoring; values and reads must
-    # equal the same fold with every table in one block
+    # at the default cap these folds walk prefix digits even at int8, reads
+    # both reusing the last prefix's tables and rescoring; values and reads
+    # must equal the same fold with every table in one block
     x_size, _, y_size, b_size = shape
-    cells = y_size * b_size * answers ** x_size  # every table in one block
-    assert cells // answers <= games.FOLD_CELLS < cells
     rng = random.Random(17)
     tensors = [games.gain_tensor(helpers.random_game_exact(rng, *shape))[0]
                for _ in range(3)]
+    assert all(c.dtype == np.int8 for c in tensors)
+    splits, unspied = [], games._fold
+
+    def spied(c, cells):
+        out = unspied(c, cells)
+        splits.append(out[1])
+        return out
+    monkeypatch.setattr(games, "_fold", spied)
     walked = [fold(c) for c in tensors]
-    monkeypatch.setattr(games, "FOLD_CELLS", cells)
+    assert min(splits) >= 1
+    # every table in one block, at 8 bytes a cell
+    monkeypatch.setattr(games, "FOLD_BYTES",
+                        8 * y_size * b_size * answers ** x_size)
     for c, fold_walked in zip(tensors, walked):
         values, read = fold(c)
         _assert_fold_reads(fold_walked, [(value, *read(mask))
                                          for mask, value in enumerate(values)])
+    assert splits[len(tensors):] == [0] * len(tensors)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                   object])
+def test_fold_blocks_fit_the_byte_cap(dtype):
+    # a block holds at most 2^15 tables, one int64 index entry each in the
+    # x fold, and 256 kB of scores; one more suffix question would pass one
+    # of those bounds
+    for shape in [(20, 2, 1, 1), (9, 3, 2, 2), (6, 4, 8, 8), (3, 5, 300, 1)]:
+        x_size, a_size, y_size, b_size = shape
+        _, split, suffix = games._fold(np.zeros(shape, dtype), y_size * b_size)
+        tables = suffix.shape[-1]
+        assert tables == a_size ** (x_size - split)
+        assert tables <= 2**15 and suffix.nbytes <= games.FOLD_BYTES
+        assert split == 0 or (tables * a_size > 2**15 or
+                              suffix.nbytes * a_size > games.FOLD_BYTES)
+
+
+# weight totals at each edge of the gain tensor's integer types
+TYPE_EDGES = [(127, np.int8), (128, np.int16), (2**15 - 1, np.int16),
+              (2**15, np.int32), (2**31 - 1, np.int32), (2**31, np.int64),
+              (2**63 - 1, np.int64), (2**63, object)]
+
+
+def _game_of_total(rng, total, x, y, a, b, predicate=None):
+    """A game whose weights, one of them 1, sum to ``total``, which is then
+    its denominator; random acceptance bits unless ``predicate`` is given."""
+    weights = [1] + [rng.randrange(total // (x * y)) for _ in range(x * y - 2)]
+    weights.append(total - sum(weights))
+    rng.shuffle(weights)
+    bits = [rng.randint(0, 1) for _ in range(x * y * a * b)]
+    return make_game("edge", x, y, a, b, weights, predicate or (
+        lambda xx, yy, aa, bb: bits[((xx * y + yy) * a + aa) * b + bb]))
+
+
+@pytest.mark.parametrize("total, dtype", TYPE_EDGES,
+                         ids=[str(total) for total, _ in TYPE_EDGES])
+def test_gain_tensor_takes_the_narrowest_type(total, dtype):
+    # int_weights stays int64 below 2^63; an all-accepting game's fold
+    # totals reach the denominator itself, so every solve gives exactly 1
+    g = _game_of_total(random.Random(total % 997), total, 3, 2, 2, 2,
+                       lambda *_: True)
+    c, denom = games.gain_tensor(g)
+    assert denom == total and c.dtype == dtype
+    assert g.int_weights()[0].dtype == (np.int64 if dtype != object
+                                        else object)
+    assert classical_value(g)[0] == 1
+    for model in (one_way_ab(1), one_way_ba(1), simultaneous(1, 1)):
+        assert leaky_value_exact(g, model)[0] == 1
+
+
+@pytest.mark.parametrize("total, dtype", TYPE_EDGES,
+                         ids=[str(total) for total, _ in TYPE_EDGES])
+def test_folds_at_each_type_edge_match_the_oracles(total, dtype):
+    # values and witnesses against full scans in Python integers
+    rng = random.Random(total % 991)
+    for _ in range(2):
+        g = _game_of_total(rng, total, 3, 2, 2, 2)
+        assert games.gain_tensor(g)[0].dtype == dtype
+        value, witness = classical_value(g)
+        assert (value, (witness.alice, witness.bob)) == \
+            oracles.naive_classical_value(g)
+        for model in (one_way_ab(1), one_way_ba(1)):
+            assert leaky_value_exact(g, model) == \
+                oracles.naive_leaky_value(g, model)
+        small = _game_of_total(rng, total, 2, 2, 2, 2)
+        assert leaky_value_exact(small, simultaneous(1, 1)) == \
+            oracles.naive_leaky_value(small, simultaneous(1, 1))
 
 
 def _tie_games():
@@ -343,7 +426,7 @@ def test_folds_break_ties_to_the_first_answer(cells, monkeypatch):
                   for _, generic in models])
                 for g, c in zip(cases, tensors)]
     if cells:
-        monkeypatch.setattr(games, "FOLD_CELLS", cells)
+        monkeypatch.setattr(games, "FOLD_BYTES", cells)
     for g, c, (naive, x_tables, y_tables, leaky) in zip(cases, tensors,
                                                           expected):
         value, witness = classical_value(g)
@@ -362,8 +445,8 @@ def test_folds_break_ties_to_the_first_answer(cells, monkeypatch):
 
 
 def test_classical_fold_memory_is_bounded():
-    # the suffix score table is capped at FOLD_CELLS int64 cells (256 kB);
-    # an 8x8x3x3 game scores 729 tables of 24 cells per prefix
+    # the suffix score table is capped at FOLD_BYTES (256 kB); an 8x8x3x3
+    # game scores 3^8 int8 tables of 24 cells in one block
     g = helpers.random_game_exact(random.Random(5), 8, 8, 3, 3)
     tracemalloc.start()
     try:

@@ -415,7 +415,8 @@ def test_simultaneous_ties_below_merged_keep_first_alice_string(model):
 @pytest.mark.parametrize("model", [simultaneous(1, 1), simultaneous(2, 1)])
 def test_simultaneous_dp_blocks_match_generic_enumerator(model, cells,
                                                          monkeypatch):
-    monkeypatch.setattr(games, "FOLD_CELLS", cells)
+    # a cap of n bytes walks no fewer prefixes than one of n cells
+    monkeypatch.setattr(games, "FOLD_BYTES", cells)
     rng = random.Random(79)
     for i in range(3):
         g = (_zero_row_game(rng, 3, 2, 2, 2) if i % 2
@@ -442,7 +443,7 @@ def test_one_way_blocks_match_naive_oracle(model, cells, monkeypatch):
     # own block at 1), so the first strict maximum must carry across blocks;
     # two bits run on two questions, where the naive scan stays small and
     # labels go unused
-    monkeypatch.setattr(games, "FOLD_CELLS", cells)
+    monkeypatch.setattr(games, "FOLD_BYTES", cells)
     shape = (2, 2, 2, 2) if model.total_bits == 2 else (4, 2, 2, 2)
     rng = random.Random(71)
     for i in range(4):

@@ -43,6 +43,19 @@ def test_chsh_two_copies_exact():
     assert (witness.alice, witness.bob) == oracle_pair
 
 
+def test_chsh_three_copies_exact():
+    # 8x8x8x8 past the default pair budget; its int8 tables fold in 8^4
+    # prefixes of 8^4 tables each, well under a second
+    rg = repeat_game(chsh(), 3)
+    with pytest.raises(BudgetExceededError):
+        repeated_exact_value(rg)
+    value, witness = repeated_exact_value(rg, budget=2**48)
+    assert value == Fraction(31, 64)
+    assert witness == StrategyPair((0, 0, 0, 0, 0, 1, 2, 4),
+                                   (0, 0, 0, 0, 0, 1, 2, 4))
+    assert strategy_value(rg, witness) == value
+
+
 def test_trivial_predicates_repeat():
     assert repeated_exact_value(repeat_game(ONES, 2))[0] == 1
     assert repeated_exact_value(repeat_game(ZEROS, 2))[0] == 0
@@ -212,9 +225,9 @@ def test_leaky_exact_on_implicit_product():
 @pytest.mark.parametrize("cap", [None, 4, 16])
 def test_repeated_weights_past_int64(cap, monkeypatch):
     # the squared denominator (2^40 + 3)^2 passes 2^63, so the fold runs on
-    # Python ints; small caps walk it in several prefix blocks
+    # Python ints, 8 bytes a cell; small caps walk it in several prefix blocks
     if cap is not None:
-        monkeypatch.setattr(games, "FOLD_CELLS", cap)
+        monkeypatch.setattr(games, "FOLD_BYTES", 8 * cap)
     base = helpers.random_game_exact(random.Random(61), 2, 1, 2, 2)
     rg = repeat_game(make_game("heavy", 2, 1, 2, 2, [2**40, 3], base.wins), 2)
     assert rg.int_weights()[1] >= 2**63
