@@ -26,7 +26,7 @@ from leakygames import cli, games, harness, leakage
 from leakygames.cli import (EXIT_BUDGET, EXIT_GENERATOR_CAP, EXIT_INVALID,
                             EXIT_OK, compute_params, main, parse_fraction)
 from leakygames.csp import (CspInstance, load_instance, make_constraint,
-                            save_csp)
+                            optimal_cheat, save_csp)
 from leakygames.errors import InvalidInputError
 from leakygames.games import make_game, save_game
 
@@ -167,6 +167,33 @@ def test_malformed_file_exit_code(tmp_path):
     bad = tmp_path / "bad.game"
     bad.write_text("game g 2 2 2 2\ndist\n0 0\n0 0\npred\n")
     assert main(["value", str(bad)]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize("command, text, line, message", [
+    ("csp-val", "csp 2 x 2\ncon 0 1 : 01\n", 1, "malformed header field 'x'"),
+    ("csp-val", "# wide\ncsp 2 11 2\ncon 0 1 : 01\n", 2,
+     "alphabet > 10 not representable as digits"),
+    ("csp-val", "csp 2 2 2\nlc 1 1 2\ncon 0 1 : 01\n", 2,
+     "expected 'lc <L> <R> <sigmaL> <sigmaR>'"),
+    ("csp-val", "csp 2 2 2\n# no colon\ncon 0 1 01\n", 3,
+     "con line missing ':'"),
+    ("csp-val", "csp 2 2 2\nlc 1 1 2 2\ncon 0 1 : 00 11\ne 0 : 0 1\n", 4,
+     "expected 'e <u> <v> : <phi values>'"),
+    ("csp-val", "csp 2 2 2\ncon 0 1 : 01\n\nfoo 1\n", 4,
+     "unknown directive 'foo'"),
+    ("csp-val", "# header only\ncsp 2 2 2\n# end\n", 2, "no constraints"),
+    ("value", "game g 2 1 2 2\ndist\n1\n-1\npred\n1001\n1001\n", 4,
+     "negative weight"),
+    ("value", "game g 1 1 2 2\ndist\n1\n# no pred\n", 3,
+     "expected 'pred' section"),
+])
+def test_malformed_files_name_their_line(command, text, line, message,
+                                         tmp_path, capsys):
+    path = tmp_path / ("in.csp" if command == "csp-val" else "in.game")
+    path.write_text(text)
+    assert main([command, str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().err == \
+        f"error (invalid input): line {line}: {message}\n"
 
 
 def test_budget_exit_code():
@@ -391,6 +418,28 @@ def test_run_command_game_leaky(spec, model, tmp_path):
         g, harness.behaviors_from_leaky_strategy(model, witness), model,
         3000, 7)
     assert int(row["accepted"]) == record.accepted < 3000
+
+
+def test_run_command_csp_cheat(tmp_path):
+    # the optimal 2-bit cheat, played by the harness: its profile scan
+    # prunes two slot levels above the pair leaf
+    config = {"kind": "csp", "path": LOWVAL_PATH, "sessions": 2000,
+              "behavior": "cheat",
+              "model": {"kind": "one-way-ab", "bits_ab": 2}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    artifacts = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main(["--out", str(out), "run", str(cfg)]) == EXIT_OK
+        artifacts.append((out / "run.csv").read_bytes())
+    assert artifacts[0] == artifacts[1]
+    row = read_rows(tmp_path / "a" / "run.csv")[0]
+    assert row["behavior"] == "optimal-cheat"
+    c = load_instance(Path(LOWVAL_PATH).read_text())
+    record = harness.estimate_acceptance(
+        c, harness.behaviors_from_cheat_profile(c, optimal_cheat(c, 2)[1]),
+        leakage.one_way_ab(2), 2000, 0)
+    assert int(row["accepted"]) == record.accepted == 1719
 
 
 @pytest.mark.parametrize("kind, path, behavior, message", [

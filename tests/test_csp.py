@@ -1009,6 +1009,13 @@ def test_format_errors():
                       "e 0 0 : 0 0\n")
 
 
+def test_library_calls_refuse_invalid_input():
+    with pytest.raises(InvalidInputError, match="alphabet > 10"):
+        save_csp(CspInstance(2, 11, 2, (make_constraint((0, 1), [(0, 1)]),)))
+    with pytest.raises(InvalidInputError, match="non-negative"):
+        optimal_cheat(_lowval(), -1)
+
+
 def test_format_error_line_numbers():
     with pytest.raises(FormatError) as err:
         load_instance("csp 2 2 2\n# fine\ncon 0 1 : xx\n")

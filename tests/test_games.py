@@ -444,17 +444,28 @@ def test_folds_break_ties_to_the_first_answer(cells, monkeypatch):
             _assert_tied_answers_are_zero(c, witness)
 
 
-def test_classical_fold_memory_is_bounded():
+def test_classical_fold_memory_is_bounded(monkeypatch):
     # the suffix score table is capped at FOLD_BYTES (256 kB); an 8x8x3x3
-    # game scores 3^8 int8 tables of 24 cells in one block
-    g = helpers.random_game_exact(random.Random(5), 8, 8, 3, 3)
-    tracemalloc.start()
-    try:
-        classical_value(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.75 * 2**20
+    # game scores 3^8 int8 tables of 24 cells in one block, and a 9x9x3x3
+    # one walks 3 prefixes over 3^8 tables of 27 cells (172 kB)
+    splits, fold = [], games._fold
+
+    def spy(c, cells):
+        folded = fold(c, cells)
+        splits.append(folded[1])
+        return folded
+
+    monkeypatch.setattr(games, "_fold", spy)
+    for x_size, walks in ((8, False), (9, True)):
+        g = helpers.random_game_exact(random.Random(5), x_size, x_size, 3, 3)
+        tracemalloc.start()
+        try:
+            classical_value(g, budget=3**18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 2**20
+        assert (splits.pop() >= 1) == walks
 
 
 def test_value_ordering_invariants():
