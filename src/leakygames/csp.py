@@ -515,8 +515,9 @@ def optimal_cheat(c: CspInstance, leak_bits: int,
     interchangeable, so a sorted maximizer is no larger in lex order: only
     nondecreasing index tuples are scanned, in lex order, with per-constraint
     maxima carried down the prefix tree and the last two slots scored as one
-    blocked matrix product.  A prefix ending at index i is pruned when the
-    maxima over it and every assignment from i on cannot beat the best total.
+    blocked matrix product.  A slot's row i is bounded by the per-constraint
+    maxima over the slots before it and every assignment from i on, summed:
+    that never rises with i, so each slot stops at its first failing row.
 
     Only r = min(2^bits, n) slots are scanned (and budgeted): the other
     slots repeat the witness's first index, keeping it the lex-first maximizer.
@@ -544,26 +545,22 @@ def optimal_cheat(c: CspInstance, leak_bits: int,
         best_total, best = best_total - 1, []
         suffix_max = np.maximum.accumulate(scores[::-1])[::-1]
         table = _thresholds(scores, c.arity)
-        idx = [0] * r
-        maxes = [np.zeros(m, dtype=scores.dtype)] * r
-        depth, i = 0, 0  # idx[:depth] is fixed; i is the next slot's index
+        # the fixed slots' rows and prefix maxima; i is the next slot's row
+        idx, maxes, i = [], [np.zeros(m, dtype=scores.dtype)], 0
         while True:
-            if depth == r - 2:  # the last two slots: every pair from i on
+            if len(idx) == r - 2:  # the last two slots: every pair from i on
                 best_total, pair = _pair_scan(scores, suffix_max, table,
-                                              maxes[depth], i, best_total)
-                best = idx[:depth] + pair if pair else best
-            if depth == r - 2 or i == n:
-                depth -= 1
-                if depth < 0:
-                    break
-                i = idx[depth] + 1
+                                              maxes[-1], i, best_total)
+                best = idx + pair if pair else best
+            elif i < n and (np.maximum(maxes[-1], suffix_max[i]).sum()
+                            > best_total):
+                idx.append(i)  # the next slot starts at i: nondecreasing
+                maxes.append(np.maximum(maxes[-1], scores[i]))
                 continue
-            child = np.maximum(maxes[depth], scores[i])
-            if np.maximum(child, suffix_max[i]).sum() > best_total:
-                idx[depth], maxes[depth + 1] = i, child
-                depth += 1  # slot depth + 1 starts at i: nondecreasing
-            else:
-                i += 1
+            if not idx:
+                break
+            i = idx.pop() + 1
+            maxes.pop()
     witness = [_index_to_tuple(j, c.alphabet_size, c.num_vars) for j in best]
     profile = CheatProfile(tuple(witness[:1] * (slots - r) + witness))
     return Fraction(best_total, c.arity * m), profile
