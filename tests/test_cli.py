@@ -169,7 +169,7 @@ def test_malformed_file_exit_code(tmp_path):
     assert main(["value", str(bad)]) == EXIT_INVALID
 
 
-@pytest.mark.parametrize("command, text, line, message", [
+MALFORMED_FILES = [
     ("csp-val", "csp 2 x 2\ncon 0 1 : 01\n", 1, "malformed header field 'x'"),
     ("csp-val", "# wide\ncsp 2 11 2\ncon 0 1 : 01\n", 2,
      "alphabet > 10 not representable as digits"),
@@ -186,7 +186,11 @@ def test_malformed_file_exit_code(tmp_path):
      "negative weight"),
     ("value", "game g 1 1 2 2\ndist\n1\n# no pred\n", 3,
      "expected 'pred' section"),
-])
+]
+
+
+@pytest.mark.parametrize("command, text, line, message", MALFORMED_FILES,
+                         ids=[message for *_, message in MALFORMED_FILES])
 def test_malformed_files_name_their_line(command, text, line, message,
                                          tmp_path, capsys):
     path = tmp_path / ("in.csp" if command == "csp-val" else "in.game")
