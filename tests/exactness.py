@@ -28,9 +28,9 @@ from importlib import resources
 from pathlib import Path
 
 import helpers
-from leakygames import cli, csp, games, leakage
+from leakygames import cli, csp, games, harness, leakage
 from leakygames.errors import BudgetExceededError, InvalidInputError
-from leakygames.repetition import repeat_game
+from leakygames.repetition import repeat_game, repeated_exact_value
 
 DIGEST_PATH = Path(__file__).with_name("exactness_digests.txt")
 FIXTURES = resources.files("leakygames") / "fixtures"
@@ -41,6 +41,7 @@ MODELS = (leakage.one_way_ab(1), leakage.one_way_ab(2), leakage.one_way_ba(1),
 # weight totals on both sides of each narrow fold type's edge, and past int64
 EDGE_TOTALS = (127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63)
 CHEAT_SEEDS = range(24)
+SESSION_SEEDS = range(40)
 
 
 def _outcome(solve):
@@ -155,6 +156,43 @@ def _cli_cases(work: Path):
             [str(work / a) if (work / a).is_file() else a for a in argv])
 
 
+def _session_targets():
+    """(name, target, behaviors, model) for the scalar session cases."""
+    pair = harness.behaviors_from_strategy_pair
+    silent, ab1 = leakage.one_way_ab(0), leakage.one_way_ab(1)
+    chsh = games.chsh()
+    yield "chsh silent", chsh, pair(games.classical_value(chsh)[1]), silent
+    g = helpers.random_game_exact(random.Random(33), 5, 5, 3, 3)
+    yield "5533 one-way-ab(1)", g, harness.behaviors_from_leaky_strategy(
+        ab1, leakage.leaky_value_exact(g, ab1)[1]), ab1
+    first, second = harness.behaviors_from_leaky_strategy(
+        ab1, leakage.leaky_value_exact(chsh, ab1)[1])
+    over = harness.ProverBehavior(first.answer_rule,
+                                  lambda x: first.leak_rule(x) + "0", "first")
+    yield "chsh overflow", chsh, (over, second), ab1
+    rg = repeat_game(chsh, 2)
+    yield "chsh^2 silent", rg, pair(repeated_exact_value(rg)[1]), silent
+    c = csp.load_instance((FIXTURES / "lowval_k2.csp").read_text())
+    yield "lowval_k2 cheat leak 1", c, harness.behaviors_from_cheat_profile(
+        c, csp.optimal_cheat(c, 1)[1]), ab1
+    # weight total 2^63 + 1: about half of the first draws are rejected
+    heavy = _reweighted(chsh, [2**61, 2**61, 2**61, 2**61 + 1])
+    yield ("heavy chsh total 2^63+1", heavy,
+           pair(games.classical_value(heavy)[1]), silent)
+
+
+def _session_cases():
+    """Each target's transcripts over fixed seeds, with their replays."""
+    for name, target, behaviors, model in _session_targets():
+        def play(target=target, behaviors=behaviors, model=model):
+            out = []
+            for seed in SESSION_SEEDS:
+                t = harness.run_session(target, behaviors, model, seed)
+                out.append((t.to_json(), harness.replay_verify(t, target)))
+            return out
+        yield f"transcripts {name}", play
+
+
 def cases(work: Path):
     """(name, solve) for every case, in the committed order."""
     rng = random.Random(15)
@@ -172,6 +210,7 @@ def cases(work: Path):
             g, weights + [total - sum(weights)]))
     yield from _cheat_cases()
     yield from _cli_cases(work)
+    yield from _session_cases()
 
 
 def digest(result) -> str:
