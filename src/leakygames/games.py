@@ -395,12 +395,9 @@ def classical_value(g, budget: int = DEFAULT_PAIR_BUDGET
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((no, line))
-    return out
+    """(line number, text) of each line left non-blank by its comment cut."""
+    return [(no, line) for no, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.split("#", 1)[0].strip())]
 
 
 def load_game(text: str) -> Game:
@@ -426,27 +423,22 @@ def load_game(text: str) -> Game:
                           "expected 'dist' section")
     pos += 1
 
-    weights: list[int] = []
-    weight_lines: list[int] = []
-    while pos < len(lines) and lines[pos][1] != "pred":
-        no, line = lines[pos]
-        for tok in line.split():
-            try:
-                w = int(tok)
-            except ValueError:
-                raise FormatError(no, f"malformed weight {tok!r}") from None
-            if w < 0:
-                raise FormatError(no, "negative weight")
-            weights.append(w)
-            weight_lines.append(no)
-        pos += 1
+    dist = list(itertools.takewhile(lambda nl: nl[1] != "pred", lines[pos:]))
+    pos += len(dist)
+    try:  # one pass over the tokens; a bad token's line is sought after
+        weights = list(map(int, " ".join(line for _, line in dist).split()))
+        bad = min(weights, default=0) < 0
+    except ValueError:
+        bad = True
+    if bad:
+        raise _weight_error(dist)
     if len(weights) != x_size * y_size:
-        raise FormatError(weight_lines[-1] if weight_lines else no,
+        raise FormatError(dist[-1][0] if dist else no,
                           f"dist has {len(weights)} weights, expected "
                           f"{x_size * y_size}")
     total = sum(weights)
     if total == 0:
-        raise FormatError(weight_lines[-1], "zero total weight")
+        raise FormatError(dist[-1][0], "zero total weight")
 
     if pos >= len(lines):
         raise FormatError(lines[-1][0], "expected 'pred' section")
@@ -466,11 +458,23 @@ def load_game(text: str) -> Game:
 
     scale = math.gcd(*weights)
     nums, denom = [w // scale for w in weights], total // scale
+    fractions = {n: Fraction(n, denom) for n in set(nums)}
     g = object.__new__(Game)  # its integer weights kept, not recovered
     object.__setattr__(g, "_weights", (nums, denom))
     g.__init__(name, x_size, y_size, a_size, b_size,
-               tuple(Fraction(n, denom) for n in nums), tuple(bits))
+               tuple(map(fractions.__getitem__, nums)), tuple(bits))
     return g
+
+
+def _weight_error(dist: list[tuple[int, str]]) -> FormatError:
+    """The error of the first bad weight token: dist must hold one."""
+    for no, line in dist:
+        for tok in line.split():
+            try:
+                if int(tok) < 0:
+                    return FormatError(no, "negative weight")
+            except ValueError:
+                return FormatError(no, f"malformed weight {tok!r}")
 
 
 def save_game(g: Game) -> str:

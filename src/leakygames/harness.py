@@ -66,25 +66,15 @@ def session_seed(master_seed: int, index: int) -> int:
     return splitmix64(master_seed & _MASK64, index)
 
 
-class SplitMixStream:
-    """Sequential view over one SplitMix64 stream."""
-
-    def __init__(self, seed: int):
-        self.seed = seed & _MASK64
-        self.counter = 0
-
-    def next_u64(self) -> int:
-        value = splitmix64(self.seed, self.counter)
-        self.counter += 1
-        return value
-
-    def below(self, n: int) -> int:
-        """Unbiased uniform draw in [0, n) by rejection."""
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            value = self.next_u64()
-            if value < limit:
-                return value % n
+def _below(seed: int, counter: int, n: int) -> tuple[int, int]:
+    """Unbiased uniform draw in [0, n) by rejection, from output ``counter``
+    of the stream keyed by seed on: (residue, the next unread counter)."""
+    limit = (1 << 64) - (1 << 64) % n
+    while True:
+        value = splitmix64(seed, counter)
+        counter += 1
+        if value < limit:
+            return value % n, counter
 
 
 def _mix_np(z: np.ndarray, tmp=None) -> np.ndarray:
@@ -104,7 +94,7 @@ def _splitmix64_np(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
 
 def _below_np(seeds: np.ndarray, draw: int, n: int, out=None, tmp=None,
               extra=None) -> tuple[np.ndarray, np.ndarray | None]:
-    """The draw-th stream.below(n) of each session, into ``out``, with the
+    """Each session's draw-th _below(seed, ., n), into ``out``, with the
     same draws and rejections.  Streams sit at counter ``draw`` (one scalar
     add) plus ``extra[i]``, session i's earlier rejected draws; ``extra`` is
     None until a rejection and is returned with the residues.  A power of
@@ -163,7 +153,7 @@ class MeteredChannel:
     def send(self, direction: str, payload: str) -> str | None:
         if direction not in ("ab", "ba"):
             raise InvalidInputError(f"unknown direction {direction!r}")
-        if not isinstance(payload, str) or any(c not in "01" for c in payload):
+        if not isinstance(payload, str) or payload.strip("01"):
             raise MalformedBehaviorError(
                 f"leak payload must be a bit-string, got {payload!r}")
         if not payload:
@@ -297,6 +287,10 @@ class Transcript:
 
 def instance_id(target) -> str:
     """Stable identifier, kept on the target: name plus serialization hash."""
+    try:  # every session and replay reads it: once kept, check nothing
+        return target.__dict__["_instance_id"]
+    except (AttributeError, KeyError):
+        pass
     if type(target).__hash__ is None or not hasattr(target, "__dict__"):
         raise InvalidInputError(f"cannot identify {type(target).__name__}")
     return kept(target, "_instance_id", lambda: _serialized_id(target))
@@ -369,13 +363,17 @@ def _game_support(g) -> tuple[tuple, tuple, int]:
     return kept(g, "_support", build)
 
 
-def _check_session(target, behaviors) -> None:
-    """Refuse, once per call, behaviors out of (first, second) order and a
-    label cover, which instance_id names but no session can play."""
+def _check_session(target, behaviors, model: LeakageModel) -> None:
+    """Refuse, once per call, behaviors out of (first, second) order, a
+    label cover, which instance_id names but no session can play, and a
+    CSP under any leakage but one-way ab."""
     if behaviors[0].role != "first" or behaviors[1].role != "second":
         raise InvalidInputError("behaviors must be (first, second)")
     if isinstance(target, LabelCover):
         raise InvalidInputError("a label cover plays as its games or to_csp()")
+    if (isinstance(target, CspInstance) and model.total_bits
+            and model.kind is not LeakageKind.ONE_WAY_AB):
+        raise InvalidInputError("csp sessions support one-way ab leakage only")
 
 
 def _play_game(g, behaviors, model: LeakageModel, x: int, y: int):
@@ -387,8 +385,6 @@ def _play_csp(c: CspInstance, behaviors, model: LeakageModel,
               e: int, pos: int):
     """Constraint-sampling verifier: the first prover answers constraint e
     and may leak, the second answers the variable at scope position pos."""
-    if model.kind is not LeakageKind.ONE_WAY_AB and model.total_bits:
-        raise InvalidInputError("csp sessions support one-way ab leakage only")
     return _play(c, behaviors, model, LeakageKind.ONE_WAY_AB,
                  e, c.constraints[e].scope[pos], pos)
 
@@ -418,16 +414,16 @@ def run_session(target, behaviors, model: LeakageModel, seed: int
     sample a uniform constraint and a uniform scope position.  Budget
     overflow flags the transcript and forces the verdict to reject.
     """
-    _check_session(target, behaviors)
-    stream = SplitMixStream(seed)
+    _check_session(target, behaviors, model)
     if isinstance(target, CspInstance):
-        x = stream.below(len(target.constraints))
-        pos = stream.below(target.arity)
+        x, counter = _below(seed, 0, len(target.constraints))
+        pos = _below(seed, counter, target.arity)[0]
         y = target.constraints[x].scope[pos]
         a, b, channel, verdict = _play_csp(target, behaviors, model, x, pos)
     else:
         cells, cums, total = _game_support(target)
-        (x, y), pos = cells[bisect_right(cums, stream.below(total))], None
+        x, y = cells[bisect_right(cums, _below(seed, 0, total)[0])]
+        pos = None
         a, b, channel, verdict = _play_game(target, behaviors, model, x, y)
     return Transcript(seed, instance_id(target),
                       "game" if pos is None else "csp", x, y, pos,
@@ -500,7 +496,7 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
         raise InvalidInputError("sessions must be >= 1")
     if sessions > SESSION_CAP:
         raise BudgetExceededError(sessions, SESSION_CAP, "session sampling")
-    _check_session(target, behaviors)
+    _check_session(target, behaviors, model)
     config = {"protocol": "csp" if isinstance(target, CspInstance) else "game",
               "instance": instance_id(target), "model": model.kind.value,
               "bits_ab": model.bits_ab, "bits_ba": model.bits_ba,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import json
 import pickle
 import random
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import helpers
-from leakygames import harness
+from leakygames import cli, harness
 from leakygames.csp import (CheatProfile, cheat_acceptance, csp_value_exact,
                             load_instance, optimal_cheat)
 from leakygames.errors import BudgetExceededError, InvalidInputError
@@ -26,8 +27,8 @@ from leakygames.games import (Game, StrategyPair, chsh, classical_value,
 from leakygames.harness import (ChannelEvent, ExperimentRecord,
                                 IdentifierMismatchError,
                                 MalformedBehaviorError, MeteredChannel,
-                                ProverBehavior, SplitMixStream,
-                                _below_np, _splitmix64_np,
+                                ProverBehavior, _below, _below_np,
+                                _splitmix64_np,
                                 behaviors_from_cheat_profile,
                                 behaviors_from_leaky_strategy,
                                 behaviors_from_strategy_pair,
@@ -40,6 +41,7 @@ from leakygames.leakage import (LeakageKind, LeakyStrategy,
 from leakygames.repetition import repeat_game, repeated_exact_value
 
 NO_LEAK = one_way_ab(0)
+FIXTURES = resources.files("leakygames") / "fixtures"
 
 
 def best_chsh_behaviors():
@@ -67,18 +69,19 @@ def test_vectorized_splitmix_matches_scalar():
 
 def draw_both(master, count, moduli, out=None, tmp=None):
     """Draw each modulus in turn for sessions 0..count-1 of ``master``,
-    through _below_np and through scalar streams; residues and stream
-    counters agree.  Returns the last residues and extra counters."""
+    through _below_np and through _below; residues and stream counters
+    agree.  Returns the last residues and extra counters."""
     seeds = np.array([session_seed(master, i) for i in range(count)],
                      dtype=np.uint64)
-    streams = [SplitMixStream(int(s)) for s in seeds]
+    counters = [0] * count
     extra = None
     for draw, n in enumerate(moduli):
         vec, extra = _below_np(seeds, draw, n, out, tmp, extra)
-        for i, stream in enumerate(streams):
-            assert stream.below(n) == int(vec[i])
+        for i, seed in enumerate(seeds.tolist()):
+            residue, counters[i] = _below(seed, counters[i], n)
+            assert residue == int(vec[i])
             late = 0 if extra is None else int(extra[i])
-            assert stream.counter == draw + 1 + late
+            assert counters[i] == draw + 1 + late
     return vec, extra
 
 
@@ -141,8 +144,7 @@ def test_replay_identifier_mismatch():
 
 
 def lowval_k2():
-    return load_instance((resources.files("leakygames") / "fixtures"
-                          / "lowval_k2.csp").read_text())
+    return load_instance((FIXTURES / "lowval_k2.csp").read_text())
 
 
 def test_replay_refuses_transcripts_no_session_produces():
@@ -281,11 +283,44 @@ def test_csp_session_honest_accepts():
         assert replay_verify(t, c)
 
 
-def test_csp_session_rejects_other_models():
+def recording(behaviors, calls):
+    """The behaviors, appending each rule call to ``calls``."""
+    def rec(rule, what):
+        return lambda *args: calls.append(what) or rule(*args)
+    return tuple(ProverBehavior(rec(p.answer_rule, "answer"),
+                                rec(p.leak_rule, "leak"), p.role)
+                 for p in behaviors)
+
+
+def test_csp_session_rejects_other_models(monkeypatch, tmp_path, capsys):
+    # sessions, both estimator paths and the CLI refuse the model once per
+    # call, before any draw or behavior call
     c, planted = helpers.satisfiable_csp(random.Random(3))
-    behaviors = honest_csp_behaviors(c, planted)
-    with pytest.raises(InvalidInputError, match="one-way ab"):
-        run_session(c, behaviors, one_way_ba(1), seed=0)
+    calls = []
+    behaviors = recording(honest_csp_behaviors(c, planted), calls)
+    for model in (one_way_ba(1), simultaneous(1, 1)):
+        with pytest.raises(InvalidInputError, match="one-way ab"):
+            run_session(c, behaviors, model, seed=0)
+        for fast in (True, False):
+            with pytest.raises(InvalidInputError, match="one-way ab"):
+                estimate_acceptance(c, behaviors, model, 100, 0, fast=fast)
+    cheat = harness.behaviors_from_cheat_profile
+    monkeypatch.setattr(harness, "behaviors_from_cheat_profile",
+                        lambda *args: recording(cheat(*args), calls))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "kind": "csp", "path": str(FIXTURES / "lowval_k2.csp"),
+        "behavior": "cheat", "sessions": 100,
+        "model": {"kind": "one-way-ba", "bits_ba": 1}}))
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), "run", str(config)]) == \
+        cli.EXIT_INVALID
+    assert "csp sessions support one-way ab leakage only" in \
+        capsys.readouterr().err
+    assert calls == [] and not out.exists()
+    # a silent model of another kind leaks nothing, so it may play
+    assert run_session(c, behaviors, one_way_ba(0), seed=0).verdict
+    assert calls
 
 
 def test_sessions_refuse_swapped_behaviors():
@@ -358,6 +393,11 @@ def test_channel_payload_validation():
         ch.send("ab", "2")
     with pytest.raises(MalformedBehaviorError):
         ch.send("ab", 7)  # type: ignore[arg-type]
+    # a bad character between good ones, and trailing blanks, are refused
+    for payload in ("0x1", "01 ", " 0", "1\n", "0\u0661"):
+        with pytest.raises(MalformedBehaviorError):
+            ch.send("ab", payload)
+    assert ch.spent_ab == 0 and not ch.events
     with pytest.raises(InvalidInputError):
         ch.send("sideways", "0")
 
@@ -712,8 +752,7 @@ def test_kept_hashes_match_equal_targets():
     flipped = dataclasses.replace(g1, pred=(1 - g1.pred[0],) + g1.pred[1:])
     assert flipped != g1 and hash(flipped) != hash(g1)
     assert hash(repeat_game(g1, 2)) == hash(repeat_game(g2, 2))
-    text = (resources.files("leakygames") / "fixtures"
-            / "lowval_k2.csp").read_text()
+    text = (FIXTURES / "lowval_k2.csp").read_text()
     c1, c2 = load_instance(text), load_instance(text)
     assert hash(c1) == hash(c2) == hash(pickle.loads(pickle.dumps(c1)))
     assert instance_id(g1) == "rand:5b7b18faf752"
