@@ -417,14 +417,11 @@ def load_game(text: str) -> Game:
     if min(x_size, y_size, a_size, b_size) < 1:
         raise FormatError(no, "alphabet sizes must be >= 1")
 
-    pos = 1
-    if pos >= len(lines) or lines[pos][1] != "dist":
-        raise FormatError(lines[pos][0] if pos < len(lines) else no,
+    if len(lines) < 2 or lines[1][1] != "dist":
+        raise FormatError(lines[1][0] if len(lines) > 1 else no,
                           "expected 'dist' section")
-    pos += 1
-
-    dist = list(itertools.takewhile(lambda nl: nl[1] != "pred", lines[pos:]))
-    pos += len(dist)
+    dist = list(itertools.takewhile(lambda nl: nl[1] != "pred", lines[2:]))
+    pos = 2 + len(dist)
     try:  # one pass over the tokens; a bad token's line is sought after
         weights = list(map(int, " ".join(line for _, line in dist).split()))
         bad = min(weights, default=0) < 0

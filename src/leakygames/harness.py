@@ -421,9 +421,8 @@ def run_session(target, behaviors, model: LeakageModel, seed: int
         y = target.constraints[x].scope[pos]
         a, b, channel, verdict = _play_csp(target, behaviors, model, x, pos)
     else:
-        cells, cums, total = _game_support(target)
-        x, y = cells[bisect_right(cums, _below(seed, 0, total)[0])]
-        pos = None
+        cells, cum, total = _game_support(target)
+        (x, y), pos = cells[bisect_right(cum, _below(seed, 0, total)[0])], None
         a, b, channel, verdict = _play_game(target, behaviors, model, x, y)
     return Transcript(seed, instance_id(target),
                       "game" if pos is None else "csp", x, y, pos,
