@@ -427,8 +427,16 @@ def load_game(text: str) -> Game:
         bad = min(weights, default=0) < 0
     except ValueError:
         bad = True
-    if bad:
-        raise _weight_error(dist)
+    if bad:  # the first malformed or negative token names its line
+        for no, line in dist:
+            for tok in line.split():
+                try:
+                    w = int(tok)
+                except ValueError:
+                    raise FormatError(
+                        no, f"malformed weight {tok!r}") from None
+                if w < 0:
+                    raise FormatError(no, "negative weight")
     if len(weights) != x_size * y_size:
         raise FormatError(dist[-1][0] if dist else no,
                           f"dist has {len(weights)} weights, expected "
@@ -461,17 +469,6 @@ def load_game(text: str) -> Game:
     g.__init__(name, x_size, y_size, a_size, b_size,
                tuple(map(fractions.__getitem__, nums)), tuple(bits))
     return g
-
-
-def _weight_error(dist: list[tuple[int, str]]) -> FormatError:
-    """The error of the first bad weight token: dist must hold one."""
-    for no, line in dist:
-        for tok in line.split():
-            try:
-                if int(tok) < 0:
-                    return FormatError(no, "negative weight")
-            except ValueError:
-                return FormatError(no, f"malformed weight {tok!r}")
 
 
 def save_game(g: Game) -> str:

@@ -424,10 +424,17 @@ def run_session(target, behaviors, model: LeakageModel, seed: int
         cells, cum, total = _game_support(target)
         (x, y), pos = cells[bisect_right(cum, _below(seed, 0, total)[0])], None
         a, b, channel, verdict = _play_game(target, behaviors, model, x, y)
-    return Transcript(seed, instance_id(target),
-                      "game" if pos is None else "csp", x, y, pos,
-                      tuple(channel.events), tuple(channel.rejected),
-                      a, b, channel.overflowed, verdict)
+    # the frozen __init__'s object.__setattr__ per field is a session's
+    # costliest step; its dict filled in field order is the same transcript
+    t = object.__new__(Transcript)
+    d = t.__dict__
+    d["seed"], d["instance"], d["protocol"] = (
+        seed, instance_id(target), "game" if pos is None else "csp")
+    d["question_first"], d["question_second"], d["position"] = x, y, pos
+    d["leaks"], d["rejected"] = tuple(channel.events), tuple(channel.rejected)
+    d["answer_first"], d["answer_second"] = a, b
+    d["overflow"], d["verdict"] = channel.overflowed, verdict
+    return t
 
 
 def replay_verify(t: Transcript, target) -> bool:

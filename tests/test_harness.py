@@ -121,6 +121,14 @@ def test_session_deterministic_and_replayable():
     assert t1 == t2
     assert t1.to_json() == t2.to_json()
     assert replay_verify(t1, chsh())
+    # run_session fills the transcript's dict in place of the frozen
+    # __init__: it is the transcript __init__ builds from the same fields
+    rebuilt = dataclasses.replace(t1)
+    assert rebuilt == t1 and hash(rebuilt) == hash(t1)
+    assert repr(rebuilt) == repr(t1) and pickle.loads(pickle.dumps(t1)) == t1
+    assert list(vars(t1)) == [f.name for f in dataclasses.fields(t1)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t1.verdict = False
 
 
 def test_tampered_transcript_fails_replay():
