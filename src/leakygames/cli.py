@@ -367,20 +367,14 @@ def cmd_gen(args) -> None:
         text = games.save_game(g)
         name = f"random-{args.seed}.game"
     elif args.kind == "csp":
-        tuples = csp_mod.tuple_count(args.vars, args.alphabet, args.arity)
+        # bad sizes are refused before the budget check reads them
+        csp_mod.tuple_count(args.vars, args.alphabet, args.arity)
         m = args.constraints or 4 * args.vars
         check_budget(cap, "constraint scopes",
                      lambda: math.log2(m) + math.log2(args.arity),
                      lambda: m * args.arity)
-        cons = []
-        for _ in range(m):
-            scope = tuple(rng.randrange(args.vars) for _ in range(args.arity))
-            allowed = [games._index_to_tuple(i, args.alphabet, args.arity)
-                       for i in rng.sample(range(tuples), min(2, tuples))]
-            cons.append(csp_mod.make_constraint(scope, allowed))
-        c = csp_mod.CspInstance(args.vars, args.alphabet, args.arity,
-                                tuple(cons))
-        text = csp_mod.save_csp(c)
+        text = csp_mod.save_csp(csp_mod.random_instance(
+            rng, args.vars, args.alphabet, args.arity, m, lambda: 2))
         name = f"random-{args.seed}.csp"
     else:  # low-val-csp
         target = parse_fraction(args.target)

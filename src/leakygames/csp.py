@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -269,6 +270,19 @@ def tuple_count(num_vars: int, alphabet_size: int, arity: int) -> int:
     return alphabet_size ** arity
 
 
+def random_instance(rng: random.Random, num_vars: int, alphabet_size: int,
+                    arity: int, count: int, allowed_size: Callable[[], int]
+                    ) -> CspInstance:
+    """``count`` constraints: i.i.d. uniform scope variables, then
+    ``allowed_size()`` distinct tuples (all, if fewer) drawn by lex index."""
+    tuples = tuple_count(num_vars, alphabet_size, arity)
+    return CspInstance(num_vars, alphabet_size, arity, tuple(make_constraint(
+        [rng.randrange(num_vars) for _ in range(arity)],  # before the size
+        [_index_to_tuple(i, alphabet_size, arity) for i in
+         rng.sample(range(tuples), min(allowed_size(), tuples))])
+        for _ in range(count)))
+
+
 def find_low_value_instance(num_vars: int, alphabet_size: int, arity: int,
                             target: Fraction, seed: int, *,
                             num_constraints: int | None = None,
@@ -286,16 +300,11 @@ def find_low_value_instance(num_vars: int, alphabet_size: int, arity: int,
     target = Fraction(target)
     rng = random.Random(seed)
     m = num_constraints if num_constraints is not None else 8 * num_vars
-    tuples = tuple_count(num_vars, alphabet_size, arity)
+    tuple_count(num_vars, alphabet_size, arity)  # bad sizes: before any draw
     for _ in range(attempts):
-        cons = []
-        for _ in range(m):
-            scope = tuple(rng.randrange(num_vars) for _ in range(arity))
-            size = allowed_sizes[rng.randrange(len(allowed_sizes))]
-            allowed = [_index_to_tuple(i, alphabet_size, arity)
-                       for i in rng.sample(range(tuples), min(size, tuples))]
-            cons.append(make_constraint(scope, allowed))
-        candidate = CspInstance(num_vars, alphabet_size, arity, tuple(cons))
+        candidate = random_instance(
+            rng, num_vars, alphabet_size, arity, m,
+            lambda: allowed_sizes[rng.randrange(len(allowed_sizes))])
         value, _ = csp_value_exact(candidate, budget)
         if value <= target:
             return candidate, value
@@ -459,28 +468,25 @@ def _thresholds(scores: np.ndarray, k: int) -> np.ndarray:
         np.float32 if k * m < 2**24 else np.float64)
 
 
-def _pair_scan(scores, suffix_max, table, prefix, start, best_total):
-    """Lex-first (i, j), start <= i <= j, whose total with the prefix maxima,
-    sum_e max(prefix_e, S[i, e], S[j, e]), beats best_total: returns
-    (total, [i, j]), or (best_total, []) when no pair beats it."""
-    (n, m), km = scores.shape, table.shape[1]
-    # Row i's pairs total at most sum_e max(prefix_e, suffix_max[i, e]), as
-    # suffix_max[i] covers row i; it never rises with i, so the rows that
-    # can beat best_total are those from start up to end.
-    bound = _row_sums(np.maximum(prefix, suffix_max[start:]), km)
+def _pair_scan(table, mask, start, bound, best_total):
+    """Lex-first (i, j), start <= i <= j, whose total with the fixed slots,
+    sum_e max(fixed maxima_e, S[i, e], S[j, e]), beats best_total: returns
+    (total, [i, j]), or (best_total, []) when no pair beats it.  ``mask`` is
+    the fixed slots' threshold row (None for no fixed slot), ``bound`` their
+    node's bound row from row start on."""
+    n, km = table.shape
+    # the bound never rises with the row: rows start to end can beat it
     end = start + int(np.count_nonzero(bound > best_total))
-    if prefix.any():
-        row_table = _thresholds(np.maximum(prefix, scores[start:end]), km // m)
-    else:  # a zero prefix leaves the rows, so their thresholds, as they are
-        row_table = table[start:end]
+    # [max(p, s) <= t] = [p <= t][s <= t]: masked rows take the maxima in
+    rows = table[start:end] if mask is None else table[start:end] * mask
     product = np.empty(min((end - start) * (n - start),  # any block's cells
-                           max(PAIR_CELLS, n - start)), row_table.dtype)
+                           max(PAIR_CELLS, n - start)), rows.dtype)
     best, r0 = [], start
     while r0 < end:
         h, w = min(max(1, PAIR_CELLS // (n - r0)), end - r0), n - r0
         # A pair (i, j < i) totals the same as (j, i), a kept row's pair
         # that comes first in row-major order.
-        dots = np.matmul(row_table[r0 - start:r0 - start + h], table[r0:].T,
+        dots = np.matmul(rows[r0 - start:r0 - start + h], table[r0:].T,
                          out=product[:h * w].reshape(h, w))
         p, q = divmod(int(dots.argmin()), w)  # row-major: lex-first
         if km - int(dots[p, q]) > best_total:
@@ -513,11 +519,12 @@ def optimal_cheat(c: CspInstance, leak_bits: int,
     The witness profile is the lexicographically smallest maximizer (an
     ordered tuple of assignments, one per message value).  Slots are
     interchangeable, so a sorted maximizer is no larger in lex order: only
-    nondecreasing index tuples are scanned, in lex order, with per-constraint
-    maxima carried down the prefix tree and the last two slots scored as one
-    blocked matrix product.  A slot's row i is bounded by the per-constraint
-    maxima over the slots before it and every assignment from i on, summed:
-    that never rises with i, so each slot stops at its first failing row.
+    nondecreasing index tuples are scanned, in lex order, on a stack of one
+    node per slot and the last two slots scored as one blocked matrix
+    product.  A slot's row i is bounded by the per-constraint maxima over
+    the slots before it and every assignment from i on, summed: that never
+    rises with i, so each slot stops at its first failing row.  Its node
+    holds that bound row, the maxima and their threshold row, built once.
 
     Only r = min(2^bits, n) slots are scanned (and budgeted): the other
     slots repeat the witness's first index, keeping it the lex-first maximizer.
@@ -544,23 +551,25 @@ def optimal_cheat(c: CspInstance, leak_bits: int,
     if r > 1:  # r slots reach the best row's total: start just below it
         best_total, best = best_total - 1, []
         suffix_max = np.maximum.accumulate(scores[::-1])[::-1]
-        table = _thresholds(scores, c.arity)
-        # the fixed slots' rows and prefix maxima; i is the next slot's row
-        idx, maxes, i = [], [np.zeros(m, dtype=scores.dtype)], 0
+        table, km = _thresholds(scores, c.arity), c.arity * m
+
+        def node(start, maxima, mask):  # row i's bound is bound[i - start]
+            return start, maxima, mask, _row_sums(
+                np.maximum(maxima, suffix_max[start:]), km)
+        nodes, i = [node(0, np.zeros(m, dtype=scores.dtype), None)], 0
         while True:
-            if len(idx) == r - 2:  # the last two slots: every pair from i on
-                best_total, pair = _pair_scan(scores, suffix_max, table,
-                                              maxes[-1], i, best_total)
-                best = idx + pair if pair else best
-            elif i < n and (np.maximum(maxes[-1], suffix_max[i]).sum()
-                            > best_total):
-                idx.append(i)  # the next slot starts at i: nondecreasing
-                maxes.append(np.maximum(maxes[-1], scores[i]))
+            start, maxima, mask, bound = nodes[-1]
+            if len(nodes) == r - 1:  # the last two slots: pairs from start on
+                best_total, pair = _pair_scan(table, mask, start, bound,
+                                              best_total)
+                best = [nd[0] for nd in nodes[1:]] + pair if pair else best
+            elif i < n and bound[i - start] > best_total:  # a slot at i
+                row = table[i] if mask is None else mask * table[i]
+                nodes.append(node(i, np.maximum(maxima, scores[i]), row))
                 continue
-            if not idx:
+            if len(nodes) == 1:
                 break
-            i = idx.pop() + 1
-            maxes.pop()
+            i = nodes.pop()[0] + 1
     witness = [_index_to_tuple(j, c.alphabet_size, c.num_vars) for j in best]
     profile = CheatProfile(tuple(witness[:1] * (slots - r) + witness))
     return Fraction(best_total, c.arity * m), profile

@@ -185,7 +185,7 @@ def gain_tensor(g) -> tuple[np.ndarray, int]:
     weights, denom = g.int_weights()
     narrow = np.min_scalar_type(-1 - denom)  # signed, so it holds denom too
     wins = g.win_rows().transpose(0, 2, 1, 3)
-    return weights.astype(narrow)[:, None, :, None] * wins, denom
+    return np.multiply(weights[:, None, :, None], wins, dtype=narrow), denom
 
 
 def _answer_scores(c: np.ndarray) -> np.ndarray:
@@ -194,11 +194,10 @@ def _answer_scores(c: np.ndarray) -> np.ndarray:
     fold's layout c[x, a, b, y, 1].  Each question, last first, becomes the
     most significant digit, so every sum runs over whole rows of tables."""
     b_size, y_size = c.shape[2:4]
-    scores = np.zeros((b_size, y_size, 1), dtype=c.dtype)
+    scores = np.zeros((b_size, y_size, 1, 1), dtype=c.dtype)  # [b, y, 1, i]
     for cx in c[::-1].transpose(0, 2, 3, 1, 4):  # cx[b, y, a, 1]
-        scores = np.add(cx, scores[:, :, None], order="C").reshape(
-            b_size, y_size, -1)
-    return scores
+        scores = np.add(cx, scores, order="C").reshape(b_size, y_size, 1, -1)
+    return scores[:, :, 0]
 
 
 def _fold(c: np.ndarray, cells: int) -> tuple[np.ndarray, int, np.ndarray]:
@@ -218,6 +217,13 @@ def _fold(c: np.ndarray, cells: int) -> tuple[np.ndarray, int, np.ndarray]:
     return c, split, _answer_scores(c[split:])
 
 
+def _prefix_scores(c: np.ndarray, suffix: np.ndarray, prefix) -> np.ndarray:
+    """The fold's score table plus ``prefix``'s answers to c's leading
+    questions: the suffix table itself, uncopied, for the empty prefix."""
+    return (suffix + sum(c[x, a] for x, a in enumerate(prefix)) if prefix
+            else suffix)
+
+
 def best_tables(c: np.ndarray) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Best (numerator, alice, bob) for the gain tensor ``c``.
 
@@ -230,7 +236,7 @@ def best_tables(c: np.ndarray) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     c, split, suffix = _fold(c, y_size * b_size)
     best = (-1, (), ())
     for prefix in itertools.product(range(a_size), repeat=split):
-        scores = suffix + sum(c[x, a] for x, a in enumerate(prefix))
+        scores = _prefix_scores(c, suffix, prefix)
         totals = scores.max(axis=0).sum(axis=0, dtype=c.dtype)
         i = int(totals.argmax())  # first maximum: lex-smallest suffix
         if totals[i] > best[0]:
@@ -282,7 +288,7 @@ def best_values_per_x_subset(c: np.ndarray
     first = np.zeros(len(nums), np.min_scalar_type((a_size + 1) ** split - 1))
 
     def scored(prefix):
-        scores = suffix + sum(ext[x, a] for x, a in enumerate(prefix))
+        scores = _prefix_scores(ext, suffix, prefix)
         return scores, scores.max(axis=0).sum(axis=0, dtype=c.dtype)[order]
 
     prefixes = itertools.product(range(a_size + 1), repeat=split)
@@ -326,7 +332,7 @@ def best_values_per_y_subset(c: np.ndarray, width: int
     first = np.zeros(len(nums), np.min_scalar_type(a_size ** split - 1))
 
     def scored(prefix):
-        scores = suffix + sum(c[x, a] for x, a in enumerate(prefix))
+        scores = _prefix_scores(c, suffix, prefix)
         per_group = scores.max(axis=0).reshape(groups, width, -1).sum(
             axis=1, dtype=c.dtype)
         totals = np.empty((1 << groups, scores.shape[2]), dtype=c.dtype)

@@ -158,7 +158,10 @@ class MeteredChannel:
                 f"leak payload must be a bit-string, got {payload!r}")
         if not payload:
             return ""  # nothing crossed; nothing to meter or log
-        event = ChannelEvent(direction, payload)
+        # filled as run_session fills transcripts: the same event, faster
+        event = object.__new__(ChannelEvent)
+        d = event.__dict__
+        d["direction"], d["payload"] = direction, payload
         spent = self.spent_ab if direction == "ab" else self.spent_ba
         budget = self.budget_ab if direction == "ab" else self.budget_ba
         if spent + len(payload) > budget:

@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 import pickle
 import random
 import tracemalloc
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -827,8 +829,47 @@ def test_leak_1_pair_scan_reads_the_threshold_rows(monkeypatch):
             value, profile = optimal_cheat(c, bits)
             assert value == oracles.naive_optimal_cheat(c, bits)
             assert cheat_acceptance(c, profile) == value
-            assert bits == 2 or len(built) == 1
+            assert len(built) == 1  # one threshold table per scan
     assert {_pruned_at_leak_1(c) for c in cases} == {False, True}
+
+
+def test_threshold_mask_is_the_rows_of_the_maxima():
+    # [max(p, s) <= t] = [p <= t][s <= t]: the fixed slots' threshold row
+    # masks a row's thresholds into those of its maxima with the slots
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 3, 4):
+        scores = rng.integers(0, k + 1, size=(30, 7), dtype=np.uint8)
+        prefixes = [np.zeros(7, np.uint8), np.full(7, k, np.uint8)]
+        prefixes += list(rng.integers(0, k + 1, size=(6, 7), dtype=np.uint8))
+        for prefix in prefixes:
+            masked = csp._thresholds(prefix[None], k) * csp._thresholds(
+                scores, k)
+            assert np.array_equal(
+                csp._thresholds(np.maximum(prefix, scores), k), masked)
+
+
+def test_node_stack_enters_the_recorded_leaves(monkeypatch):
+    # every pair-leaf call's (start, best_total), as the scan that rebuilt
+    # each leaf's rows from the scores made them: the fixture at leak 2, a
+    # 3-slot instance (3 assignments) and an 8-slot one six slots deep
+    calls, scan = [], csp._pair_scan
+    monkeypatch.setattr(csp, "_pair_scan", lambda table, mask, start, bound,
+                        best_total: calls.append([start, best_total])
+                        or scan(table, mask, start, bound, best_total))
+    recorded = json.loads((Path(__file__).parent
+                           / "pair_scan_calls.json").read_text())
+    cases = [(_lowval(), 2),
+             (find_low_value_instance(1, 3, 3, Fraction(1), 0,
+                                      num_constraints=12,
+                                      allowed_sizes=(1, 2, 3))[0], 2),
+             (find_low_value_instance(3, 2, 3, Fraction(1), 12,
+                                      num_constraints=24,
+                                      allowed_sizes=(1, 2))[0], 3)]
+    for (c, bits), expected in zip(cases, recorded.values(), strict=True):
+        calls.clear()
+        optimal_cheat(c, bits)
+        assert calls == expected
+    assert [len(leaves) for leaves in recorded.values()] == [1220, 1, 13]
 
 
 @pytest.mark.parametrize("num_vars, alphabet", [(1, 1), (1, 2), (1, 3),

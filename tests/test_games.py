@@ -468,6 +468,25 @@ def test_classical_fold_memory_is_bounded(monkeypatch):
         assert (splits.pop() >= 1) == walks
 
 
+def test_unsplit_fold_scores_the_suffix_in_place(monkeypatch):
+    # an 8x8x3x3 int8 game folds in one block (split 0): its only prefix,
+    # the empty one, reads the suffix score table itself, not a copy
+    folds, fold = [], games._fold
+    monkeypatch.setattr(games, "_fold",
+                        lambda c, cells: folds.append(fold(c, cells))
+                        or folds[-1])
+    g = helpers.random_game_exact(random.Random(5), 8, 8, 3, 3)
+    tracemalloc.start()
+    try:
+        classical_value(g, budget=3**18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (c, split, suffix), = folds
+    assert c.dtype == np.int8 and split == 0
+    assert peak < 2 * suffix.nbytes  # 157 kB: the table and its copy took 2.4x
+
+
 def test_value_ordering_invariants():
     rng = random.Random(9)
     for _ in range(30):

@@ -129,6 +129,19 @@ def test_session_deterministic_and_replayable():
     assert list(vars(t1)) == [f.name for f in dataclasses.fields(t1)]
     with pytest.raises(dataclasses.FrozenInstanceError):
         t1.verdict = False
+    # so does MeteredChannel.send for its events, delivered or rejected
+    channel = MeteredChannel(1, 0)
+    channel.send("ab", "1"), channel.send("ab", "0"), channel.send("ba", "1")
+    for event, fields in ((channel.events[0], ("ab", "1")),
+                          (channel.rejected[0], ("ab", "0")),
+                          (channel.rejected[1], ("ba", "1"))):
+        built = ChannelEvent(*fields)
+        assert event == built and hash(event) == hash(built)
+        assert repr(event) == repr(built)
+        assert pickle.loads(pickle.dumps(event)) == built
+        assert list(vars(event)) == ["direction", "payload"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.payload = "0"
 
 
 def test_tampered_transcript_fails_replay():
