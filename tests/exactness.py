@@ -79,6 +79,23 @@ def _game_cases(name, g):
         yield f"{name} {solver}", at_every_cap
 
 
+def _walk_cases():
+    """Seed-0 games with 8 or 12 questions on a side, where the one-way
+    label walk prunes, each at the default fold cap only; the 8x8 solve
+    counts about 1.05e7 steps, so it runs at twice the default budget."""
+    for (x, y), models in (((12, 2), (leakage.one_way_ab(2),
+                                      leakage.one_way_ab(3))),
+                           ((2, 12), (leakage.one_way_ba(2),
+                                      leakage.one_way_ba(3))),
+                           ((8, 8), (leakage.simultaneous(1, 2),))):
+        g = helpers.random_game_exact(random.Random(0), x, y, 2, 2)
+        for m in models:
+            yield (f"{x}x{y}x2x2 {m.kind.value}({m.bits_ab},{m.bits_ba})",
+                   lambda g=g, m=m: _outcome(
+                       lambda: leakage.leaky_value_exact(
+                           g, m, 2 * leakage.DEFAULT_LEAKY_BUDGET)))
+
+
 def _cheat_cases():
     for seed in CHEAT_SEEDS:
         shape = 3 + seed % 3, 2 + seed // 3 % 2, 2 + seed // 6 % 2
@@ -211,6 +228,7 @@ def cases(work: Path):
     yield from _cheat_cases()
     yield from _cli_cases(work)
     yield from _session_cases()
+    yield from _walk_cases()
 
 
 def digest(result) -> str:
