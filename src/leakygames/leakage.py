@@ -44,8 +44,9 @@ class LeakageModel:
     bits_ba: int = 0
 
     def __post_init__(self):
-        if self.bits_ab < 0 or self.bits_ba < 0:
-            raise InvalidInputError("bit budgets must be non-negative")
+        if not isinstance(self.kind, LeakageKind):
+            raise InvalidInputError(f"unknown leakage kind {self.kind!r}")
+        check_range((self.bits_ab, self.bits_ba), MAX_TOTAL_BITS + 1, "bits")
         if self.kind is LeakageKind.ONE_WAY_AB and self.bits_ba != 0:
             raise InvalidInputError("one-way-ab forbids bits_ba")
         if self.kind is LeakageKind.ONE_WAY_BA and self.bits_ab != 0:
@@ -116,36 +117,46 @@ def leaky_strategy_value(g, m: LeakageModel, s: LeakyStrategy) -> Fraction:
                                       s.bob_ans[y][s.alice_msg[x]]))
 
 
-def _best_partition(value: list[int], k: int) -> int:
-    """Max over partitions of the full set into at most k blocks of the
-    summed block values; ``value`` is indexed by bitmask.  Only the full
-    set is read from the last layer, so that layer fills it alone."""
+def _best_partition(value: list[int], k: int) -> list[int]:
+    """rest[i]: the best sum of block values (``value`` by bitmask) over
+    partitions of {i..n-1} into at most k blocks, rest[n] = 0.  A layer
+    doubles the blocks, best(S) = max of prev(S1) + prev(S - S1), so
+    ceil(log2 k) layers reach k (or n = k); the last fills only suffixes."""
+    suffixes = [len(value) - (1 << i)
+                for i in range(len(value).bit_length() - 1)]
     best = value
-    for layer in range(k - 1):
+    for layer in range((k - 1).bit_length()):
         prev, best = best, [0] * len(value)
-        for s in range(1 if layer < k - 2 else len(value) - 1, len(value)):
+        for s in range(1, len(value)) if k > 2 << layer else suffixes:
             low, rest = s & -s, s & (s - 1)  # low's block is low | t
-            t, best[s] = rest, value[s]
+            t, top = rest, prev[s]  # prev(empty) = 0: S1 = S
             while t:
                 t = (t - 1) & rest
-                best[s] = max(best[s], value[low | t] + prev[rest ^ t])
-    return best[-1]
+                if (v := prev[low | t] + prev[rest ^ t]) > top:
+                    top = v
+            best[s] = top
+    return [best[s] for s in suffixes] + [0]
 
 
-def _label_strings(n: int, k: int):
+def _label_strings(n: int, k: int, keep=None):
     """Length-n strings over <= k labels, new blocks taking the next label,
-    in lex order: each step raises the last label that can still rise (to
-    at most one past the labels before it) and zeroes the rest."""
-    labels, top = [0] * n, [0] * n  # top[i]: max(labels[:i + 1])
-    while True:
-        yield tuple(labels)
-        i = n - 1
-        while i > 0 and labels[i] > min(top[i - 1], k - 2):
+    in lex order, walked depth first without recursion; a prefix of i labels
+    (masks[l]: the questions labelled l) grows only if keep(i, masks)."""
+    labels, masks, i = [-1] * n, [0] * k, 0
+    while i >= 0:
+        if i == n:
+            yield tuple(labels)
             i -= 1
-        if i < 1:
-            return
-        labels[i:] = [labels[i] + 1] + [0] * (n - 1 - i)
-        top[i:] = [max(top[i - 1], labels[i])] * (n - i)
+            continue
+        v = labels[i]
+        masks[v] &= ~(1 << i)  # no bit is set while v = -1
+        if v == k - 1 or v >= 0 and not masks[v]:  # v is i's last label
+            labels[i], i = -1, i - 1
+            continue
+        labels[i] = v = v + 1
+        masks[v] |= 1 << i
+        if keep is None or keep(i + 1, masks):
+            i += 1
 
 
 @functools.cache
@@ -159,34 +170,27 @@ def _string_count(n: int, k: int) -> int:
 
 
 def _partition(values: list[int], n: int, msgs: int) -> tuple[int, tuple]:
-    """Best split of n questions into at most ``msgs`` labelled blocks, given
-    each subset's value indexed by bitmask: the total and the first label
-    string reaching it."""
+    """The best total of n questions' values (by bitmask) over at most
+    ``msgs`` labelled blocks, and the first label string reaching it.  With
+    subadditive values worth 0 on the empty set, as both folds' are, a
+    prefix's blocks plus the best split after it bound all its strings."""
     k = min(msgs, n)
-    best = _best_partition(values, k)
-
-    def total(labels):
-        masks = [0] * k
-        for i, v in enumerate(labels):
-            masks[v] |= 1 << i
-        return sum(values[mask] for mask in masks)
-
-    return best, next(s for s in _label_strings(n, k) if total(s) == best)
+    rest = _best_partition(values, k)
+    return rest[0], next(_label_strings(n, k, lambda i, masks: sum(
+        map(values.__getitem__, masks)) + rest[i] >= rest[0]))
 
 
 def leaky_enumeration_size(g, m: LeakageModel) -> int:
-    """Steps `leaky_value_exact` takes, checked against its budget.
-
-    With k1 = min(2^bits_ab, X), k2 = min(2^bits_ba, Y) and strings(n, k)
-    label strings of length n over at most k labels, and dp(n, k) =
-    3^n * (k-2) + 2^n partition DP steps for k >= 2 (k-2 full submask
-    layers and the full set's last layer; none for k = 1).  No bits to
-    alice (one-way-ab, simultaneous(L, 0)): (A+1)^X subset tables +
-    dp(X, k1) + strings(X, k1) + Y * 2^bits_ab bob answer cells.
-    Otherwise, per alice string, A^X * 2^Y subset scores + dp(Y, k2) +
-    strings(Y, k2), over strings(X, k1) alice strings; plus
-    X * 2^bits_ba + Y * 2^bits_ab answer cells.
-    """
+    """A count that bounds the steps `leaky_value_exact` takes, checked
+    against its budget.  With k1 = min(2^bits_ab, X), k2 = min(2^bits_ba,
+    Y), strings(n, k) label strings of length n over at most k labels (at
+    least the walk's leaves) and dp(n, k) = 3^n * (k-2) + 2^n for k >= 2,
+    0 for k = 1 (at least the doubling DP's (ceil(log2 k) - 1) * 3^n +
+    2^n - 1 steps).  No bits to alice (one-way-ab, simultaneous(L, 0)):
+    (A+1)^X subset tables + dp(X, k1) + strings(X, k1) + Y * 2^bits_ab bob
+    answer cells.  Otherwise, per alice string, A^X * 2^Y subset scores +
+    dp(Y, k2) + strings(Y, k2), over strings(X, k1) alice strings; plus
+    X * 2^bits_ba + Y * 2^bits_ab answer cells."""
     x, y, a = g.x_size, g.y_size, g.a_size
     k1, k2 = min(m.msgs_ab, x), min(m.msgs_ba, y)
 
@@ -226,13 +230,11 @@ def _heard(c: np.ndarray, labels: tuple[int, ...]) -> np.ndarray:
 
 
 def _solve(c: np.ndarray, m: LeakageModel) -> tuple[int, LeakyStrategy]:
-    """The best numerator and witness on the gain tensor ``c``.  With no
-    bits to alice one fold scores every subset of X for her string.
-    Otherwise her strings run in lex order, each scored by bob's split of Y
-    (bob answering (y, label); one fold scores every subset of Y), keeping
-    the first that strictly improves; none passes the merged-prover value,
-    so a scan of two or more stops there.  The kept fold's reads give each
-    chosen block's tables, bob answering 0 to labels never sent."""
+    """The best numerator and witness on the gain tensor ``c``: one fold
+    scores every subset of X for alice's split when she hears nothing, or
+    of Y per alice string in lex order (bob answering (y, label)), keeping
+    the first that strictly improves, up to the merged-prover value.  The
+    kept fold's reads give each chosen block's tables (0 to unsent labels)."""
     x_size, _, y_size, _ = c.shape
     if not m.bits_ba:
         values, read = best_values_per_x_subset(c)
@@ -284,11 +286,11 @@ def leaky_value_exact(g, m: LeakageModel,
     response.  Message labels are interchangeable, so its message tables
     are restricted-growth strings.  A fixed message table splits the
     sender's questions into at most 2^bits blocks, each its own classical
-    game; a subset DP over partitions gives the value, and the first label
-    string reaching it, with each block's lex-smallest optimal answers (0
-    for unused labels), the witness.  The solve reads only the game's gain
-    tensor: alice's string splits X, and bob's splits Y once per alice
-    string, one-way-ab being bob's constant string and one-way-ba alice's.
+    game.  A doubling subset DP gives the value and each suffix's best
+    split; these bound a depth-first walk whose first leaf is the first
+    label string reaching the value.  Each block's lex-smallest optimal
+    answers (0 for unused labels) complete the witness.  Alice's string
+    splits X, and bob's splits Y once per alice string.
     """
     check_budget(budget, "leaky-strategy enumeration",
                  lambda: _log2_enumeration_size(g, m),

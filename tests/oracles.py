@@ -117,6 +117,19 @@ def label_strings(n, k, prefix=()):
             yield from label_strings(n, k, prefix + (label,))
 
 
+def first_best_string(values, n, k):
+    """The first of ``label_strings(n, k)`` whose nonempty blocks' values,
+    indexed by bitmask, sum to the best total, with that total."""
+    def total(labels):
+        masks = [0] * k
+        for i, v in enumerate(labels):
+            masks[v] |= 1 << i
+        return sum(values[mask] for mask in masks if mask)
+    strings = list(label_strings(n, k))
+    totals = [total(s) for s in strings]
+    return max(totals), strings[totals.index(max(totals))]
+
+
 def iter_leaky_strategies(g, m: LeakageModel):
     """Every deterministic leaky strategy for the model, lex order."""
     m1, m2 = m.msgs_ab, m.msgs_ba

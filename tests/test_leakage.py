@@ -48,6 +48,17 @@ def test_model_validation():
     assert simultaneous(1, 1).total_bits == 2
 
 
+@pytest.mark.parametrize("kind, bits_ab, bits_ba", [
+    ("one-way-ab", 0, 3), (None, 0, 0), (LeakageKind.ONE_WAY_AB, 1.5, 0),
+    (LeakageKind.ONE_WAY_AB, None, 0)])
+def test_model_refuses_unknown_kinds_and_non_integer_bits(kind, bits_ab,
+                                                          bits_ba):
+    # a kind given by its value would pass as no known direction, and a
+    # fractional budget would fail only inside the solve
+    with pytest.raises(InvalidInputError):
+        LeakageModel(kind, bits_ab, bits_ba)
+
+
 def test_forwarding_strategy_wins_chsh():
     # all four question pairs satisfy a xor b == x and y
     assert leaky_strategy_value(chsh(), one_way_ab(1), CHSH_FORWARD) == 1
@@ -281,15 +292,19 @@ def test_subset_fold_over_budget_is_refused_from_its_log2():
 
 
 def test_best_partition_matches_naive_partitions():
-    # the submask DP, whose last layer fills only the full set, against
-    # every set partition; k >= n lets every question have its own block
+    # the doubling DP, whose last layer fills only the suffix sets, against
+    # every set partition of each suffix; k = n lets every question have
+    # its own block
     rng = random.Random(113)
     for n in range(1, 9):
-        for k in range(1, 6):
+        for b in range(4):
+            k = min(2**b, n)
             for _ in range(3 if n < 7 else 1):
                 value = [rng.randint(-4, 12) for _ in range(1 << n)]
-                assert leakage._best_partition(value, k) == \
-                    oracles.naive_best_partition(value, n, k)
+                rest = leakage._best_partition(value, k)
+                assert rest == [oracles.naive_best_partition(
+                    [value[mask << i] for mask in range(1 << n - i)], n - i,
+                    k) for i in range(n + 1)]
 
 
 def test_label_strings_match_the_recursive_reference():
@@ -299,6 +314,39 @@ def test_label_strings_match_the_recursive_reference():
             strings = list(leakage._label_strings(n, k))
             assert strings == list(oracles.label_strings(n, k))
             assert len(strings) == leakage._string_count(n, k)
+
+
+def test_partition_walk_finds_the_first_best_string():
+    # the pruned walk against every label string, on both folds' subset
+    # values; zero weights and one-answer alphabets make ties common
+    rng = random.Random(167)
+    for _ in range(30):
+        x, y = rng.randint(1, 9), rng.randint(1, 9)
+        a, b = rng.choice((1, 2, 2, 3)) if x < 8 else 2, rng.choice((1, 2, 3))
+        g = helpers.random_game_exact(rng, x, y, a, b)
+        weights = [rng.choice((0, 0, 1, 2)) for _ in range(x * y)]
+        weights[rng.randrange(x * y)] = 1
+        c, _ = games.gain_tensor(make_game("ties", x, y, a, b, weights,
+                                           g.wins))
+        for values, n in ((games.best_values_per_x_subset(c)[0], x),
+                          (games.best_values_per_y_subset(c, 1)[0], y)):
+            for msgs in (1, 2, 4, 8):
+                assert leakage._partition(values, n, msgs) == \
+                    oracles.first_best_string(values, n, min(msgs, n))
+
+
+@pytest.mark.parametrize("bits", [2, 3])
+def test_partition_walk_prunes(bits, monkeypatch):
+    # the suffix bound cuts the walk to a few prefixes per position where
+    # 12 questions have 700,075 strings over 4 labels and 4,189,550 over 8
+    calls, walk = [], leakage._label_strings
+
+    def counted(n, k, keep):
+        return walk(n, k, lambda i, masks: calls.append(i) or keep(i, masks))
+    monkeypatch.setattr(leakage, "_label_strings", counted)
+    g = helpers.random_game_exact(random.Random(0), 12, 2, 2, 2)
+    leaky_value_exact(g, one_way_ab(bits))
+    assert 12 <= len(calls) < 100
 
 
 def test_core_on_the_verifier_tensor_matches_optimal_cheat():
