@@ -119,9 +119,9 @@ def leaky_strategy_value(g, m: LeakageModel, s: LeakyStrategy) -> Fraction:
 
 def _best_partition(value: list[int], k: int) -> list[int]:
     """rest[i]: the best sum of block values (``value`` by bitmask) over
-    partitions of {i..n-1} into at most k blocks, rest[n] = 0.  A layer
-    doubles the blocks, best(S) = max of prev(S1) + prev(S - S1), so
-    ceil(log2 k) layers reach k (or n = k); the last fills only suffixes."""
+    partitions of {i..n-1} into at most k blocks, rest[n] = 0, for k a
+    power of two or n.  A layer doubles the blocks, best(S) = max of
+    prev(S1) + prev(S - S1); the last fills only the suffix sets."""
     suffixes = [len(value) - (1 << i)
                 for i in range(len(value).bit_length() - 1)]
     best = value
