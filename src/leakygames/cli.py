@@ -21,7 +21,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,37 +40,19 @@ EXIT_GENERATOR_CAP = 4
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParamReport:
-    """Repetition-count arithmetic for a leakage-robust protocol.
+def compute_params(leak_bits: int, answer_bits: int, epsilon: float,
+                   k_multiplier: int, c_exp: float = 1.0,
+                   c_rate: float = 1.0 / 16.0,
+                   question_bits: int | None = None) -> dict:
+    """The ``params`` row: repetition-count arithmetic for a leakage-robust
+    protocol, a pure function of its inputs, each checked here.
 
     Repeating a base game k*max(leak_bits, 1) times multiplies question and
     answer sizes by the repetition count, and the claimed soundness is
     2^leak_bits times the heuristic decay curve at that count.  ``vacuous``
-    flags claims that the clamp made meaningless.
-    """
-
-    leak_bits: int
-    answer_bits: int
-    epsilon: float
-    k_multiplier: int
-    c_exp: float
-    c_rate: float
-    repetitions: int
-    repeated_answer_bits: int
-    repeated_question_bits: int | None
-    pre_clamp: float
-    soundness_claim: float
-    vacuous: bool
-
-
-def compute_params(leak_bits: int, answer_bits: int, epsilon: float,
-                   k_multiplier: int, c_exp: float = 1.0,
-                   c_rate: float = 1.0 / 16.0,
-                   question_bits: int | None = None) -> ParamReport:
-    """Pure function of its inputs, each checked here; see ParamReport.
-    Theory leaves the decay curve's exponent constants open: the defaults
-    (1, 1/16) make it illustrative, not a claim about any concrete game."""
+    flags claims that the clamp made meaningless.  Theory leaves the decay
+    curve's exponent constants open: the defaults (1, 1/16) make it
+    illustrative, not a claim about any concrete game."""
     if not 0 < epsilon <= 0.5:
         raise InvalidInputError("epsilon must be in (0, 1/2]")
     if leak_bits < 0 or k_multiplier < 1 or answer_bits < 0:
@@ -90,16 +71,14 @@ def compute_params(leak_bits: int, answer_bits: int, epsilon: float,
         raise InvalidInputError(
             f"soundness claim at {leak_bits} leak bits and {reps} "
             f"repetitions is out of float range") from None
-    return ParamReport(
-        leak_bits=leak_bits, answer_bits=answer_bits, epsilon=epsilon,
-        k_multiplier=k_multiplier, c_exp=c_exp, c_rate=c_rate,
-        repetitions=reps,
-        repeated_answer_bits=reps * answer_bits,
-        repeated_question_bits=(reps * question_bits
-                                if question_bits is not None else None),
-        pre_clamp=pre,
-        soundness_claim=min(1.0, pre),
-        vacuous=pre >= 1.0)
+    return {"leak_bits": leak_bits, "answer_bits": answer_bits,
+            "epsilon": epsilon, "k_multiplier": k_multiplier,
+            "c_exp": c_exp, "c_rate": c_rate, "repetitions": reps,
+            "repeated_answer_bits": reps * answer_bits,
+            "repeated_question_bits": (reps * question_bits
+                                       if question_bits is not None else None),
+            "pre_clamp": pre, "soundness_claim": min(1.0, pre),
+            "vacuous": pre >= 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +320,10 @@ def cmd_run(args) -> dict:
 
 
 def cmd_params(args) -> dict:
-    report = compute_params(args.leak_bits, args.answer_bits, args.epsilon,
-                            args.k, args.c_exp, args.c_rate,
-                            args.question_bits)
-    return asdict(report) | {"pre_clamp": repr(report.pre_clamp),
-                             "soundness_claim": repr(report.soundness_claim)}
+    row = compute_params(args.leak_bits, args.answer_bits, args.epsilon,
+                         args.k, args.c_exp, args.c_rate, args.question_bits)
+    return row | {"pre_clamp": repr(row["pre_clamp"]),
+                  "soundness_claim": repr(row["soundness_claim"])}
 
 
 def cmd_gen(args) -> None:
@@ -361,10 +339,8 @@ def cmd_gen(args) -> None:
                      lambda: x * y * a * b)
         weights = [rng.randrange(1, 4) for _ in range(x * y)]
         bits = [rng.randrange(2) for _ in range(x * y * a * b)]
-        g = games.make_game(f"random-{args.seed}", x, y, a, b, weights,
-                            lambda xx, yy, aa, bb:
-                            bits[((xx * y + yy) * a + aa) * b + bb])
-        text = games.save_game(g)
+        text = games.save_game(games._from_int_weights(
+            f"random-{args.seed}", args.sizes, weights, bits))
         name = f"random-{args.seed}.game"
     elif args.kind == "csp":
         # bad sizes are refused before the budget check reads them

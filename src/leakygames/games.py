@@ -406,6 +406,22 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
             if (line := raw.split("#", 1)[0].strip())]
 
 
+def _from_int_weights(name: str, sizes: Sequence[int], weights: Sequence[int],
+                      bits: Sequence[int]) -> Game:
+    """A game from integer weights with a positive total and its predicate
+    bits.  The weights, divided by their gcd, are kept for ``int_weights``
+    rather than recovered from ``dist``; ``dist`` holds one Fraction per
+    distinct weight."""
+    scale = math.gcd(*weights)
+    nums, denom = [w // scale for w in weights], sum(weights) // scale
+    fractions = {n: Fraction(n, denom) for n in set(nums)}
+    g = object.__new__(Game)
+    object.__setattr__(g, "_weights", (nums, denom))
+    g.__init__(name, *sizes, tuple(map(fractions.__getitem__, nums)),
+               tuple(bits))
+    return g
+
+
 def load_game(text: str) -> Game:
     """Parse the line-oriented game format; errors carry line numbers."""
     lines = _content_lines(text)
@@ -466,15 +482,8 @@ def load_game(text: str) -> Game:
             raise FormatError(no, f"pred row must be {a_size * b_size} bits")
         rows.append(row)
     bits = "".join(rows).encode().translate(bytes.maketrans(b"01", b"\0\1"))
-
-    scale = math.gcd(*weights)
-    nums, denom = [w // scale for w in weights], total // scale
-    fractions = {n: Fraction(n, denom) for n in set(nums)}
-    g = object.__new__(Game)  # its integer weights kept, not recovered
-    object.__setattr__(g, "_weights", (nums, denom))
-    g.__init__(name, x_size, y_size, a_size, b_size,
-               tuple(map(fractions.__getitem__, nums)), tuple(bits))
-    return g
+    return _from_int_weights(name, (x_size, y_size, a_size, b_size),
+                             weights, bits)
 
 
 def save_game(g: Game) -> str:
@@ -497,17 +506,12 @@ def make_game(name: str, x_size: int, y_size: int, a_size: int, b_size: int,
     ``predicate(x, y, a, b)`` -> truthy on accept.  Weights are normalized
     by their sum.
     """
-    total = sum(weights)
-    if total <= 0:
+    if sum(weights) <= 0:
         raise InvalidInputError("zero total weight")
-    dist = tuple(Fraction(w, total) for w in weights)
-    bits = []
-    for x in range(x_size):
-        for y in range(y_size):
-            for a in range(a_size):
-                for b in range(b_size):
-                    bits.append(1 if predicate(x, y, a, b) else 0)
-    return Game(name, x_size, y_size, a_size, b_size, dist, tuple(bits))
+    sizes = (x_size, y_size, a_size, b_size)
+    bits = [1 if predicate(*q) else 0
+            for q in itertools.product(*map(range, sizes))]
+    return _from_int_weights(name, sizes, weights, bits)
 
 
 def chsh() -> Game:

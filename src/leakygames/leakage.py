@@ -18,6 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -333,7 +334,10 @@ def leaky_value_upper_bound(g, total_bits: int,
     bits: guessing the transcript turns any such protocol into a
     no-communication one at a 2^-total_bits probability cost.
     """
-    if total_bits < 0:
-        raise InvalidInputError("total_bits must be non-negative")
+    if not isinstance(total_bits, Integral) or total_bits < 0:
+        raise InvalidInputError(
+            f"total_bits must be a non-negative integer, got {total_bits!r}")
     value, _ = classical_value(g, budget)
+    if total_bits >= value.denominator.bit_length():  # 2^bits > denominator
+        return Fraction(1) if value else value
     return min(Fraction(1), (1 << total_bits) * value)

@@ -21,8 +21,8 @@ from .errors import (RUN_FALLBACK, BudgetExceededError, InvalidInputError,
                      check_budget)
 from .games import (DEFAULT_PAIR_BUDGET, Game, StrategyPair, _int_dtype,
                     classical_value)
-from .leakage import (DEFAULT_LEAKY_BUDGET, LeakageModel, LeakyStrategy,
-                      leaky_value_exact, leaky_value_upper_bound)
+from .leakage import (LeakageModel, LeakyStrategy, leaky_value_exact,
+                      leaky_value_upper_bound)
 
 DEFAULT_TABLE_CELLS = 10**7
 
@@ -141,9 +141,7 @@ class LeakyRepetitionResult:
     exact: bool
 
 
-def leaky_repetition_experiment(g: Game, copies: int, model: LeakageModel,
-                                leaky_budget: int = DEFAULT_LEAKY_BUDGET,
-                                pair_budget: int = DEFAULT_PAIR_BUDGET
+def leaky_repetition_experiment(g: Game, copies: int, model: LeakageModel
                                 ) -> LeakyRepetitionResult:
     """Leaky value of the N-fold product: exact when enumerable.
 
@@ -153,12 +151,12 @@ def leaky_repetition_experiment(g: Game, copies: int, model: LeakageModel,
     """
     rg = repeat_game(g, copies)
     try:
-        value, witness = leaky_value_exact(rg, model, leaky_budget)
+        value, witness = leaky_value_exact(rg, model)
         return LeakyRepetitionResult(value, witness, True)
     except BudgetExceededError:
         pass
     try:
-        bound = leaky_value_upper_bound(rg, model.total_bits, pair_budget)
+        bound = leaky_value_upper_bound(rg, model.total_bits)
     except BudgetExceededError:
-        bound = leaky_value_upper_bound(g, model.total_bits, pair_budget)
+        bound = leaky_value_upper_bound(g, model.total_bits)
     return LeakyRepetitionResult(bound, None, False)

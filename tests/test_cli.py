@@ -27,7 +27,7 @@ from leakygames.cli import (EXIT_BUDGET, EXIT_GENERATOR_CAP, EXIT_INVALID,
                             EXIT_OK, compute_params, main, parse_fraction)
 from leakygames.csp import (CspInstance, load_instance, make_constraint,
                             optimal_cheat, save_csp)
-from leakygames.errors import InvalidInputError
+from leakygames.errors import BudgetExceededError, InvalidInputError
 from leakygames.games import make_game, save_game
 
 FIXTURES = resources.files("leakygames") / "fixtures"
@@ -574,12 +574,12 @@ def test_parse_fraction():
 
 def test_params_zero_leakage_is_plain_bound():
     report = compute_params(0, 2, 0.25, 10)
-    assert report.repetitions == 10
-    assert report.pre_clamp == pytest.approx(
+    assert report["repetitions"] == 10
+    assert report["pre_clamp"] == pytest.approx(
         (1 - 0.25) ** ((1 / 16) * 10 / 5))
-    assert report.soundness_claim == report.pre_clamp  # 2^0 factor
+    assert report["soundness_claim"] == report["pre_clamp"]  # 2^0 factor
     # the plug-in point: (1 - 1/4) ** (1 * 3 / 3), falling with every k
-    curve = [compute_params(0, 1, 0.25, k, c_rate=1.0).pre_clamp
+    curve = [compute_params(0, 1, 0.25, k, c_rate=1.0)["pre_clamp"]
              for k in range(1, 11)]
     assert curve[2] == 0.75
     assert all(x > y for x, y in zip(curve, curve[1:]))
@@ -587,18 +587,18 @@ def test_params_zero_leakage_is_plain_bound():
 
 def test_params_vacuous_flag():
     report = compute_params(3, 1, 0.25, 1)
-    assert report.vacuous
-    assert report.soundness_claim == 1.0
+    assert report["vacuous"]
+    assert report["soundness_claim"] == 1.0
     big = compute_params(1, 1, 0.5, 400)
-    assert not big.vacuous
-    assert big.soundness_claim < 1.0
+    assert not big["vacuous"]
+    assert big["soundness_claim"] < 1.0
 
 
 def test_params_answer_bits_scale():
     report = compute_params(2, 3, 0.25, 7, question_bits=5)
-    assert report.repetitions == 14
-    assert report.repeated_answer_bits == 42
-    assert report.repeated_question_bits == 70
+    assert report["repetitions"] == 14
+    assert report["repeated_answer_bits"] == 42
+    assert report["repeated_question_bits"] == 70
 
 
 @settings(max_examples=60, deadline=None)
@@ -608,8 +608,8 @@ def test_params_doubling_k_squares_the_decay(leak, answer, eps, k):
     single = compute_params(leak, answer, eps, k)
     double = compute_params(leak, answer, eps, 2 * k)
     factor = 2.0 ** leak
-    decay_single = single.pre_clamp / factor
-    decay_double = double.pre_clamp / factor
+    decay_single = single["pre_clamp"] / factor
+    decay_double = double["pre_clamp"] / factor
     assert math.isclose(decay_double, decay_single ** 2,
                         rel_tol=64 * sys.float_info.epsilon, abs_tol=1e-300)
 
@@ -653,8 +653,8 @@ def test_params_refuses_claims_a_float_cannot_hold(argv, message, tmp_path,
 def test_params_largest_leak_within_float_range():
     # 2^1023 times a decay below one: finite, clamped and vacuous
     report = compute_params(1023, 1, 0.1, 1)
-    assert math.isfinite(report.pre_clamp) and report.pre_clamp > 1.0
-    assert report.soundness_claim == 1.0 and report.vacuous
+    assert math.isfinite(report["pre_clamp"]) and report["pre_clamp"] > 1.0
+    assert report["soundness_claim"] == 1.0 and report["vacuous"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -734,6 +734,17 @@ def test_simultaneous_leak_past_the_questions_solves(tmp_path):
     assert row["alice_msg"] == "0,0" and row["bob_msg"] == "0,1"
     assert [len(r.split(",")) for r in row["alice_ans"].split(";")] == \
         [2**15, 2**15]
+
+
+def test_budget_error_shows_a_count_past_64_bits_as_a_power():
+    # a count passed without its log2 is shown by its bit length
+    exc = BudgetExceededError(2**70 + 5, 10, "table", fallback="sampling")
+    assert str(exc) == ("table needs about 2^70 steps, budget is 10; "
+                        "fall back to sampling")
+    assert exc.required == 2**70 + 5
+    assert exc.log2_required == math.log2(2**70 + 5)
+    small = BudgetExceededError(2**64 - 1, 10)
+    assert str(small) == f"enumeration needs {2**64 - 1} steps, budget is 10"
 
 
 @pytest.mark.parametrize("argv, fallback", [

@@ -520,6 +520,34 @@ def test_parallel_edges_rejected():
         LabelCover(1, 1, 2, 2, ((0, 0), (0, 0)), ((0, 1), (1, 0)))
 
 
+@pytest.mark.parametrize("sizes, edges, projections, message", [
+    ((0, 1, 2, 2), ((0, 0),), ((0, 1),), "sizes must be >= 1"),
+    ((1, 1, 2, 2), (), (), "non-empty"),
+    ((1, 1, 2, 2), ((0, 0), (0, 0)), ((0, 1), (1, 0)), "parallel"),
+    ((2, 1, 2, 2), ((0, 0), (1, 0)), ((0, 1),), "one projection per edge"),
+    ((1, 1, 2, 2), ((0, 1),), ((0, 1),), "endpoint out of range"),
+    ((1, 1, 2, 2), ((0, 0),), ((0,),), "cover sigma_left"),
+    ((1, 1, 2, 2), ((0, 0),), ((0, 2),), "projection value out of range"),
+], ids=["size-0", "no-edges", "parallel", "projection-count",
+        "endpoint", "projection-length", "projection-value"])
+def test_label_cover_refuses_malformed_parts(sizes, edges, projections,
+                                             message):
+    with pytest.raises(InvalidInputError, match=message):
+        LabelCover(*sizes, edges, projections)
+
+
+@pytest.mark.parametrize("sizes, scope, allowed, message", [
+    ((2, 0, 2), (0, 1), [], "must be >= 1"),
+    ((2, 2, 2), (0,), [(0,)], "scope length"),
+    ((2, 2, 2), (0, 1), [(0, 2)], "value out of range"),
+    ((2, 2, 2), (0, 1), [(-1, 0)], "value out of range"),
+], ids=["alphabet-0", "short-scope", "value-2", "value-negative"])
+def test_csp_instance_refuses_malformed_parts(sizes, scope, allowed,
+                                              message):
+    with pytest.raises(InvalidInputError, match=message):
+        CspInstance(*sizes, (make_constraint(scope, allowed),))
+
+
 # -- verifier acceptance and cheating ----------------------------------------
 
 

@@ -20,6 +20,7 @@ from leakygames.errors import (BudgetExceededError, FormatError,
 from leakygames.games import (Game, StrategyPair, chsh, classical_value,
                               load_game, make_game, merged_prover_value,
                               save_game, strategy_value)
+from leakygames.harness import instance_id
 from leakygames.leakage import (leaky_value_exact, one_way_ab, one_way_ba,
                                 simultaneous)
 
@@ -572,6 +573,67 @@ def test_save_matches_the_fraction_formatter():
 def test_game_weights_are_checked_as_integers(dist, message):
     with pytest.raises(InvalidInputError, match=message):
         Game("g", 2, 2, 2, 2, dist, chsh().pred)
+
+
+@pytest.mark.parametrize("sizes, dist, pred, message", [
+    ((0, 2, 2, 2), (), (), "x_size must be >= 1"),
+    ((2, 2, 2, -1), (Fraction(1, 4),) * 4, (), "b_size must be >= 1"),
+    ((2, 2, 2, 2), (Fraction(1, 3),) * 3, (0,) * 16, "dist has 3 entries"),
+    ((2, 2, 2, 2), (Fraction(1, 4),) * 4, (0,) * 15, "pred has 15 entries"),
+    ((2, 2, 2, 2), (Fraction(1, 4),) * 4, (0,) * 15 + (2,), "0 or 1"),
+    ((1, 1, 1, 2), (Fraction(1),), (1, -1), "0 or 1"),
+], ids=["x-size-0", "b-size-negative", "short-dist", "short-pred",
+        "pred-2", "pred-negative"])
+def test_game_refuses_bad_shapes(sizes, dist, pred, message):
+    with pytest.raises(InvalidInputError, match=message):
+        Game("g", *sizes, dist, pred)
+
+
+@pytest.mark.parametrize("weights", [[0, 0, 0, 0], [1, -1, 0, 0],
+                                     [1, -2, 0, 0]])
+def test_make_game_refuses_a_total_weight_below_one(weights):
+    with pytest.raises(InvalidInputError, match="zero total weight"):
+        make_game("g", 2, 2, 2, 2, weights, lambda *_: True)
+
+
+def test_make_game_matches_games_built_from_fractions():
+    # the integer-weight builder against Fractions over the total, with
+    # zero, negative (refused alike) and 2^70 weights
+    rng = random.Random(41)
+    built = refused = 0
+    for i in range(300):
+        sizes = [rng.randint(1, 3) for _ in range(4)]
+        x, y, a, b = sizes
+        weights = [rng.choice([0, 1, 2, 3, 6, 2**70, 3 * 2**70, -1])
+                   for _ in range(x * y)]
+        weights[rng.randrange(x * y)] += 2**70 if i % 2 else 1
+        bits = [rng.randrange(2) for _ in range(x * y * a * b)]
+        total = sum(weights)
+        if total <= 0:
+            continue
+        dist = tuple(Fraction(w, total) for w in weights)
+
+        def pred(xx, yy, aa, bb):
+            return bits[((xx * y + yy) * a + aa) * b + bb]
+
+        if min(weights) < 0:
+            for build in (lambda: make_game("g", *sizes, weights, pred),
+                          lambda: Game("g", *sizes, dist, tuple(bits))):
+                with pytest.raises(InvalidInputError, match="negative"):
+                    build()
+            refused += 1
+            continue
+        made = make_game(f"g{i}", *sizes, weights, pred)
+        plain = Game(f"g{i}", *sizes, dist, tuple(bits))
+        assert made == plain and hash(made) == hash(plain)
+        (mw, md), (pw, pd) = made.int_weights(), plain.int_weights()
+        assert mw.tolist() == pw.tolist() and mw.dtype == pw.dtype
+        assert md == pd
+        assert instance_id(made) == instance_id(plain)
+        loaded = load_game(save_game(made))
+        assert loaded == made and loaded.int_weights()[1] == md
+        built += 1
+    assert built > 100 and refused > 50
 
 
 def test_save_rejects_bad_names():

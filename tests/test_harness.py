@@ -798,6 +798,19 @@ def test_unhashable_targets_are_refused():
         instance_id(("a", "tuple", "keeps", "nothing"))
 
 
+def test_refuses_unknown_roles_empty_estimates_and_other_objects():
+    with pytest.raises(InvalidInputError, match="role must be"):
+        ProverBehavior(lambda q, bits: 0, lambda q: "", "third")
+    with pytest.raises(InvalidInputError, match="sessions must be >= 1"):
+        estimate_acceptance(chsh(), best_chsh_behaviors(), NO_LEAK, 0, 1)
+
+    class Thing:  # hashable, with a __dict__, but neither game nor csp
+        pass
+
+    with pytest.raises(InvalidInputError, match="cannot identify Thing"):
+        instance_id(Thing())
+
+
 def test_dropped_targets_are_freed():
     # a target's instance id and session support are kept on the target,
     # not in a cache outside it: sessions and estimates leave nothing that

@@ -230,6 +230,33 @@ def test_upper_bound():
     assert leaky_value_upper_bound(ZEROS, 5) == 0
 
 
+def test_upper_bound_clamps_without_building_two_to_the_bits():
+    # the clamp binds once 2^bits passes the value's denominator; at 10^7
+    # bits 2^bits alone is 1.25 MB, so the traced peak shows it is not built
+    rng = random.Random(47)
+    games_ = [chsh(), ZEROS, make_game("heavy", 1, 2, 1, 1, [2**64, 1],
+                                       lambda x, y, a, b: y == 0)]
+    games_ += [helpers.random_game_exact(rng, 2, 2, 2, 2) for _ in range(6)]
+    for g in games_:
+        value = classical_value(g)[0]
+        for bits in range(70):
+            assert leaky_value_upper_bound(g, bits) == \
+                min(Fraction(1), 2**bits * value)
+        tracemalloc.start()
+        try:
+            huge = leaky_value_upper_bound(g, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert huge == min(Fraction(1), 2 * value) and peak < 2**20
+
+
+@pytest.mark.parametrize("bits", [-1, 1.5, 2.0, "3", None])
+def test_upper_bound_refuses_bad_bit_counts(bits):
+    with pytest.raises(InvalidInputError, match="non-negative integer"):
+        leaky_value_upper_bound(chsh(), bits)
+
+
 def test_exact_below_upper_bound():
     rng = random.Random(43)
     for _ in range(8):

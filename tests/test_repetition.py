@@ -12,11 +12,11 @@ import pytest
 import helpers
 import oracles
 from leakygames import games, repetition
-from leakygames.errors import BudgetExceededError
+from leakygames.errors import BudgetExceededError, InvalidInputError
 from leakygames.games import (StrategyPair, chsh, classical_value, make_game,
                               strategy_value)
 from leakygames.harness import behaviors_from_strategy_pair, run_session
-from leakygames.leakage import one_way_ab
+from leakygames.leakage import leaky_value_upper_bound, one_way_ab
 from leakygames.repetition import (leaky_repetition_experiment, repeat_game,
                                    repeated_exact_value)
 
@@ -172,6 +172,12 @@ def test_leaky_repetition_exact_chsh():
     assert result.witness is not None
 
 
+@pytest.mark.parametrize("copies", [0, -1])
+def test_repeat_refuses_copies_below_one(copies):
+    with pytest.raises(InvalidInputError, match="copies must be >= 1"):
+        repeat_game(chsh(), copies)
+
+
 def test_leaky_repetition_delegations():
     g = chsh()
     # zero bits: the leaky optimum is the plain repeated value
@@ -182,14 +188,33 @@ def test_leaky_repetition_delegations():
     assert r1.exact and r1.value == 1
 
 
-def test_leaky_repetition_fallback_bound():
-    result = leaky_repetition_experiment(chsh(), 2, one_way_ab(1),
-                                         leaky_budget=10)
+def test_leaky_repetition_fallback_bound(monkeypatch):
+    # each prover must answer the other's question: val 1/2, val(G^2) 1/4,
+    # so the product's bound 2 * 1/4 is below the base game's bound 1
+    swap = make_game("swap", 2, 2, 2, 2, [1] * 4,
+                     lambda x, y, a, b: a == y and b == x)
+    exact = leaky_repetition_experiment(swap, 2, one_way_ab(1))
+    assert exact.exact and exact.value == Fraction(1, 4)
+
+    def refuse(*_):
+        raise BudgetExceededError(None, 1, "leaky-strategy enumeration", 64)
+
+    monkeypatch.setattr(repetition, "leaky_value_exact", refuse)
+    result = leaky_repetition_experiment(swap, 2, one_way_ab(1))
     assert not result.exact
     assert result.witness is None
-    assert result.value == min(Fraction(1), 2 * Fraction(10, 16))
-    exact = leaky_repetition_experiment(chsh(), 2, one_way_ab(1))
+    assert result.value == Fraction(1, 2)
     assert exact.value <= result.value
+
+
+def test_leaky_repetition_falls_back_to_the_base_bound():
+    # CHSH^3 under one bit: the leaky enumeration (about 2^25 strategies)
+    # and the product's classical solve (2^48 pairs) are both refused from
+    # their log2, so the bound is the base game's, min(1, 2 * 3/4)
+    result = leaky_repetition_experiment(chsh(), 3, one_way_ab(1))
+    assert not result.exact
+    assert result.witness is None
+    assert result.value == leaky_value_upper_bound(chsh(), 1) == 1
 
 
 def test_win_rows_match_direct_predicate():
