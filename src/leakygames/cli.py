@@ -108,10 +108,6 @@ def _seq(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _load_game(path: str) -> games.Game:
-    return games.load_game(_read_file(path))
-
-
 def _load_csp(path: str) -> csp_mod.CspInstance:
     """A CSP file as an instance; a label cover as its k=2 embedding."""
     inst = csp_mod.load_instance(_read_file(path))
@@ -175,7 +171,7 @@ def _budget(args) -> dict:
 
 
 def cmd_value(args) -> dict:
-    g = _load_game(args.game)
+    g = games.load_game(_read_file(args.game))
     value, witness = games.classical_value(g, **_budget(args))
     merged = games.merged_prover_value(g)
     pq, fl = _frac_cols(value)
@@ -186,7 +182,7 @@ def cmd_value(args) -> dict:
 
 
 def cmd_leaky_value(args) -> dict:
-    g = _load_game(args.game)
+    g = games.load_game(_read_file(args.game))
     model = _build_model(args.model, args.bits_ab, args.bits_ba)
     value, witness = leakage.leaky_value_exact(g, model, **_budget(args))
     cap = leakage.leaky_value_upper_bound(g, model.total_bits,
@@ -204,7 +200,7 @@ def cmd_leaky_value(args) -> dict:
 
 
 def cmd_repeat(args) -> dict:
-    g = _load_game(args.game)
+    g = games.load_game(_read_file(args.game))
     rg = repetition.repeat_game(g, args.copies)
     value, witness = repetition.repeated_exact_value(rg, **_budget(args))
     base_value, base_witness = games.classical_value(g, **_budget(args))

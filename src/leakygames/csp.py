@@ -73,11 +73,8 @@ class CspInstance:
         return kept(self, "_hash", lambda: hash(self.constraints))
 
     def satisfied_count(self, assignment: tuple[int, ...]) -> int:
-        count = 0
-        for con in self.constraints:
-            if tuple(assignment[v] for v in con.scope) in con.allowed:
-                count += 1
-        return count
+        return sum(tuple(assignment[v] for v in con.scope) in con.allowed
+                   for con in self.constraints)
 
 
 def make_constraint(scope, allowed) -> Constraint:
@@ -295,13 +292,14 @@ def find_low_value_instance(num_vars: int, alphabet_size: int, arity: int,
     Samples constraints with i.i.d. uniform scope positions and uniformly
     chosen allowed sets of the requested sizes, then certifies the value
     with the exact solver.  Raises GeneratorCapError after ``attempts``
-    misses; callers should relax the parameters.
+    misses, or before any draw for a target below 0; callers should relax
+    the parameters.
     """
     target = Fraction(target)
     rng = random.Random(seed)
     m = num_constraints if num_constraints is not None else 8 * num_vars
     tuple_count(num_vars, alphabet_size, arity)  # bad sizes: before any draw
-    for _ in range(attempts):
+    for _ in range(attempts if target >= 0 else 0):  # no value is below 0
         candidate = random_instance(
             rng, num_vars, alphabet_size, arity, m,
             lambda: allowed_sizes[rng.randrange(len(allowed_sizes))])

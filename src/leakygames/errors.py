@@ -74,9 +74,10 @@ def check_budget(budget: int, what: str, log2_count, count,
 
 
 def check_range(values, size: int, what: str) -> None:
-    """Raise InvalidInputError unless every value is an integer in
-    0..size-1."""
-    if any(not isinstance(v, Integral) or not 0 <= v < size for v in values):
+    """Raise InvalidInputError unless every value is an integer, not a
+    bool, in 0..size-1."""
+    if any(not isinstance(v, Integral) or isinstance(v, bool)
+           or not 0 <= v < size for v in values):
         raise InvalidInputError(f"{what} out of range")
 
 

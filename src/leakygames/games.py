@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -116,9 +117,10 @@ def kept(obj, name: str, build: Callable[[], Any]) -> Any:
 
 
 def _over_common_denominator(weights) -> tuple[list[int], int]:
-    """Rational weights as integers over their least common denominator."""
+    """Rational weights as Python ints over their least common denominator."""
     denom = math.lcm(*(w.denominator for w in weights))
-    return [w.numerator * (denom // w.denominator) for w in weights], denom
+    return [int(w.numerator) * (denom // int(w.denominator))
+            for w in weights], denom
 
 
 def _int_dtype(bound: int):
@@ -499,13 +501,17 @@ def save_game(g: Game) -> str:
 
 
 def make_game(name: str, x_size: int, y_size: int, a_size: int, b_size: int,
-              weights: Sequence[int],
-              predicate) -> Game:
-    """Build a game from integer weights and a predicate callable.
+              weights: Sequence[int | Fraction], predicate) -> Game:
+    """Build a game from question weights and a predicate callable.
 
-    ``predicate(x, y, a, b)`` -> truthy on accept.  Weights are normalized
-    by their sum.
+    ``predicate(x, y, a, b)`` -> truthy on accept.  Weights, ints or
+    Fractions (not float, bool or str), are normalized by their sum.
     """
+    if not all(type(w) is int for w in weights):  # Fractions, numpy ints
+        if any(type(w) is bool or not isinstance(w, Rational)
+               for w in weights):
+            raise InvalidInputError("weights must be ints or Fractions")
+        weights = _over_common_denominator(weights)[0]
     if sum(weights) <= 0:
         raise InvalidInputError("zero total weight")
     sizes = (x_size, y_size, a_size, b_size)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import (RUN_FALLBACK, BudgetExceededError, InvalidInputError,
                      check_budget)
-from .games import (DEFAULT_PAIR_BUDGET, Game, StrategyPair, _int_dtype,
-                    classical_value)
+from .games import (DEFAULT_PAIR_BUDGET, Game, StrategyPair, _index_to_tuple,
+                    _int_dtype, classical_value)
 from .leakage import (LeakageModel, LeakyStrategy, leaky_value_exact,
                       leaky_value_upper_bound)
 
@@ -77,14 +77,12 @@ class RepeatedGame:
         return tuple(n ** self.copies for n in self.base.float_sizes())
 
     def weight(self, x: int, y: int) -> Fraction:
-        base, num = self.base, 1
-        weights, denom = base._weights  # integers over denom, kept by Game
-        for _ in range(self.copies):  # one digit per copy, last copy first
-            (x, xi), (y, yi) = divmod(x, base.x_size), divmod(y, base.y_size)
-            num *= weights[xi * base.y_size + yi]
-        return Fraction(num, denom ** self.copies)
+        base, n = self.base, self.copies
+        return math.prod(map(base.weight, _index_to_tuple(x, base.x_size, n),
+                             _index_to_tuple(y, base.y_size, n)))
 
     def wins(self, x: int, y: int, a: int, b: int) -> bool:
+        # fused, not _index_to_tuple: sessions call it on every draw and replay
         base = self.base
         for _ in range(self.copies):  # one digit per copy, last copy first
             x, xi = divmod(x, base.x_size)

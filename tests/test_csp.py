@@ -468,6 +468,20 @@ def test_generator_cap():
                                 num_constraints=2, attempts=5)
 
 
+@pytest.mark.parametrize("target", [Fraction(-1), Fraction(-1, 10**9), -3])
+def test_generator_refuses_a_negative_target_before_any_draw(monkeypatch,
+                                                             target):
+    # no instance has a value below 0, so not one of 10^9 attempts is drawn
+    # or solved; the refusal keeps the cap's message
+    def solve(*args, **kwargs):
+        raise AssertionError("an instance was drawn or solved")
+    monkeypatch.setattr(csp, "csp_value_exact", solve)
+    monkeypatch.setattr(csp, "random_instance", solve)
+    with pytest.raises(GeneratorCapError,
+                       match=rf"value <= {target} in 1000000000 attempts"):
+        find_low_value_instance(3, 2, 2, target, seed=5, attempts=10**9)
+
+
 # -- conversions -------------------------------------------------------------
 
 

@@ -596,6 +596,37 @@ def test_make_game_refuses_a_total_weight_below_one(weights):
         make_game("g", 2, 2, 2, 2, weights, lambda *_: True)
 
 
+def test_make_game_takes_fraction_weights():
+    # Fraction weights, alone or mixed with ints, scale to the integer game,
+    # and numpy integers become Python ints before their total is taken
+    def pred(x, y, a, b):
+        return (a ^ b) == (x & y)
+
+    ints = make_game("g", 2, 2, 2, 2, [1, 2, 3, 6], pred)
+    for weights in ([Fraction(1, 12), Fraction(1, 6), Fraction(1, 4),
+                     Fraction(1, 2)],
+                    [Fraction(1, 3), Fraction(2, 3), 1, 2],
+                    [Fraction(2), 4, Fraction(6), 12],
+                    [np.int64(1), 2, Fraction(3), 6],
+                    [np.int64(2**61), np.int64(2**62), 3 * 2**61,
+                     np.uint64(6 * 2**61)]):
+        g = make_game("g", 2, 2, 2, 2, weights, pred)
+        assert g == ints and hash(g) == hash(ints)
+        assert g.int_weights()[0].tolist() == [[1, 2], [3, 6]]
+        assert g.int_weights()[1] == 12
+        assert save_game(g) == save_game(ints)
+
+
+@pytest.mark.parametrize("weights", [
+    [0.5, 0.5], [1, 0.0], [True, True], [1, False], ["1", "1"], [1, None],
+    [1, 1j]], ids=["floats", "float-zero", "bools", "bool-zero", "strs",
+                   "none", "complex"])
+def test_make_game_refuses_weights_that_are_not_rational(weights):
+    with pytest.raises(InvalidInputError, match="ints or Fractions") as info:
+        make_game("g", 1, 2, 1, 1, weights, lambda *_: True)
+    assert info.type is InvalidInputError
+
+
 def test_make_game_matches_games_built_from_fractions():
     # the integer-weight builder against Fractions over the total, with
     # zero, negative (refused alike) and 2^70 weights

@@ -460,15 +460,22 @@ def heavy_chsh(name, weights):
                      lambda x, y, a, b: (a ^ b) == (x & y))
 
 
+# answers a = x, b = 0: every cell but (1, 0) wins, so on the heavy games
+# below about a third of the draws lose, and a redraw that lands on another
+# cell than the scalar path's moves the count (the classical optimum loses
+# only the lightest cell, so every redraw would accept)
+LOSES_1_0 = behaviors_from_strategy_pair(StrategyPair((0, 1), (0, 0)))
+
+
 def test_estimator_fast_matches_scalar_with_rejections():
     # weight total 3 * 2^61: cells found by searchsorted, and a quarter of
     # the draws rejected and drawn again
     g = heavy_chsh("heavy", [1, 2**61, 2**61, 2**61 - 1])
     assert g.int_weights()[1] == 3 * 2**61
-    behaviors = behaviors_from_strategy_pair(classical_value(g)[1])
-    fast = estimate_acceptance(g, behaviors, NO_LEAK, 3000, 19, fast=True)
-    slow = estimate_acceptance(g, behaviors, NO_LEAK, 3000, 19, fast=False)
+    fast = estimate_acceptance(g, LOSES_1_0, NO_LEAK, 3000, 19, fast=True)
+    slow = estimate_acceptance(g, LOSES_1_0, NO_LEAK, 3000, 19, fast=False)
     assert fast == slow
+    assert 0.6 < fast.estimate < 0.73  # 2/3 expected
 
 
 def test_estimator_fast_matches_scalar_past_2_63():
@@ -476,10 +483,10 @@ def test_estimator_fast_matches_scalar_past_2_63():
     # in uint64, with a quarter of the draws rejected
     g = heavy_chsh("heavier", [2**62, 2**62, 2**62, 12345])
     assert 2**63 <= g.int_weights()[1] == 3 * 2**62 + 12345
-    behaviors = behaviors_from_strategy_pair(classical_value(g)[1])
-    fast = estimate_acceptance(g, behaviors, NO_LEAK, 3000, 23, fast=True)
-    slow = estimate_acceptance(g, behaviors, NO_LEAK, 3000, 23, fast=False)
+    fast = estimate_acceptance(g, LOSES_1_0, NO_LEAK, 3000, 23, fast=True)
+    slow = estimate_acceptance(g, LOSES_1_0, NO_LEAK, 3000, 23, fast=False)
     assert fast == slow
+    assert 0.6 < fast.estimate < 0.73  # 2/3 expected
 
 
 def test_weight_totals_past_64_bits_are_refused():
@@ -532,7 +539,8 @@ def test_estimator_workers_match_scalar(monkeypatch, workers):
     # workers and to more workers than CPUs, with threads switched as
     # often as the interpreter allows: CHSH, a csp cheat (two draws per
     # session), and weight totals 3 * 2^61 and 3 * 2^62 + 12345
-    # (searchsorted, a quarter rejected); a lost count moves the record
+    # (searchsorted, a quarter rejected, a heavy cell lost); a lost count
+    # or a wrong redraw moves the record
     pin_workers(monkeypatch, workers)
     monkeypatch.setattr(harness, "SESSION_CHUNK", 64)
     c, _ = helpers.satisfiable_csp(random.Random(5))
@@ -541,8 +549,7 @@ def test_estimator_workers_match_scalar(monkeypatch, workers):
               one_way_ab(1))]
     for g in (heavy_chsh("heavy", [1, 2**61, 2**61, 2**61 - 1]),
               heavy_chsh("heavier", [2**62, 2**62, 2**62, 12345])):
-        cases.append((g, behaviors_from_strategy_pair(classical_value(g)[1]),
-                      NO_LEAK))
+        cases.append((g, LOSES_1_0, NO_LEAK))
     samplers = set()
     original = harness._below_np
 

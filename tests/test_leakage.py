@@ -10,6 +10,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import helpers
@@ -50,11 +51,13 @@ def test_model_validation():
 
 @pytest.mark.parametrize("kind, bits_ab, bits_ba", [
     ("one-way-ab", 0, 3), (None, 0, 0), (LeakageKind.ONE_WAY_AB, 1.5, 0),
-    (LeakageKind.ONE_WAY_AB, None, 0)])
+    (LeakageKind.ONE_WAY_AB, None, 0), (LeakageKind.ONE_WAY_AB, True, 0),
+    (LeakageKind.SIMULTANEOUS, 1, False)])
 def test_model_refuses_unknown_kinds_and_non_integer_bits(kind, bits_ab,
                                                           bits_ba):
-    # a kind given by its value would pass as no known direction, and a
-    # fractional budget would fail only inside the solve
+    # a kind given by its value would pass as no known direction, a
+    # fractional budget would fail only inside the solve, and a bool is a
+    # flag, not a bit count
     with pytest.raises(InvalidInputError):
         LeakageModel(kind, bits_ab, bits_ba)
 
@@ -649,6 +652,15 @@ REFUSALS = [  # (check, message)
      "assignment value out of range"),
     (lambda: CheatProfile(((0, -1, 1),)).check_shapes(SHAPES_CSP),
      "assignment value out of range"),
+    # bools are flags, not indices, at every call of the range check
+    (lambda: StrategyPair((True, 0), (0, 0)).check_shapes(chsh()),
+     "alice answer out of range"),
+    (lambda: _leaky(alice_msg=(0, True)).check_shapes(chsh(), AB1),
+     "alice message out of range"),
+    (lambda: _leaky(bob_ans=((0, 0), (False, 0))).check_shapes(chsh(), AB1),
+     "bob answer out of range"),
+    (lambda: CheatProfile(((0, True, 1),)).check_shapes(SHAPES_CSP),
+     "assignment value out of range"),
 ]
 
 
@@ -659,6 +671,19 @@ def test_check_shapes_refusals(check, message):
     with pytest.raises(InvalidInputError) as info:
         check()
     assert info.type is InvalidInputError and str(info.value) == message
+
+
+def test_shape_checks_take_numpy_integers():
+    # the range check refuses bools but still takes numpy's integer types
+    one = np.int64(1)
+    model = LeakageModel(LeakageKind.ONE_WAY_AB, one)
+    assert model == one_way_ab(1) and model.msgs_ab == 2
+    assert strategy_value(chsh(), StrategyPair((np.int8(0), one),
+                                               (0, np.uint8(0)))) == \
+        Fraction(3, 4)
+    assert leaky_strategy_value(chsh(), AB1, _leaky(
+        alice_msg=(0, one), bob_ans=((0, 0), (0, one)))) == 1
+    CheatProfile(((0, one, np.int32(1)),)).check_shapes(SHAPES_CSP)
 
 
 def test_strategy_shape_validation():
