@@ -404,8 +404,9 @@ class CheatProfile:
         return len(self.assignments).bit_length() - 1
 
     def check_shapes(self, c: CspInstance) -> None:
-        # a padded profile repeats its assignments: check each one once
-        for a in dict.fromkeys(map(tuple, self.assignments)):
+        # a padded profile repeats its assignment objects: check each object
+        # once; a dedupe by value would take (0, True) for (0, 1) unchecked
+        for a in {id(a): a for a in self.assignments}.values():
             if len(a) != c.num_vars:
                 raise InvalidInputError("assignment length != num_vars")
             check_range(a, c.alphabet_size, "assignment value")

@@ -73,11 +73,11 @@ def check_budget(budget: int, what: str, log2_count, count,
         raise BudgetExceededError(required, budget, what, fallback=fallback)
 
 
-def check_range(values, size: int, what: str) -> None:
+def check_range(values, size, what: str, low: int = 0) -> None:
     """Raise InvalidInputError unless every value is an integer, not a
-    bool, in 0..size-1."""
+    bool, in low..size-1; ``size`` may be math.inf."""
     if any(not isinstance(v, Integral) or isinstance(v, bool)
-           or not 0 <= v < size for v in values):
+           or not low <= v < size for v in values):
         raise InvalidInputError(f"{what} out of range")
 
 

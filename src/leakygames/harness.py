@@ -183,7 +183,12 @@ class ProverBehavior:
     ``answer_rule(own_question, received_bits)`` returns the answer (an int
     for games; a tuple of ints for the first prover in CSP sessions).
     ``leak_rule(own_question)`` returns the bit-string to send.  Rules must
-    be pure; all session randomness lives in question sampling.
+    be pure; all session randomness lives in question sampling.  Purity
+    lets run_session play each question cell once per (behavior pair,
+    target, model), unseen by any transcript: the first behavior keeps the
+    plays, keyed by the target's instance id.  Kept there, not on the
+    target, they hold no target alive and leave targets picklable; a
+    behavior's own pickle leaves them out.
     """
 
     answer_rule: Callable[[int, str], Any]
@@ -193,6 +198,10 @@ class ProverBehavior:
     def __post_init__(self):
         if self.role not in ("first", "second"):
             raise InvalidInputError("role must be 'first' or 'second'")
+
+    def __getstate__(self):
+        # the kept plays hold the second behavior, which may not pickle
+        return {k: v for k, v in self.__dict__.items() if k != "_plays"}
 
 
 def _bits_to_int(bits: str) -> int:
@@ -415,28 +424,48 @@ def run_session(target, behaviors, model: LeakageModel, seed: int
 
     Games sample (x, y) from the question distribution; CSP instances
     sample a uniform constraint and a uniform scope position.  Budget
-    overflow flags the transcript and forces the verdict to reject.
+    overflow flags the transcript and forces the verdict to reject.  Rules
+    are pure, so a question cell is played once per (behavior pair, target,
+    model), kept on the first behavior (see ProverBehavior), and no
+    transcript can tell; a behavior that raises keeps nothing, and raises
+    again at the next session on that cell.
     """
     _check_session(target, behaviors, model)
+    iid = instance_id(target)
     if isinstance(target, CspInstance):
         x, counter = _below(seed, 0, len(target.constraints))
         pos = _below(seed, counter, target.arity)[0]
         y = target.constraints[x].scope[pos]
-        a, b, channel, verdict = _play_csp(target, behaviors, model, x, pos)
+        cell = x * target.arity + pos
     else:
         cells, cum, total = _game_support(target)
-        (x, y), pos = cells[bisect_right(cum, _below(seed, 0, total)[0])], None
-        a, b, channel, verdict = _play_game(target, behaviors, model, x, y)
+        cell = bisect_right(cum, _below(seed, 0, total)[0])
+        (x, y), pos = cells[cell], None
+    # one record, ((instance id, second behavior, model), plays), replaced
+    # when any key part differs; plays[cell] holds the transcript's fields
+    # from leaks to verdict
+    first, key = behaviors[0], (iid, behaviors[1], model)
+    record = first.__dict__.get("_plays")
+    if record is None or record[0] != key:
+        record = (key, {})
+        object.__setattr__(first, "_plays", record)
+    play = record[1].get(cell)
+    if play is None:
+        a, b, channel, verdict = (
+            _play_game(target, behaviors, model, x, y) if pos is None
+            else _play_csp(target, behaviors, model, x, pos))
+        play = record[1][cell] = (tuple(channel.events),
+                                  tuple(channel.rejected), a, b,
+                                  channel.overflowed, verdict)
     # the frozen __init__'s object.__setattr__ per field is a session's
     # costliest step; its dict filled in field order is the same transcript
     t = object.__new__(Transcript)
     d = t.__dict__
     d["seed"], d["instance"], d["protocol"] = (
-        seed, instance_id(target), "game" if pos is None else "csp")
+        seed, iid, "game" if pos is None else "csp")
     d["question_first"], d["question_second"], d["position"] = x, y, pos
-    d["leaks"], d["rejected"] = tuple(channel.events), tuple(channel.rejected)
-    d["answer_first"], d["answer_second"] = a, b
-    d["overflow"], d["verdict"] = channel.overflowed, verdict
+    (d["leaks"], d["rejected"], d["answer_first"], d["answer_second"],
+     d["overflow"], d["verdict"]) = play
     return t
 
 

@@ -18,7 +18,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
 
 import numpy as np
 
@@ -334,9 +333,7 @@ def leaky_value_upper_bound(g, total_bits: int,
     bits: guessing the transcript turns any such protocol into a
     no-communication one at a 2^-total_bits probability cost.
     """
-    if not isinstance(total_bits, Integral) or total_bits < 0:
-        raise InvalidInputError(
-            f"total_bits must be a non-negative integer, got {total_bits!r}")
+    check_range((total_bits,), math.inf, "total_bits")
     value, _ = classical_value(g, budget)
     if total_bits >= value.denominator.bit_length():  # 2^bits > denominator
         return Fraction(1) if value else value

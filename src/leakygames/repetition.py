@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (RUN_FALLBACK, BudgetExceededError, InvalidInputError,
-                     check_budget)
+from .errors import (RUN_FALLBACK, BudgetExceededError, check_budget,
+                     check_range)
 from .games import (DEFAULT_PAIR_BUDGET, Game, StrategyPair, _index_to_tuple,
                     _int_dtype, classical_value)
 from .leakage import (LeakageModel, LeakyStrategy, leaky_value_exact,
@@ -47,8 +47,7 @@ class RepeatedGame:
     copies: int
 
     def __post_init__(self):
-        if self.copies < 1:
-            raise InvalidInputError("copies must be >= 1")
+        check_range((self.copies,), math.inf, "copies", low=1)
 
     @property
     def name(self) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import os
 import pickle
 import random
 import sys
@@ -533,6 +534,18 @@ def pin_workers(monkeypatch, workers):
     monkeypatch.setattr(harness, "_cpu_count", lambda: workers)
 
 
+def test_cpu_count_falls_back_without_affinity(monkeypatch):
+    # platforms with no sched_getaffinity size the workers by os.cpu_count,
+    # and a two-chunk estimate on them still counts as the scalar path
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert harness._cpu_count() == (os.cpu_count() or 1)
+    monkeypatch.setattr(harness, "SESSION_CHUNK", 64)
+    behaviors = best_chsh_behaviors()
+    fast = estimate_acceptance(chsh(), behaviors, NO_LEAK, 128, 31)
+    assert fast == estimate_acceptance(chsh(), behaviors, NO_LEAK, 128, 31,
+                                       fast=False)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 def test_estimator_workers_match_scalar(monkeypatch, workers):
     # 16 chunks of 64 sessions, the last one cut short, dealt to 1-3
@@ -696,25 +709,146 @@ def test_estimator_matches_sessions_exactly():
     assert record.accepted == accepted
 
 
-def test_scalar_estimator_plays_each_session(monkeypatch):
-    # fast=False is the reference: each session is a run_session, and no
-    # verdict table is built first, so cells are played once per session
+def count_plays(monkeypatch):
+    """Record each question cell run_session plays: (x, y) for a game,
+    (e, pos) for a csp."""
     played = []
-    original = harness._play_game
+    for name in ("_play_game", "_play_csp"):
+        original = getattr(harness, name)
 
-    def play(*args):
-        played.append(args[3:])
+        def play(*args, original=original):
+            played.append(args[3:])
+            return original(*args)
+        monkeypatch.setattr(harness, name, play)
+    return played
+
+
+def test_scalar_estimator_plays_each_session(monkeypatch):
+    # fast=False is the reference: each session is one run_session and no
+    # verdict table is built; run_session plays a cell at its first
+    # session only, so 50 sessions and 50 more play CHSH's four cells once
+    runs = []
+    original = harness.run_session
+
+    def run(*args):
+        runs.append(args[3])
         return original(*args)
-    monkeypatch.setattr(harness, "_play_game", play)
+
+    def vector(*args):
+        raise AssertionError("fast=False called _count_np")
+    monkeypatch.setattr(harness, "run_session", run)
+    monkeypatch.setattr(harness, "_count_np", vector)
+    played = count_plays(monkeypatch)
     behaviors = best_chsh_behaviors()
     record = estimate_acceptance(chsh(), behaviors, NO_LEAK, 50, 13,
                                  fast=False)
-    sessions = [run_session(chsh(), behaviors, NO_LEAK, session_seed(13, i))
-                for i in range(50)]
-    assert played[:50] == [(t.question_first, t.question_second)
-                           for t in sessions]
-    assert len(played) == 100
+    seeds = [session_seed(13, i) for i in range(50)]
+    assert runs == seeds
+    sessions = [original(chsh(), behaviors, NO_LEAK, seed) for seed in seeds]
+    cells = [(t.question_first, t.question_second) for t in sessions]
+    assert played == list(dict.fromkeys(cells)) and len(played) == 4
     assert record.accepted == sum(t.verdict for t in sessions)
+
+
+def fresh_copy(behaviors):
+    """Equal behaviors, with nothing played yet."""
+    return tuple(dataclasses.replace(b) for b in behaviors)
+
+
+def test_sessions_play_each_cell_once_per_pair_target_and_model(monkeypatch):
+    # a play is kept per (behavior pair, target, model): an equal target
+    # reuses it, and another target, model or second behavior plays afresh;
+    # every transcript is the one a pair with nothing kept would write
+    played = count_plays(monkeypatch)
+    behaviors = best_chsh_behaviors()
+    other_second = behaviors_from_strategy_pair(
+        StrategyPair((0, 0), (1, 1)))[1]
+    g = helpers.random_game_exact(random.Random(4), 2, 2, 2, 2)
+    c, planted = helpers.satisfiable_csp(random.Random(6))
+    csp_pair = honest_csp_behaviors(c, planted)
+    seeds = [session_seed(5, i) for i in range(40)]
+
+    def sessions(target, pair, model):
+        out = [run_session(target, pair, model, seed) for seed in seeds]
+        plays = list(played)
+        fresh = [run_session(target, fresh_copy(pair), model, seed)
+                 for seed in seeds]
+        assert [(t, t.to_json()) for t in out] == \
+            [(t, t.to_json()) for t in fresh]
+        played.clear()
+        return out, plays
+
+    def first_visits(transcripts, csp=False):
+        return list(dict.fromkeys(
+            (t.question_first, t.position if csp else t.question_second)
+            for t in transcripts))
+
+    steps = [(chsh(), behaviors, NO_LEAK, True),
+             (chsh(), behaviors, NO_LEAK, False),  # an equal target
+             (g, behaviors, NO_LEAK, True),
+             (g, behaviors, one_way_ba(0), True),
+             (g, (behaviors[0], other_second), one_way_ba(0), True),
+             (g, behaviors, one_way_ba(0), True),  # one record is kept
+             (c, csp_pair, NO_LEAK, True),
+             (c, csp_pair, NO_LEAK, False)]
+    for target, pair, model, fresh in steps:
+        out, plays = sessions(target, pair, model)
+        expected = first_visits(out, csp=target is c) if fresh else []
+        assert plays == expected and (not fresh or len(plays) > 1)
+
+
+def test_raising_behavior_raises_at_every_session_on_its_cell(monkeypatch):
+    # nothing is kept for a cell whose play raised: each session drawn
+    # there plays it again and raises again; the other cells are kept
+    played = count_plays(monkeypatch)
+    good = best_chsh_behaviors()
+    bad = (ProverBehavior(lambda x, m: 99 if x == 1 else good[0]
+                          .answer_rule(x, m), silent_rule, "first"),
+           good[1])
+    raised = 0
+    for i in range(40):
+        seed = session_seed(9, i)
+        x = run_session(chsh(), good, NO_LEAK, seed).question_first
+        played.clear()
+        if x == 1:
+            with pytest.raises(MalformedBehaviorError, match="out of range"):
+                run_session(chsh(), bad, NO_LEAK, seed)
+            assert len(played) == 1
+            raised += 1
+        else:
+            assert run_session(chsh(), bad, NO_LEAK, seed) == \
+                run_session(chsh(), good, NO_LEAK, seed)
+    assert raised > 5
+    assert len(bad[0].__dict__["_plays"][1]) == 2  # the two x = 0 cells
+
+
+def answer_zero(_question, _bits):
+    return 0
+
+
+def answer_one(_question, _bits):
+    return 1
+
+
+def test_behaviors_pickle_and_compare_after_sessions():
+    # the kept plays are no field: after sessions a pair of module-level
+    # rules compares and hashes as before, and pickles without them, even
+    # when the second behavior could not be pickled
+    pair = (ProverBehavior(answer_zero, silent_rule, "first"),
+            ProverBehavior(answer_one, silent_rule, "second"))
+    before = (hash(pair), repr(pair), pickle.dumps(pair))
+    transcripts = [run_session(chsh(), pair, NO_LEAK, seed)
+                   for seed in range(20)]
+    assert "_plays" in pair[0].__dict__
+    assert (hash(pair), repr(pair), pickle.dumps(pair)) == before
+    copy = pickle.loads(pickle.dumps(pair))
+    assert copy == pair and hash(copy) == hash(pair)
+    assert "_plays" not in copy[0].__dict__
+    assert [run_session(chsh(), copy, NO_LEAK, seed)
+            for seed in range(20)] == transcripts
+    lone = ProverBehavior(lambda y, _m: 1, silent_rule, "second")
+    run_session(chsh(), (pair[0], lone), NO_LEAK, 0)
+    assert pickle.loads(pickle.dumps(pair[0])) == pair[0]
 
 
 def test_estimator_certain_acceptance_has_zero_width():

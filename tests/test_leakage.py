@@ -16,8 +16,8 @@ import pytest
 import helpers
 import oracles
 from leakygames import games, leakage
-from leakygames.csp import (CheatProfile, CspInstance, make_constraint,
-                            optimal_cheat)
+from leakygames.csp import (CheatProfile, CspInstance, cheat_acceptance,
+                            make_constraint, optimal_cheat)
 from leakygames.errors import BudgetExceededError, InvalidInputError
 from leakygames.games import (StrategyPair, chsh, classical_value, make_game,
                               merged_prover_value, strategy_value)
@@ -254,9 +254,9 @@ def test_upper_bound_clamps_without_building_two_to_the_bits():
         assert huge == min(Fraction(1), 2 * value) and peak < 2**20
 
 
-@pytest.mark.parametrize("bits", [-1, 1.5, 2.0, "3", None])
+@pytest.mark.parametrize("bits", [-1, 1.5, 2.0, "3", None, True])
 def test_upper_bound_refuses_bad_bit_counts(bits):
-    with pytest.raises(InvalidInputError, match="non-negative integer"):
+    with pytest.raises(InvalidInputError, match="total_bits out of range"):
         leaky_value_upper_bound(chsh(), bits)
 
 
@@ -660,6 +660,12 @@ REFUSALS = [  # (check, message)
     (lambda: _leaky(bob_ans=((0, 0), (False, 0))).check_shapes(chsh(), AB1),
      "bob answer out of range"),
     (lambda: CheatProfile(((0, True, 1),)).check_shapes(SHAPES_CSP),
+     "assignment value out of range"),
+    # equal to (0, 1, 1) as a tuple, so no dedupe by value may skip it
+    (lambda: CheatProfile(((0, 1, 1), (0, True, 1))).check_shapes(SHAPES_CSP),
+     "assignment value out of range"),
+    (lambda: cheat_acceptance(SHAPES_CSP,
+                              CheatProfile(((0, 1, 1), (0, True, 1)))),
      "assignment value out of range"),
 ]
 

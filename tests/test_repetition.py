@@ -172,9 +172,10 @@ def test_leaky_repetition_exact_chsh():
     assert result.witness is not None
 
 
-@pytest.mark.parametrize("copies", [0, -1])
+# True == 1 but is a flag, not a count; "2" once met `< 1` as a TypeError
+@pytest.mark.parametrize("copies", [0, -1, True, 1.5, "2"])
 def test_repeat_refuses_copies_below_one(copies):
-    with pytest.raises(InvalidInputError, match="copies must be >= 1"):
+    with pytest.raises(InvalidInputError, match="copies out of range"):
         repeat_game(chsh(), copies)
 
 
