@@ -232,8 +232,7 @@ def csp_value_local_search(c: CspInstance, seed: int, restarts: int = 10
     a full sweep makes no improvement.  Returns the best assignment found;
     its value is always a valid lower bound.
     """
-    if restarts < 1:
-        raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
+    check_range((restarts,), math.inf, "restarts", low=1)
     rng = random.Random(seed)
     agree, _ = _agreement(c)
     best_sat, best = -1, ()
@@ -528,7 +527,8 @@ def optimal_cheat(c: CspInstance, leak_bits: int,
     Only r = min(2^bits, n) slots are scanned (and budgeted): the other
     slots repeat the witness's first index, keeping it the lex-first maximizer.
     """
-    if leak_bits < 0:
+    check_range((leak_bits,), math.inf, "leak_bits", low=-math.inf)
+    if leak_bits < 0:  # `cheat --leak-bits -1` prints this message
         raise InvalidInputError("leak_bits must be non-negative")
     check_budget(budget, "cheat-profile enumeration",
                  lambda: _log2_tuples(float(c.alphabet_size) ** c.num_vars,

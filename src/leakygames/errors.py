@@ -76,9 +76,11 @@ def check_budget(budget: int, what: str, log2_count, count,
 def check_range(values, size, what: str, low: int = 0) -> None:
     """Raise InvalidInputError unless every value is an integer, not a
     bool, in low..size-1; ``size`` may be math.inf."""
-    if any(not isinstance(v, Integral) or isinstance(v, bool)
-           or not low <= v < size for v in values):
-        raise InvalidInputError(f"{what} out of range")
+    for v in values:  # an exact int skips the Integral check, its slow part
+        if (type(v) is not int and (not isinstance(v, Integral)
+                                    or isinstance(v, bool))
+                or not low <= v < size):
+            raise InvalidInputError(f"{what} out of range")
 
 
 class GeneratorCapError(RuntimeError):

@@ -219,11 +219,19 @@ def _fold(c: np.ndarray, cells: int) -> tuple[np.ndarray, int, np.ndarray]:
     return c, split, _answer_scores(c[split:])
 
 
-def _prefix_scores(c: np.ndarray, suffix: np.ndarray, prefix) -> np.ndarray:
-    """The fold's score table plus ``prefix``'s answers to c's leading
-    questions: the suffix table itself, uncopied, for the empty prefix."""
-    return (suffix + sum(c[x, a] for x, a in enumerate(prefix)) if prefix
-            else suffix)
+def _walk(c: np.ndarray, suffix: np.ndarray, split: int):
+    """(p, prefix, scores) for the p-th prefix in lex order of answers to c's
+    first ``split`` questions (fold layout), scores the suffix table plus
+    the prefix's rows of c: one running table is kept per depth, and a
+    prefix adds rows only from its last nonzero digit on.  At split 0 the
+    suffix table itself is yielded, uncopied."""
+    tables = [suffix] * (split + 1)  # [d]: the suffix plus d answers' rows
+    prefixes = itertools.product(range(c.shape[1]), repeat=split)
+    for p, prefix in enumerate(prefixes):
+        start = max(itertools.compress(range(split), prefix)) if p else 0
+        for d in range(start, split):
+            tables[d + 1] = tables[d] + c[d, prefix[d]]
+        yield p, prefix, tables[-1]
 
 
 def best_tables(c: np.ndarray) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -232,13 +240,12 @@ def best_tables(c: np.ndarray) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     Alice's table is the first maximizer in lex order (x = 0 most
     significant) and bob's is the smallest best response per y.  The
     trailing questions' tables are scored once; each prefix of the leading
-    questions, in lex order, then adds its (b, y) vector to that table.
+    questions, in lex order (``_walk``), adds its (b, y) vector to that table.
     """
     x_size, a_size, y_size, b_size = c.shape
     c, split, suffix = _fold(c, y_size * b_size)
     best = (-1, (), ())
-    for prefix in itertools.product(range(a_size), repeat=split):
-        scores = _prefix_scores(c, suffix, prefix)
+    for _, prefix, scores in _walk(c, suffix, split):
         totals = scores.max(axis=0).sum(axis=0, dtype=c.dtype)
         i = int(totals.argmax())  # first maximum: lex-smallest suffix
         if totals[i] > best[0]:
@@ -248,13 +255,39 @@ def best_tables(c: np.ndarray) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return best
 
 
+def _subset_walk(c: np.ndarray, suffix: np.ndarray, split: int, subsets: int,
+                 rank, pick) -> tuple[list[int], Callable]:
+    """Best totals of ``subsets`` subsets over ``_walk``'s prefixes, and
+    ``read(mask)``: ``rank(prefix, scores)`` gives the subsets a prefix
+    reaches (a slice), their totals and the tables ``pick(mask, prefix,
+    scores, tables)`` reads at mask's first strictly raising prefix."""
+    nums = np.full(subsets, -1, dtype=c.dtype)  # any prefix raises it
+    first = np.zeros(subsets, np.min_scalar_type(c.shape[1] ** split - 1))
+    for p, prefix, scores in _walk(c, suffix, split):
+        reached, best, tables = rank(prefix, scores)
+        if p:  # each subset's first strictly raising prefix, 0 to start
+            first[reached][best > nums[reached]] = p  # a view of first
+        np.maximum(nums[reached], best, out=nums[reached])
+    last = (p, prefix, scores, tables)  # a read rescores any other prefix
+
+    def read(mask):
+        p = int(first[mask])
+        if p == last[0]:
+            return pick(mask, *last[1:])
+        prefix = _index_to_tuple(p, c.shape[1], split)
+        scores = suffix + c[np.arange(split), prefix].sum(0, dtype=c.dtype)
+        return pick(mask, prefix, scores, rank(prefix, scores)[2])
+
+    return nums.tolist(), read
+
+
 @functools.lru_cache(maxsize=32)  # a few shapes recur; bounded for the rest
 def _x_segments(x_size: int, a_size: int, split: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, bounds, heads), read-only, for the x-subset fold's suffix
-    tables over the extended alphabet: ``order`` sorts them stably by the
-    mask of their answers below ``a_size``, mask q's segment of it is
-    ``bounds[q]:bounds[q + 1]``, and ``heads[q]`` is q's subset bits."""
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(order, bounds), read-only, for the x-subset fold's suffix tables
+    over the extended alphabet: ``order`` sorts them stably by the mask of
+    their answers below ``a_size``, and mask q's segment of it is
+    ``bounds[q]:bounds[q + 1]``, whose subset is q << split."""
     places = x_size - split
     index = np.arange((a_size + 1) ** places)
     segs = np.zeros_like(index)  # suffix subsets, one place at a time
@@ -263,10 +296,9 @@ def _x_segments(x_size: int, a_size: int, split: int
         segs[digit < a_size] |= 1 << place
     order = np.argsort(segs, kind="stable")
     bounds = np.searchsorted(segs[order], np.arange((1 << places) + 1))
-    heads = np.arange(1 << places) << split
-    for array in (order, bounds, heads):
+    for array in (order, bounds):
         array.setflags(write=False)
-    return order, bounds, heads
+    return order, bounds
 
 
 def best_values_per_x_subset(c: np.ndarray
@@ -279,43 +311,27 @@ def best_values_per_x_subset(c: np.ndarray
     nothing, so a table's subset is the mask of its answers below A, and
     on that mask the tables run in lex order of their digits there.
     Sorted by mask, each subset's suffix tables are a segment, and each
-    prefix raises every segment's subset to the segment's maximum.  A read
-    rescores the first prefix that strictly raised its subset, if not the last.
+    prefix raises every segment's subset to the segment's maximum.
     """
     x_size, a_size, y_size, b_size = c.shape
     ext = np.concatenate([c, np.zeros_like(c[:, :1])], axis=1)
     ext, split, suffix = _fold(ext, y_size * b_size)
-    order, bounds, heads = _x_segments(x_size, a_size, split)
-    nums = np.full(1 << x_size, -1, dtype=c.dtype)  # any prefix raises it
-    first = np.zeros(len(nums), np.min_scalar_type((a_size + 1) ** split - 1))
+    order, bounds = _x_segments(x_size, a_size, split)
 
-    def scored(prefix):
-        scores = _prefix_scores(ext, suffix, prefix)
-        return scores, scores.max(axis=0).sum(axis=0, dtype=c.dtype)[order]
+    def rank(prefix, scores):  # segment q's subset is q << split | mask
+        totals = scores.max(axis=0).sum(axis=0, dtype=c.dtype)[order]
+        mask = sum(1 << x for x, a in enumerate(prefix) if a < a_size)
+        return (slice(mask, None, 1 << split),
+                np.maximum.reduceat(totals, bounds[:-1]), totals)
 
-    prefixes = itertools.product(range(a_size + 1), repeat=split)
-    for p, prefix in enumerate(prefixes):
-        scores, totals = scored(prefix)
-        subsets = heads | sum(1 << x for x, a in enumerate(prefix)
-                              if a < a_size)
-        best = np.maximum.reduceat(totals, bounds[:-1])
-        if p:  # each subset's first strictly raising prefix, 0 to start
-            first[subsets[best > nums[subsets]]] = p
-        nums[subsets] = np.maximum(nums[subsets], best)
-
-    last = (p, scores, totals)  # the last walked prefix's tables
-
-    def read(mask):
-        p = int(first[mask])
-        prefix = _index_to_tuple(p, a_size + 1, split)
-        scores, totals = last[1:] if p == last[0] else scored(prefix)
+    def pick(mask, prefix, scores, totals):
         lo, hi = bounds[mask >> split], bounds[(mask >> split) + 1]
         i = int(order[lo + totals[lo:hi].argmax()])
         digits = prefix + _index_to_tuple(i, a_size + 1, x_size - split)
         return (tuple(a for a in digits if a < a_size),
                 tuple(scores[:, :, i].argmax(axis=0).tolist()))
 
-    return nums.tolist(), read
+    return _subset_walk(ext, suffix, split, 1 << x_size, rank, pick)
 
 
 def best_values_per_y_subset(c: np.ndarray, width: int
@@ -324,45 +340,28 @@ def best_values_per_y_subset(c: np.ndarray, width: int
     subset of the groups of ``width`` consecutive y, for every subset by
     bitmask, and ``read(mask)``, that subset's first maximizing alice table
     and bob's smallest best response on its y.  Each table's subset totals
-    are built from its group totals by doubling, within the fold's bytes;
-    reads take the rule of ``best_values_per_x_subset``.
+    are built from its group totals by doubling, within the fold's bytes.
     """
     x_size, a_size, y_size, b_size = c.shape
     groups = y_size // width
     c, split, suffix = _fold(c, max(y_size * b_size, 1 << groups))
-    nums = np.full(1 << groups, -1, dtype=c.dtype)  # any prefix raises it
-    first = np.zeros(len(nums), np.min_scalar_type(a_size ** split - 1))
 
-    def scored(prefix):
-        scores = _prefix_scores(c, suffix, prefix)
+    def rank(prefix, scores):
         per_group = scores.max(axis=0).reshape(groups, width, -1).sum(
             axis=1, dtype=c.dtype)
         totals = np.empty((1 << groups, scores.shape[2]), dtype=c.dtype)
         totals[0] = 0
         for j in range(groups):
             np.add(totals[:1 << j], per_group[j], out=totals[1 << j:2 << j])
-        return scores, totals
+        return slice(None), totals.max(axis=1), totals  # every subset
 
-    for p, prefix in enumerate(itertools.product(range(a_size),
-                                                 repeat=split)):
-        scores, totals = scored(prefix)
-        best = totals.max(axis=1)
-        if p:  # each subset's first strictly raising prefix, 0 to start
-            first[best > nums] = p
-        nums = np.maximum(nums, best)
-
-    last = (p, scores, totals)  # the last walked prefix's tables
-
-    def read(mask):
-        p = int(first[mask])
-        prefix = _index_to_tuple(p, a_size, split)
-        scores, totals = last[1:] if p == last[0] else scored(prefix)
+    def pick(mask, prefix, scores, totals):
         i = int(totals[mask].argmax())
         ys = [y for y in range(y_size) if mask >> (y // width) & 1]
         return (prefix + _index_to_tuple(i, a_size, x_size - split),
                 tuple(scores[:, ys, i].argmax(axis=0).tolist()))
 
-    return nums.tolist(), read
+    return _subset_walk(c, suffix, split, 1 << groups, rank, pick)
 
 
 def classical_value(g, budget: int = DEFAULT_PAIR_BUDGET

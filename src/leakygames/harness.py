@@ -28,7 +28,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .csp import CheatProfile, CspInstance, LabelCover, best_response, save_csp, save_label_cover
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import BudgetExceededError, InvalidInputError, check_range
 from .games import Game, StrategyPair, kept, save_game
 from .leakage import LeakageKind, LeakageModel, LeakyStrategy
 
@@ -530,8 +530,7 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
     path must match count for count.  Counts above SESSION_CAP are refused
     before anything is allocated.
     """
-    if sessions < 1:
-        raise InvalidInputError("sessions must be >= 1")
+    check_range((sessions,), math.inf, "sessions", low=1)
     if sessions > SESSION_CAP:
         raise BudgetExceededError(sessions, SESSION_CAP, "session sampling")
     _check_session(target, behaviors, model)

@@ -395,11 +395,12 @@ def test_single_constraint_local_search():
     assert csp_value_local_search(c, seed=1)[0] == 1
 
 
-@pytest.mark.parametrize("restarts", [0, -5])
+@pytest.mark.parametrize("restarts", [0, -5, True, 1.5, 2.0])
 def test_local_search_refuses_restarts_below_one(restarts):
-    # once clamped to one restart
+    # once clamped to one restart; a bool ran one restart, a float raised a
+    # bare TypeError
     c = CspInstance(2, 2, 2, (make_constraint((0, 1), NE),))
-    with pytest.raises(InvalidInputError, match="restarts must be >= 1"):
+    with pytest.raises(InvalidInputError, match="restarts out of range"):
         csp_value_local_search(c, seed=1, restarts=restarts)
 
 
@@ -1097,6 +1098,10 @@ def test_library_calls_refuse_invalid_input():
         save_csp(CspInstance(2, 11, 2, (make_constraint((0, 1), [(0, 1)]),)))
     with pytest.raises(InvalidInputError, match="non-negative"):
         optimal_cheat(_lowval(), -1)
+    # a bool was read as 1 bit (value 11/16), a float raised a bare TypeError
+    for leak_bits in (True, False, 1.0, 0.5, "1"):
+        with pytest.raises(InvalidInputError, match="leak_bits out of range"):
+            optimal_cheat(_lowval(), leak_bits)
 
 
 def test_format_error_line_numbers():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import pickle
 import random
@@ -307,6 +308,26 @@ def test_subset_folds_past_the_default_cap(fold, shape, answers,
         _assert_fold_reads(fold_walked, [(value, *read(mask))
                                          for mask, value in enumerate(values)])
     assert splits[len(tensors):] == [0] * len(tensors)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, object])
+@pytest.mark.parametrize("digits", [2, 3, 4])
+@pytest.mark.parametrize("split", [0, 1, 2, 3])
+def test_walk_yields_each_prefix_sum_in_lex_order(split, digits, dtype):
+    # the running tables against a fresh sum per prefix; split 0 yields the
+    # suffix table itself
+    rng = np.random.default_rng(split * 10 + digits)
+    c = rng.integers(0, 8, (split + 1, digits, 2, 3, 1)).astype(dtype)
+    suffix = rng.integers(0, 8, (2, 3, 5)).astype(dtype)
+    walked = games._walk(c, suffix, split)
+    for (p, prefix, scores), (q, expected) in itertools.zip_longest(
+            walked, enumerate(itertools.product(range(digits),
+                                                repeat=split))):
+        assert (p, prefix) == (q, expected)
+        assert scores.dtype == dtype
+        assert scores.tolist() == (suffix + sum(
+            c[x, a] for x, a in enumerate(prefix))).tolist()
+        assert (scores is suffix) == (split == 0)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,

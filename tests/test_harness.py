@@ -942,8 +942,14 @@ def test_unhashable_targets_are_refused():
 def test_refuses_unknown_roles_empty_estimates_and_other_objects():
     with pytest.raises(InvalidInputError, match="role must be"):
         ProverBehavior(lambda q, bits: 0, lambda q: "", "third")
-    with pytest.raises(InvalidInputError, match="sessions must be >= 1"):
-        estimate_acceptance(chsh(), best_chsh_behaviors(), NO_LEAK, 0, 1)
+    # both estimator paths refuse alike: a bool was a bare TypeError on the
+    # vector path, and the scalar path returned a record with sessions=True
+    for sessions in (0, -1, True, 1.5, 10.0):
+        for fast in (True, False):
+            with pytest.raises(InvalidInputError,
+                               match="sessions out of range"):
+                estimate_acceptance(chsh(), best_chsh_behaviors(), NO_LEAK,
+                                    sessions, 1, fast=fast)
 
     class Thing:  # hashable, with a __dict__, but neither game nor csp
         pass

@@ -16,7 +16,9 @@ from leakygames.errors import BudgetExceededError, InvalidInputError
 from leakygames.games import (StrategyPair, chsh, classical_value, make_game,
                               strategy_value)
 from leakygames.harness import behaviors_from_strategy_pair, run_session
-from leakygames.leakage import leaky_value_upper_bound, one_way_ab
+from leakygames.leakage import (LeakyStrategy, leaky_strategy_value,
+                                leaky_value_exact, leaky_value_upper_bound,
+                                one_way_ab, one_way_ba)
 from leakygames.repetition import (leaky_repetition_experiment, repeat_game,
                                    repeated_exact_value)
 
@@ -240,12 +242,41 @@ def test_win_rows_match_direct_predicate():
 
 
 def test_leaky_exact_on_implicit_product():
-    from leakygames.leakage import leaky_value_exact
     rg = repeat_game(chsh(), 2)
     implicit = leaky_value_exact(rg, one_way_ab(1), budget=10**7)
     explicit = leaky_value_exact(oracles.materialize(rg), one_way_ab(1),
                                  budget=10**7)
     assert implicit == explicit
+
+
+# CHSH^3's one-bit one-way witnesses: the lex-smallest maximizers, 5/8
+CHSH3_ONE_WAY = [
+    (one_way_ab(1), LeakyStrategy(
+        alice_msg=(0, 0, 0, 0, 1, 1, 1, 1), bob_msg=(0,) * 8,
+        alice_ans=((0,), (0,), (0,), (1,), (0,), (0,), (0,), (1,)),
+        bob_ans=((0, 0), (0, 0), (0, 0), (2, 2), (0, 4), (0, 4), (0, 4),
+                 (2, 6)))),
+    (one_way_ba(1), LeakyStrategy(
+        alice_msg=(0,) * 8, bob_msg=(0, 0, 0, 0, 1, 1, 1, 1),
+        alice_ans=((0, 0), (0, 0), (0, 0), (1, 1), (0, 4), (0, 4), (0, 4),
+                   (1, 5)),
+        bob_ans=((0,), (0,), (0,), (2,), (0,), (0,), (0,), (2,)))),
+]
+
+
+@pytest.mark.parametrize("model, witness", CHSH3_ONE_WAY,
+                         ids=["one-way-ab", "one-way-ba"])
+def test_chsh3_one_way_values_walk_prefixes(model, witness, monkeypatch):
+    # one leaked bit either way lifts CHSH^3 from 31/64 to 5/8; its subset
+    # folds pass the byte cap even in int8, so they walk prefix digits
+    splits, fold = [], games._fold
+    monkeypatch.setattr(games, "_fold", lambda c, cells: splits.append(
+        fold(c, cells)) or splits[-1])
+    rg = repeat_game(chsh(), 3)
+    assert leaky_value_exact(rg, model, budget=2**33) == (Fraction(5, 8),
+                                                          witness)
+    assert max(split for _, split, _ in splits) >= 1
+    assert leaky_strategy_value(rg, model, witness) == Fraction(5, 8)
 
 
 @pytest.mark.parametrize("cap", [None, 4, 16])
