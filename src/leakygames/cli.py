@@ -27,12 +27,15 @@ from pathlib import Path
 from . import csp as csp_mod
 from . import games, harness, leakage, repetition
 from .errors import (BudgetExceededError, GeneratorCapError,
-                     InvalidInputError, check_budget)
+                     InvalidInputError, check_budget, check_range)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_GENERATOR_CAP = 4
+# Characters read from one input file; past it the file is refused.  Files
+# ``gen`` writes at its default caps stay below it.
+FILE_CHARS = 2**28
 
 
 # ---------------------------------------------------------------------------
@@ -55,11 +58,11 @@ def compute_params(leak_bits: int, answer_bits: int, epsilon: float,
     illustrative, not a claim about any concrete game."""
     if not 0 < epsilon <= 0.5:
         raise InvalidInputError("epsilon must be in (0, 1/2]")
-    if leak_bits < 0 or k_multiplier < 1 or answer_bits < 0:
-        raise InvalidInputError("leak_bits, answer_bits >= 0 and k >= 1")
-    if question_bits is not None and question_bits < 0:
-        raise InvalidInputError(
-            f"question_bits must be >= 0, got {question_bits}")
+    check_range((leak_bits,), math.inf, "leak_bits")
+    check_range((answer_bits,), math.inf, "answer_bits")
+    check_range((k_multiplier,), math.inf, "k_multiplier", low=1)
+    if question_bits is not None:
+        check_range((question_bits,), math.inf, "question_bits")
     if not (0 < c_exp < math.inf and 0 < c_rate < math.inf):
         raise InvalidInputError(
             "exponent constants must be positive and finite")
@@ -95,9 +98,16 @@ def parse_fraction(text: str) -> Fraction:
 
 def _read_file(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as file:
+            text = file.read(FILE_CHARS + 1)
     except (OSError, ValueError) as exc:  # ValueError: bad utf-8, NUL byte
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
+    except MemoryError:  # reading the cap takes about twice its characters
+        raise InvalidInputError(f"cannot read {path}: out of memory") from None
+    if len(text) > FILE_CHARS:
+        raise InvalidInputError(
+            f"cannot read {path}: more than {FILE_CHARS} characters")
+    return text
 
 
 def _frac_cols(value: Fraction) -> tuple[str, str]:
@@ -119,13 +129,6 @@ def _build_model(name, bits_ab: int, bits_ba: int) -> leakage.LeakageModel:
     if kind is None:
         raise InvalidInputError(f"unknown model kind {name!r}")
     return leakage.LeakageModel(kind, bits_ab, bits_ba)
-
-
-def _config_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInputError(f"config {what} must be an integer, "
-                                f"got {value!r}")
-    return value
 
 
 def _write(out: str, name: str, text: str) -> Path:
@@ -289,22 +292,20 @@ def cmd_run(args) -> dict:
     model_spec = config.get("model", {})
     if not isinstance(model_spec, dict):
         raise InvalidInputError("config model must be a json object")
-    model = _build_model(
-        model_spec.get("kind", "one-way-ab"),
-        _config_int(model_spec.get("bits_ab", 0), "model.bits_ab"),
-        _config_int(model_spec.get("bits_ba", 0), "model.bits_ba"))
+    model = _build_model(model_spec.get("kind", "one-way-ab"),
+                         model_spec.get("bits_ab", 0),
+                         model_spec.get("bits_ba", 0))
     if config["kind"] == "game":
         target = games.load_game(_read_file(config["path"]))
     elif config["kind"] == "csp":
         target = _load_csp(config["path"])
     else:
         raise InvalidInputError("config kind must be 'game' or 'csp'")
-    seed = _config_int(config.get("seed", args.seed), "seed")
-    sessions = _config_int(config["sessions"], "sessions")
     behaviors, label = _behaviors_for_run(config, target, model,
                                           _budget(args))
     record = harness.estimate_acceptance(target, behaviors, model,
-                                         sessions, seed)
+                                         config["sessions"],
+                                         config.get("seed", args.seed))
     pq, _ = _frac_cols(record.estimate_exact)
     return {"instance": harness.instance_id(target), "behavior": label,
             "model": model.kind.value, "bits_ab": model.bits_ab,
@@ -328,8 +329,8 @@ def cmd_gen(args) -> None:
     cap = args.budget or repetition.DEFAULT_TABLE_CELLS
     if args.kind == "game":
         x, y, a, b = args.sizes
-        if min(args.sizes) < 1:  # two negative sizes multiply to a count
-            raise InvalidInputError(f"sizes must be >= 1: {x} {y} {a} {b}")
+        # before the budget check: two negative sizes multiply to a count
+        check_range(args.sizes, math.inf, "sizes", low=1)
         check_budget(cap, "predicate table",
                      lambda: sum(map(math.log2, args.sizes)),
                      lambda: x * y * a * b)

@@ -52,22 +52,20 @@ class CspInstance:
     constraints: tuple[Constraint, ...]
 
     def __post_init__(self):
-        if self.num_vars < 1 or self.alphabet_size < 1 or self.arity < 1:
-            raise InvalidInputError("num_vars, alphabet, arity must be >= 1")
+        for field in ("num_vars", "alphabet_size", "arity"):
+            check_range((getattr(self, field),), math.inf, field, low=1)
         if not self.constraints:
             raise InvalidInputError("constraint list must be non-empty")
         for con in self.constraints:
             if len(con.scope) != self.arity:
                 raise InvalidInputError("scope length must equal arity")
-            if any(v < 0 or v >= self.num_vars for v in con.scope):
-                raise InvalidInputError("scope variable out of range")
+            check_range(con.scope, self.num_vars, "scope variable")
             if list(con.allowed) != sorted(set(con.allowed)):
                 raise InvalidInputError("allowed tuples must be sorted, unique")
             for t in con.allowed:
                 if len(t) != self.arity:
                     raise InvalidInputError("allowed tuple length != arity")
-                if any(v < 0 or v >= self.alphabet_size for v in t):
-                    raise InvalidInputError("allowed tuple value out of range")
+                check_range(t, self.alphabet_size, "allowed tuple value")
 
     def __hash__(self) -> int:  # kept: it reads every allowed tuple
         return kept(self, "_hash", lambda: hash(self.constraints))
@@ -99,9 +97,8 @@ class LabelCover:
     projections: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if min(self.num_left, self.num_right,
-               self.sigma_left, self.sigma_right) < 1:
-            raise InvalidInputError("label cover sizes must be >= 1")
+        for field in ("num_left", "num_right", "sigma_left", "sigma_right"):
+            check_range((getattr(self, field),), math.inf, field, low=1)
         if not self.edges:
             raise InvalidInputError("edge set must be non-empty")
         if len(set(self.edges)) != len(self.edges):
@@ -109,12 +106,11 @@ class LabelCover:
         if len(self.projections) != len(self.edges):
             raise InvalidInputError("one projection per edge required")
         for (u, v), phi in zip(self.edges, self.projections):
-            if not (0 <= u < self.num_left and 0 <= v < self.num_right):
-                raise InvalidInputError("edge endpoint out of range")
+            check_range((u,), self.num_left, "edge endpoint")
+            check_range((v,), self.num_right, "edge endpoint")
             if len(phi) != self.sigma_left:
                 raise InvalidInputError("projection must cover sigma_left")
-            if any(t < 0 or t >= self.sigma_right for t in phi):
-                raise InvalidInputError("projection value out of range")
+            check_range(phi, self.sigma_right, "projection value")
 
     def to_csp(self) -> CspInstance:
         """Embed as a k=2 CSP: left block first, right block offset.
@@ -259,8 +255,8 @@ def tuple_count(num_vars: int, alphabet_size: int, arity: int) -> int:
     """alphabet_size**arity, the tuples a generator samples by lex index
     (the same draws as sampling the listed tuples, without listing them),
     once the sizes are checked."""
-    if min(num_vars, alphabet_size, arity) < 1:
-        raise InvalidInputError("num_vars, alphabet, arity must be >= 1")
+    check_range((num_vars, alphabet_size, arity), math.inf,
+                "num_vars, alphabet_size or arity", low=1)
     if arity * math.log2(alphabet_size) >= 63:
         raise InvalidInputError("alphabet**arity must be below 2**63")
     return alphabet_size ** arity
@@ -296,8 +292,12 @@ def find_low_value_instance(num_vars: int, alphabet_size: int, arity: int,
     """
     target = Fraction(target)
     rng = random.Random(seed)
-    m = num_constraints if num_constraints is not None else 8 * num_vars
     tuple_count(num_vars, alphabet_size, arity)  # bad sizes: before any draw
+    m = num_constraints if num_constraints is not None else 8 * num_vars
+    check_range((m,), math.inf, "num_constraints", low=1)
+    check_range((attempts,), math.inf, "attempts")
+    # an empty tuple has no size to draw: refused as (None,)
+    check_range(allowed_sizes or (None,), math.inf, "allowed_sizes")
     for _ in range(attempts if target >= 0 else 0):  # no value is below 0
         candidate = random_instance(
             rng, num_vars, alphabet_size, arity, m,

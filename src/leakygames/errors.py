@@ -62,6 +62,9 @@ def check_budget(budget: int, what: str, log2_count, count,
     ``count()`` is only built once ``log2_count()``, a lower bound on its
     log2, shows it is near the budget, so no guard builds a huge number.
     """
+    if type(budget) is not int:  # an exact int pays one test, no call
+        check_range((budget,), math.inf, "budget")
+        budget = int(budget)  # a numpy integer has no bit_length
     try:
         log2 = log2_count()
     except OverflowError:  # a size past float range: far over any budget

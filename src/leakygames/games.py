@@ -47,10 +47,8 @@ class Game:
     pred: tuple[int, ...]
 
     def __post_init__(self):
-        for label, size in (("x", self.x_size), ("y", self.y_size),
-                            ("a", self.a_size), ("b", self.b_size)):
-            if size < 1:
-                raise InvalidInputError(f"{label}_size must be >= 1, got {size}")
+        for field in ("x_size", "y_size", "a_size", "b_size"):
+            check_range((getattr(self, field),), math.inf, field, low=1)
         if len(self.dist) != self.x_size * self.y_size:
             raise InvalidInputError(
                 f"dist has {len(self.dist)} entries, expected "

@@ -158,10 +158,7 @@ class MeteredChannel:
                 f"leak payload must be a bit-string, got {payload!r}")
         if not payload:
             return ""  # nothing crossed; nothing to meter or log
-        # filled as run_session fills transcripts: the same event, faster
-        event = object.__new__(ChannelEvent)
-        d = event.__dict__
-        d["direction"], d["payload"] = direction, payload
+        event = ChannelEvent(direction, payload)
         spent = self.spent_ab if direction == "ab" else self.spent_ba
         budget = self.budget_ab if direction == "ab" else self.budget_ba
         if spent + len(payload) > budget:
@@ -326,7 +323,8 @@ def _serialized_id(target) -> str:
 
 
 def _check_answer(value, size: int, what: str) -> int:
-    # an exact int skips both isinstance calls: every replay checks answers
+    # not check_range: a replay refuses a behavior's answer as malformed,
+    # not as invalid input; an exact int skips both isinstance calls
     if type(value) is not int and (isinstance(value, bool)
                                    or not isinstance(value, int)):
         raise MalformedBehaviorError(f"{what} must be an int, got {value!r}")
@@ -528,9 +526,11 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
     Session i is ``run_session(..., session_seed(master_seed, i))``; with
     ``fast=False`` each is played so, which is the reference the vector
     path must match count for count.  Counts above SESSION_CAP are refused
-    before anything is allocated.
+    before anything is allocated.  A negative master seed is read mod 2**64.
     """
     check_range((sessions,), math.inf, "sessions", low=1)
+    check_range((master_seed,), math.inf, "master_seed", low=-math.inf)
+    sessions, master_seed = int(sessions), int(master_seed)  # numpy ints too
     if sessions > SESSION_CAP:
         raise BudgetExceededError(sessions, SESSION_CAP, "session sampling")
     _check_session(target, behaviors, model)

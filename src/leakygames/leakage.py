@@ -252,28 +252,24 @@ def _solve(c: np.ndarray, m: LeakageModel) -> tuple[int, LeakyStrategy]:
             if num > best:
                 best, alice_msg, bob_msg, read = num, labels, split, read_y
     k = max(alice_msg) + 1
-    unused = (0,) * (m.msgs_ab - k)
-    if not m.bits_ba:  # alice's blocks: one answer column, bob's per label
-        alice_ans, bob_rows = [()] * x_size, []
-        for j in range(k):
-            xs = [x for x, v in enumerate(alice_msg) if v == j]
-            alice, bob = read(sum(1 << x for x in xs))
-            for x, a in zip(xs, alice):
-                alice_ans[x] = (a,)
-            bob_rows.append(bob)
-        return best, LeakyStrategy(alice_msg, bob_msg, tuple(alice_ans),
-                                   tuple(row + unused
-                                         for row in zip(*bob_rows)))
-    alice_cols, bob_ans = [], [()] * y_size  # bob's blocks
-    for v in range(max(bob_msg) + 1):
-        ys = [y for y, w in enumerate(bob_msg) if w == v]
-        alice, bob = read(sum(1 << y for y in ys))
-        alice_cols.append(alice)
-        for i, y in enumerate(ys):
-            bob_ans[y] = bob[i * k:(i + 1) * k] + unused
-    alice_cols += [(0,) * x_size] * (m.msgs_ba - len(alice_cols))
-    return best, LeakyStrategy(alice_msg, bob_msg, tuple(zip(*alice_cols)),
-                               tuple(bob_ans))
+    # one string splits its side's questions into blocks: alice's, one
+    # answer per x, when she hears nothing; else bob's, k per y.  A block's
+    # read gives those answers and the other side's table for its message;
+    # both are padded with 0 to the messages their side hears or is sent
+    msg, width, heard, sent = ((bob_msg, k, m.msgs_ab, m.msgs_ba) if m.bits_ba
+                               else (alice_msg, 1, m.msgs_ba, m.msgs_ab))
+    answers, tables, pad = [()] * len(msg), [], (0,) * (heard - width)
+    for j in range(max(msg) + 1):
+        block = [q for q, v in enumerate(msg) if v == j]
+        alice, bob = read(sum(1 << q for q in block))
+        own, table = (bob, alice) if m.bits_ba else (alice, bob)
+        for i, q in enumerate(block):
+            answers[q] = own[i * width:(i + 1) * width] + pad
+        tables.append(table)
+    tables += [(0,) * len(tables[0])] * (sent - len(tables))
+    sides = (tuple(answers), tuple(zip(*tables)))
+    return best, LeakyStrategy(alice_msg, bob_msg,
+                               *(sides[::-1] if m.bits_ba else sides))
 
 
 def leaky_value_exact(g, m: LeakageModel,

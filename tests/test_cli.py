@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -163,6 +164,29 @@ def test_missing_file_no_partial_artifacts(tmp_path):
     assert not out.exists()
 
 
+def test_files_past_the_character_cap_exit_invalid(monkeypatch, capsys):
+    # /dev/zero was read until memory ran out
+    size = len(Path(CHSH_PATH).read_text())
+    monkeypatch.setattr(cli, "FILE_CHARS", size)
+    assert main(["value", CHSH_PATH]) == EXIT_OK
+    capsys.readouterr()
+    for path, cap in ((CHSH_PATH, size - 1), ("/dev/zero", 1000)):
+        monkeypatch.setattr(cli, "FILE_CHARS", cap)
+        assert main(["value", path]) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error (invalid input): cannot read "
+                                     f"{path}: more than {cap} characters\n")
+
+    # under a memory limit, reading up to the cap can run out first
+    class Unreadable(io.StringIO):
+        def read(self, size=-1):
+            raise MemoryError
+    monkeypatch.setattr(cli, "open", lambda path: Unreadable(), raising=False)
+    assert main(["value", CHSH_PATH]) == EXIT_INVALID
+    assert capsys.readouterr().err == (f"error (invalid input): cannot read "
+                                       f"{CHSH_PATH}: out of memory\n")
+
+
 def test_malformed_file_exit_code(tmp_path):
     bad = tmp_path / "bad.game"
     bad.write_text("game g 2 2 2 2\ndist\n0 0\n0 0\npred\n")
@@ -226,8 +250,8 @@ def test_counts_below_one_exit_invalid(argv, tmp_path, capsys):
     # -3 question bits printed -6 repeated ones
     out = tmp_path / "x"
     assert main(["--out", str(out), *argv]) == EXIT_INVALID
-    floor = 0 if "--question-bits" in argv else 1
-    assert f"must be >= {floor}" in capsys.readouterr().err
+    assert ("question_bits out of range" if "--question-bits" in argv
+            else "must be >= 1") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -350,7 +374,7 @@ def test_local_search_cap_admits_generated_instances(tmp_path, monkeypatch):
 def test_gen_game_bad_sizes_exit_invalid(sizes, capsys):
     # two negative sizes once drew 10^10 question weights
     assert main(["gen", "--kind", "game", "--sizes", *sizes]) == EXIT_INVALID
-    assert "sizes must be >= 1: " in capsys.readouterr().err
+    assert "sizes out of range" in capsys.readouterr().err
 
 
 def test_gen_low_val_csp(tmp_path):
@@ -623,6 +647,15 @@ def test_params_validation():
         compute_params(-1, 2, 0.25, 3)
     with pytest.raises(InvalidInputError):
         compute_params(1, 2, 0.25, 0)
+    # a float k ran 2.5 repetitions, and a bool was read as 1 leak bit
+    with pytest.raises(InvalidInputError, match="k_multiplier out of range"):
+        compute_params(1, 1, 0.25, 2.5)
+    with pytest.raises(InvalidInputError, match="leak_bits out of range"):
+        compute_params(True, 1, 0.25, 1)
+    with pytest.raises(InvalidInputError, match="answer_bits out of range"):
+        compute_params(1, 1.0, 0.25, 1)
+    with pytest.raises(InvalidInputError, match="question_bits out of range"):
+        compute_params(1, 1, 0.25, 1, question_bits=False)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -536,15 +536,19 @@ def test_parallel_edges_rejected():
 
 
 @pytest.mark.parametrize("sizes, edges, projections, message", [
-    ((0, 1, 2, 2), ((0, 0),), ((0, 1),), "sizes must be >= 1"),
+    ((0, 1, 2, 2), ((0, 0),), ((0, 1),), "num_left out of range"),
+    ((1, 1, 2.0, 2), ((0, 0),), ((0, 1),), "sigma_left out of range"),
     ((1, 1, 2, 2), (), (), "non-empty"),
     ((1, 1, 2, 2), ((0, 0), (0, 0)), ((0, 1), (1, 0)), "parallel"),
     ((2, 1, 2, 2), ((0, 0), (1, 0)), ((0, 1),), "one projection per edge"),
     ((1, 1, 2, 2), ((0, 1),), ((0, 1),), "endpoint out of range"),
+    ((2, 2, 2, 2), ((0, True),), ((0, 1),), "endpoint out of range"),
     ((1, 1, 2, 2), ((0, 0),), ((0,),), "cover sigma_left"),
     ((1, 1, 2, 2), ((0, 0),), ((0, 2),), "projection value out of range"),
-], ids=["size-0", "no-edges", "parallel", "projection-count",
-        "endpoint", "projection-length", "projection-value"])
+    ((1, 1, 2, 2), ((0, 0),), ((0, 1.0),), "projection value out of range"),
+], ids=["size-0", "size-float", "no-edges", "parallel", "projection-count",
+        "endpoint", "endpoint-bool", "projection-length", "projection-value",
+        "projection-float"])
 def test_label_cover_refuses_malformed_parts(sizes, edges, projections,
                                              message):
     with pytest.raises(InvalidInputError, match=message):
@@ -552,11 +556,16 @@ def test_label_cover_refuses_malformed_parts(sizes, edges, projections,
 
 
 @pytest.mark.parametrize("sizes, scope, allowed, message", [
-    ((2, 0, 2), (0, 1), [], "must be >= 1"),
+    ((2, 0, 2), (0, 1), [], "alphabet_size out of range"),
+    ((2, 2.0, 2), (0, 1), [(0, 1)], "alphabet_size out of range"),
     ((2, 2, 2), (0,), [(0,)], "scope length"),
+    ((2, 2, 2), (0, 1.0), [(0, 1)], "scope variable out of range"),
+    ((2, 2, 2), (0, True), [(0, 1)], "scope variable out of range"),
     ((2, 2, 2), (0, 1), [(0, 2)], "value out of range"),
     ((2, 2, 2), (0, 1), [(-1, 0)], "value out of range"),
-], ids=["alphabet-0", "short-scope", "value-2", "value-negative"])
+    ((2, 2, 2), (0, 1), [(0, 1.0)], "value out of range"),
+], ids=["alphabet-0", "alphabet-float", "short-scope", "scope-float",
+        "scope-bool", "value-2", "value-negative", "value-float"])
 def test_csp_instance_refuses_malformed_parts(sizes, scope, allowed,
                                               message):
     with pytest.raises(InvalidInputError, match=message):
@@ -1102,6 +1111,26 @@ def test_library_calls_refuse_invalid_input():
     for leak_bits in (True, False, 1.0, 0.5, "1"):
         with pytest.raises(InvalidInputError, match="leak_bits out of range"):
             optimal_cheat(_lowval(), leak_bits)
+    # each ended in a bare TypeError, AttributeError or ValueError, or was
+    # taken (a bool as 1, a float count as its value)
+    for call, what in [
+            *((lambda b=b: csp_value_exact(TRIANGLE, b), "budget")
+              for b in (1.5, None, True)),
+            *((lambda b=b: optimal_cheat(TRIANGLE, 0, b), "budget")
+              for b in (1.5, None, True)),
+            *((lambda kw=kw: find_low_value_instance(
+                3, 2, 2, Fraction(1, 2), 0, **kw), next(iter(kw)))
+              for kw in ({"attempts": 1.5}, {"attempts": True},
+                         {"attempts": -1}, {"num_constraints": 2.0},
+                         {"num_constraints": 0}, {"allowed_sizes": (1.5,)},
+                         {"allowed_sizes": (1, True)},
+                         {"allowed_sizes": (-1,)}, {"allowed_sizes": ()})),
+            (lambda: csp.tuple_count(True, 2, 2),
+             "num_vars, alphabet_size or arity"),
+            (lambda: csp.tuple_count(2, 2.0, 2),
+             "num_vars, alphabet_size or arity")]:
+        with pytest.raises(InvalidInputError, match=f"^{what} out of range$"):
+            call()
 
 
 def test_format_error_line_numbers():

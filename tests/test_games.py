@@ -597,14 +597,17 @@ def test_game_weights_are_checked_as_integers(dist, message):
 
 
 @pytest.mark.parametrize("sizes, dist, pred, message", [
-    ((0, 2, 2, 2), (), (), "x_size must be >= 1"),
-    ((2, 2, 2, -1), (Fraction(1, 4),) * 4, (), "b_size must be >= 1"),
+    ((0, 2, 2, 2), (), (), "x_size out of range"),
+    ((2, 2, 2, -1), (Fraction(1, 4),) * 4, (), "b_size out of range"),
+    # both were taken as a game of size 1
+    ((1.0, 1, 1, 1), (Fraction(1),), (1,), "x_size out of range"),
+    ((True, 1, 1, 1), (Fraction(1),), (1,), "x_size out of range"),
     ((2, 2, 2, 2), (Fraction(1, 3),) * 3, (0,) * 16, "dist has 3 entries"),
     ((2, 2, 2, 2), (Fraction(1, 4),) * 4, (0,) * 15, "pred has 15 entries"),
     ((2, 2, 2, 2), (Fraction(1, 4),) * 4, (0,) * 15 + (2,), "0 or 1"),
     ((1, 1, 1, 2), (Fraction(1),), (1, -1), "0 or 1"),
-], ids=["x-size-0", "b-size-negative", "short-dist", "short-pred",
-        "pred-2", "pred-negative"])
+], ids=["x-size-0", "b-size-negative", "x-size-float", "x-size-bool",
+        "short-dist", "short-pred", "pred-2", "pred-negative"])
 def test_game_refuses_bad_shapes(sizes, dist, pred, message):
     with pytest.raises(InvalidInputError, match=message):
         Game("g", *sizes, dist, pred)

@@ -939,6 +939,15 @@ def test_unhashable_targets_are_refused():
         instance_id(("a", "tuple", "keeps", "nothing"))
 
 
+def test_estimator_takes_numpy_integers():
+    # both once ended in a bare OverflowError or TypeError on both paths
+    for fast in (True, False):
+        record = estimate_acceptance(chsh(), best_chsh_behaviors(), NO_LEAK,
+                                     np.int64(300), np.uint8(7), fast=fast)
+        assert record.to_json() == estimate_acceptance(
+            chsh(), best_chsh_behaviors(), NO_LEAK, 300, 7).to_json()
+
+
 def test_refuses_unknown_roles_empty_estimates_and_other_objects():
     with pytest.raises(InvalidInputError, match="role must be"):
         ProverBehavior(lambda q, bits: 0, lambda q: "", "third")
@@ -950,6 +959,14 @@ def test_refuses_unknown_roles_empty_estimates_and_other_objects():
                                match="sessions out of range"):
                 estimate_acceptance(chsh(), best_chsh_behaviors(), NO_LEAK,
                                     sessions, 1, fast=fast)
+    # a float master seed ended in a bare TypeError on both paths, and a
+    # bool was read as 1
+    for seed in (1.5, "1", None, True):
+        for fast in (True, False):
+            with pytest.raises(InvalidInputError,
+                               match="master_seed out of range"):
+                estimate_acceptance(chsh(), best_chsh_behaviors(), NO_LEAK,
+                                    10, seed, fast=fast)
 
     class Thing:  # hashable, with a __dict__, but neither game nor csp
         pass

@@ -26,7 +26,7 @@ from leakygames.leakage import (LeakageKind, LeakageModel, LeakyStrategy,
                                 leaky_enumeration_size, leaky_strategy_value,
                                 leaky_value_exact, leaky_value_upper_bound,
                                 one_way_ab, one_way_ba, simultaneous)
-from leakygames.repetition import repeat_game
+from leakygames.repetition import repeat_game, repeated_exact_value
 
 ZEROS = make_game("zeros", 2, 2, 2, 2, [1, 1, 1, 1], lambda *_: False)
 
@@ -667,6 +667,14 @@ REFUSALS = [  # (check, message)
     (lambda: cheat_acceptance(SHAPES_CSP,
                               CheatProfile(((0, 1, 1), (0, True, 1)))),
      "assignment value out of range"),
+    # a budget of 1.5 or None ended in a bare AttributeError, and True ran
+    # as 1
+    *((lambda solve=solve, budget=budget: solve(budget), "budget out of range")
+      for budget in (1.5, None, True) for solve in (
+          lambda b: classical_value(chsh(), b),
+          lambda b: leaky_value_exact(chsh(), AB1, b),
+          lambda b: leaky_value_upper_bound(chsh(), 1, b),
+          lambda b: repeated_exact_value(repeat_game(chsh(), 2), b))),
 ]
 
 
@@ -690,6 +698,10 @@ def test_shape_checks_take_numpy_integers():
     assert leaky_strategy_value(chsh(), AB1, _leaky(
         alice_msg=(0, one), bob_ans=((0, 0), (0, one)))) == 1
     CheatProfile(((0, one, np.int32(1)),)).check_shapes(SHAPES_CSP)
+    # 16 strategy pairs: a numpy budget is read as the int it holds
+    assert classical_value(chsh(), np.int64(16))[0] == Fraction(3, 4)
+    with pytest.raises(BudgetExceededError, match="budget is 15"):
+        classical_value(chsh(), np.uint8(15))
 
 
 def test_strategy_shape_validation():
