@@ -301,11 +301,11 @@ def cmd_run(args) -> dict:
         target = _load_csp(config["path"])
     else:
         raise InvalidInputError("config kind must be 'game' or 'csp'")
+    n, seed = harness._check_estimate(  # before the behaviors' solve
+        config["sessions"], config.get("seed", args.seed))
     behaviors, label = _behaviors_for_run(config, target, model,
                                           _budget(args))
-    record = harness.estimate_acceptance(target, behaviors, model,
-                                         config["sessions"],
-                                         config.get("seed", args.seed))
+    record = harness.estimate_acceptance(target, behaviors, model, n, seed)
     pq, _ = _frac_cols(record.estimate_exact)
     return {"instance": harness.instance_id(target), "behavior": label,
             "model": model.kind.value, "bits_ab": model.bits_ab,

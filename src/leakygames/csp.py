@@ -67,9 +67,6 @@ class CspInstance:
                     raise InvalidInputError("allowed tuple length != arity")
                 check_range(t, self.alphabet_size, "allowed tuple value")
 
-    def __hash__(self) -> int:  # kept: it reads every allowed tuple
-        return kept(self, "_hash", lambda: hash(self.constraints))
-
     def satisfied_count(self, assignment: tuple[int, ...]) -> int:
         return sum(tuple(assignment[v] for v in con.scope) in con.allowed
                    for con in self.constraints)
@@ -101,6 +98,8 @@ class LabelCover:
             check_range((getattr(self, field),), math.inf, field, low=1)
         if not self.edges:
             raise InvalidInputError("edge set must be non-empty")
+        if not all(isinstance(e, tuple) and len(e) == 2 for e in self.edges):
+            raise InvalidInputError("each edge must be a (left, right) pair")
         if len(set(self.edges)) != len(self.edges):
             raise InvalidInputError("parallel edges are not allowed")
         if len(self.projections) != len(self.edges):

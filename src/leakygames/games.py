@@ -70,11 +70,6 @@ class Game:
         if self.pred.count(0) + self.pred.count(1) != expected:
             raise InvalidInputError("pred entries must be 0 or 1")
 
-    def __hash__(self) -> int:
-        # kept, as it reads every weight and bit; no salted str goes into it,
-        # so a pickled copy keeps a valid hash in another process
-        return kept(self, "_hash", lambda: hash((self.dist, self.pred)))
-
     # -- evaluation interface (shared with RepeatedGame via duck typing) --
 
     def weight(self, x: int, y: int) -> Fraction:

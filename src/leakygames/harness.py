@@ -31,6 +31,7 @@ from .csp import CheatProfile, CspInstance, LabelCover, best_response, save_csp,
 from .errors import BudgetExceededError, InvalidInputError, check_range
 from .games import Game, StrategyPair, kept, save_game
 from .leakage import LeakageKind, LeakageModel, LeakyStrategy
+from .repetition import RepeatedGame
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 SESSION_CAP = 10**9     # most sessions estimate_acceptance samples
@@ -300,26 +301,23 @@ def instance_id(target) -> str:
         return target.__dict__["_instance_id"]
     except (AttributeError, KeyError):
         pass
-    if type(target).__hash__ is None or not hasattr(target, "__dict__"):
-        raise InvalidInputError(f"cannot identify {type(target).__name__}")
-    return kept(target, "_instance_id", lambda: _serialized_id(target))
+    name, text = _identity(target)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+    return kept(target, "_instance_id", lambda: f"{name}:{digest}")
 
 
-def _serialized_id(target) -> str:
+def _identity(target) -> tuple[str, str]:
+    """(name, text) of a target; a repeated game's text wraps its base's."""
+    if isinstance(target, Game):
+        return target.name, save_game(target)
     if isinstance(target, CspInstance):
-        name, body = "csp", save_csp(target)
-    elif isinstance(target, LabelCover):
-        name, body = "label-cover", save_label_cover(target)
-    elif isinstance(target, Game):
-        name, body = target.name, save_game(target)
-    else:  # RepeatedGame and other game-likes
-        base = getattr(target, "base", None)
-        if base is None:
-            raise InvalidInputError(f"cannot identify {type(target).__name__}")
-        name = target.name
-        body = f"repeat {target.copies}\n" + save_game(base)
-    digest = hashlib.sha256(body.encode()).hexdigest()[:12]
-    return f"{name}:{digest}"
+        return "csp", save_csp(target)
+    if isinstance(target, LabelCover):
+        return "label-cover", save_label_cover(target)
+    if isinstance(target, RepeatedGame):
+        text = _identity(target.base)[1]
+        return target.name, f"repeat {target.copies}\n{text}"
+    raise InvalidInputError(f"cannot identify {type(target).__name__}")
 
 
 def _check_answer(value, size: int, what: str) -> int:
@@ -352,10 +350,9 @@ def _accepts(target, x: int, y: int, pos: int | None, a, b,
 
 
 def _game_support(g) -> tuple[tuple, tuple, int]:
-    """Support cells, cumulative integer weights, and the weight total;
-    kept like the instance id, for targets instance_id accepted.  Sessions
-    draw the total's residues from 64-bit words, so a total of 2^64 or more
-    is refused."""
+    """Support cells, cumulative integer weights and the weight total, kept
+    like the instance id.  Sessions draw the total's residues from 64-bit
+    words, so a total of 2^64 or more is refused."""
     try:  # every session and replay reads it: once kept, build no closure
         return g.__dict__["_support"]
     except KeyError:
@@ -428,6 +425,9 @@ def run_session(target, behaviors, model: LeakageModel, seed: int
     transcript can tell; a behavior that raises keeps nothing, and raises
     again at the next session on that cell.
     """
+    if type(seed) is not int:  # an exact int pays one test, no call
+        check_range((seed,), math.inf, "seed", low=-math.inf)
+        seed = int(seed)  # numpy ints too
     _check_session(target, behaviors, model)
     iid = instance_id(target)
     if isinstance(target, CspInstance):
@@ -528,11 +528,7 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
     path must match count for count.  Counts above SESSION_CAP are refused
     before anything is allocated.  A negative master seed is read mod 2**64.
     """
-    check_range((sessions,), math.inf, "sessions", low=1)
-    check_range((master_seed,), math.inf, "master_seed", low=-math.inf)
-    sessions, master_seed = int(sessions), int(master_seed)  # numpy ints too
-    if sessions > SESSION_CAP:
-        raise BudgetExceededError(sessions, SESSION_CAP, "session sampling")
+    sessions, master_seed = _check_estimate(sessions, master_seed)
     _check_session(target, behaviors, model)
     config = {"protocol": "csp" if isinstance(target, CspInstance) else "game",
               "instance": instance_id(target), "model": model.kind.value,
@@ -548,6 +544,16 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
     return ExperimentRecord(sessions, accepted, p,
                             Z_99 * math.sqrt(p * (1.0 - p) / sessions),
                             config, master_seed)
+
+
+def _check_estimate(sessions, master_seed) -> tuple[int, int]:
+    """Checked sessions and master seed as ints; CLI run calls it first."""
+    check_range((sessions,), math.inf, "sessions", low=1)
+    check_range((master_seed,), math.inf, "master_seed", low=-math.inf)
+    sessions, master_seed = int(sessions), int(master_seed)  # numpy ints too
+    if sessions > SESSION_CAP:
+        raise BudgetExceededError(sessions, SESSION_CAP, "session sampling")
+    return sessions, master_seed
 
 
 def _count_np(target, behaviors, model: LeakageModel, sessions: int,

@@ -814,6 +814,19 @@ def test_run_honors_budget(tmp_path):
 
 
 @pytest.mark.parametrize("change", [
+    {"seed": 1.5}, {"sessions": True}, {"sessions": 0},
+], ids=["seed-float", "sessions-bool", "sessions-0"])
+def test_run_refuses_bad_counts_before_the_solve(change, tmp_path, capsys):
+    # the honest solve is over a budget of 3, so these once exited 3
+    config = {"kind": "game", "path": CHSH_PATH, "behavior": "honest",
+              "sessions": 100, "seed": 4, **change}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--budget", "3", "run", str(cfg)]) == EXIT_INVALID
+    assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [
     {"seed": "x"}, {"seed": 1.5}, {"seed": True}, {"sessions": "abc"},
     {"sessions": 2.5}, {"model": {"kind": "bogus"}}, {"model": {"kind": []}},
     {"model": "one-way-ab"}, {"model": {"bits_ab": "1"}},

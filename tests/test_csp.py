@@ -543,12 +543,14 @@ def test_parallel_edges_rejected():
     ((2, 1, 2, 2), ((0, 0), (1, 0)), ((0, 1),), "one projection per edge"),
     ((1, 1, 2, 2), ((0, 1),), ((0, 1),), "endpoint out of range"),
     ((2, 2, 2, 2), ((0, True),), ((0, 1),), "endpoint out of range"),
+    ((1, 1, 2, 2), ((0,),), ((0, 1),), "each edge must be a"),
+    ((1, 1, 2, 2), ((0, 0, 0),), ((0, 1),), "each edge must be a"),
     ((1, 1, 2, 2), ((0, 0),), ((0,),), "cover sigma_left"),
     ((1, 1, 2, 2), ((0, 0),), ((0, 2),), "projection value out of range"),
     ((1, 1, 2, 2), ((0, 0),), ((0, 1.0),), "projection value out of range"),
 ], ids=["size-0", "size-float", "no-edges", "parallel", "projection-count",
-        "endpoint", "endpoint-bool", "projection-length", "projection-value",
-        "projection-float"])
+        "endpoint", "endpoint-bool", "edge-short", "edge-long",
+        "projection-length", "projection-value", "projection-float"])
 def test_label_cover_refuses_malformed_parts(sizes, edges, projections,
                                              message):
     with pytest.raises(InvalidInputError, match=message):

@@ -11,6 +11,7 @@ import random
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 from fractions import Fraction
 from importlib import resources
@@ -902,10 +903,9 @@ def test_instance_id_distinguishes():
     assert instance_id(c1).startswith("csp:")
 
 
-def test_kept_hashes_match_equal_targets():
-    # hashes are computed once per instance; equal targets built apart hash
-    # equal, pickled copies too, and instance ids are those of the
-    # serialized text, as before hashes were kept
+def test_equal_targets_hash_equal_and_ids_are_pinned():
+    # targets hash by their fields: equal targets built apart hash equal,
+    # pickled copies too, and instance ids are those of the serialized text
     g1, g2 = (helpers.random_game_exact(random.Random(1), 5, 5, 3, 3)
               for _ in range(2))
     assert g1 == g2 and g1 is not g2
@@ -919,24 +919,47 @@ def test_kept_hashes_match_equal_targets():
     assert hash(c1) == hash(c2) == hash(pickle.loads(pickle.dumps(c1)))
     assert instance_id(g1) == "rand:5b7b18faf752"
     assert instance_id(chsh()) == "chsh:1a8e04a15fb9"
+    assert instance_id(repeat_game(chsh(), 2)) == "chsh^2:53c14109277d"
     assert instance_id(c1) == "csp:a281118d0340"
 
 
-def test_unhashable_targets_are_refused():
-    # the per-target caches never see an unhashable target: sessions and
-    # estimates refuse it as invalid input, not with a TypeError
+def test_unhashable_targets_are_identified():
+    # an id names a target by its text, not its hash: an unhashable Game
+    # subclass gets its hashable twin's id, and plays and replays as it does
     class Unhashable(Game):
         __hash__ = None
 
     g = chsh()
     target = Unhashable(*(getattr(g, f.name) for f in dataclasses.fields(g)))
+    assert instance_id(target) == instance_id(g)
     behaviors = best_chsh_behaviors()
-    with pytest.raises(InvalidInputError, match="cannot identify"):
-        run_session(target, behaviors, NO_LEAK, 1)
-    with pytest.raises(InvalidInputError, match="cannot identify"):
-        estimate_acceptance(target, behaviors, NO_LEAK, 10, 1)
-    with pytest.raises(InvalidInputError, match="cannot identify"):
+    for seed in range(8):
+        t = run_session(target, behaviors, NO_LEAK, seed)
+        assert replay_verify(t, target) and replay_verify(t, g)
+        assert t == run_session(g, best_chsh_behaviors(), NO_LEAK, seed)
+    assert (estimate_acceptance(target, behaviors, NO_LEAK, 100, 1)
+            == estimate_acceptance(g, behaviors, NO_LEAK, 100, 1))
+    with pytest.raises(InvalidInputError, match="cannot identify tuple"):
         instance_id(("a", "tuple", "keeps", "nothing"))
+
+
+def test_nested_repeated_game_plays_and_replays():
+    # a repeated game's text is its base's behind "repeat N", at any depth;
+    # a repeated game over a repeated game ended in an AttributeError
+    rg = repeat_game(repeat_game(chsh(), 2), 1)
+    assert instance_id(rg) == "chsh^2^1:877bd32d52f6"
+    assert instance_id(rg) != instance_id(repeat_game(chsh(), 2))
+    value, witness = classical_value(rg)
+    assert value == Fraction(5, 8)
+    behaviors = behaviors_from_strategy_pair(witness)
+    verdicts = []
+    for seed in range(64):
+        t = run_session(rg, behaviors, NO_LEAK, seed)
+        assert t.instance == instance_id(rg) and replay_verify(t, rg)
+        verdicts.append(t.verdict)
+    assert True in verdicts and False in verdicts
+    record = estimate_acceptance(rg, behaviors, NO_LEAK, 4000, 2)
+    assert abs(record.estimate - 5 / 8) <= record.half_width
 
 
 def test_estimator_takes_numpy_integers():
@@ -946,6 +969,17 @@ def test_estimator_takes_numpy_integers():
                                      np.int64(300), np.uint8(7), fast=fast)
         assert record.to_json() == estimate_acceptance(
             chsh(), best_chsh_behaviors(), NO_LEAK, 300, 7).to_json()
+    # a session seed is read as its int: np.int64 raised OverflowError, and
+    # np.uint64 played with overflow warnings into an unserializable seed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (np.int64(5), np.uint64(5), np.uint64(2**64 - 1),
+                     np.int8(-3)):
+            t = run_session(chsh(), best_chsh_behaviors(), NO_LEAK, seed)
+            twin = run_session(chsh(), best_chsh_behaviors(), NO_LEAK,
+                               int(seed))
+            assert type(t.seed) is int and t == twin
+            assert t.to_json() == twin.to_json()
 
 
 def test_refuses_unknown_roles_empty_estimates_and_other_objects():
@@ -967,6 +1001,9 @@ def test_refuses_unknown_roles_empty_estimates_and_other_objects():
                                match="master_seed out of range"):
                 estimate_acceptance(chsh(), best_chsh_behaviors(), NO_LEAK,
                                     10, seed, fast=fast)
+        # a session's seed too: a bool played as seed 1
+        with pytest.raises(InvalidInputError, match="^seed out of range"):
+            run_session(chsh(), best_chsh_behaviors(), NO_LEAK, seed)
 
     class Thing:  # hashable, with a __dict__, but neither game nor csp
         pass
