@@ -33,9 +33,9 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_GENERATOR_CAP = 4
-# Characters read from one input file; past it the file is refused.  Files
+# Bytes read from one input file; past it the file is refused.  Files
 # ``gen`` writes at its default caps stay below it.
-FILE_CHARS = 2**28
+FILE_BYTES = 2**28
 
 
 # ---------------------------------------------------------------------------
@@ -98,16 +98,16 @@ def parse_fraction(text: str) -> Fraction:
 
 def _read_file(path: str) -> str:
     try:
-        with open(path) as file:
-            text = file.read(FILE_CHARS + 1)
+        with open(path, "rb") as file:
+            data = file.read(FILE_BYTES + 1)
+        if len(data) <= FILE_BYTES:
+            return data.decode()
     except (OSError, ValueError) as exc:  # ValueError: bad utf-8, NUL byte
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
-    except MemoryError:  # reading the cap takes about twice its characters
+    except MemoryError:  # the read and its decoding take twice the cap
         raise InvalidInputError(f"cannot read {path}: out of memory") from None
-    if len(text) > FILE_CHARS:
-        raise InvalidInputError(
-            f"cannot read {path}: more than {FILE_CHARS} characters")
-    return text
+    raise InvalidInputError(
+        f"cannot read {path}: more than {FILE_BYTES} bytes")
 
 
 def _frac_cols(value: Fraction) -> tuple[str, str]:

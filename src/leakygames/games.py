@@ -218,6 +218,9 @@ def _walk(c: np.ndarray, suffix: np.ndarray, split: int):
     the prefix's rows of c: one running table is kept per depth, and a
     prefix adds rows only from its last nonzero digit on.  At split 0 the
     suffix table itself is yielded, uncopied."""
+    if not split:  # the one empty prefix: no product, no running tables
+        yield 0, (), suffix
+        return
     tables = [suffix] * (split + 1)  # [d]: the suffix plus d answers' rows
     prefixes = itertools.product(range(c.shape[1]), repeat=split)
     for p, prefix in enumerate(prefixes):

@@ -18,8 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import threading
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -563,10 +561,8 @@ def _count_np(target, behaviors, model: LeakageModel, sessions: int,
     residue when a game's weight total is at most SESSION_CHUNK.  Sessions
     are drawn SESSION_CHUNK at a time, draw for draw as run_session: a table
     of golden-ratio steps turns each chunk's seeds, and each draw, into one
-    scalar add and the finalizer.  The chunks are dealt round-robin to one
-    worker per usable CPU and chunk, the caller and threads joined before
-    it returns, each with its own buffers (numpy releases the GIL in the
-    finalizer's passes); counts are summed, so workers change nothing."""
+    scalar add and the finalizer, in one set of buffers reused by every
+    chunk."""
     chunk = min(sessions, SESSION_CHUNK)
     csp = isinstance(target, CspInstance)
     if csp:  # cell e*k + position
@@ -593,47 +589,17 @@ def _count_np(target, behaviors, model: LeakageModel, sessions: int,
             r = _below_np(seeds, 0, total, out, tmp)[0]
             return r if dense else np.searchsorted(bounds, r, side="right")
 
-    starts = range(0, sessions, chunk)
-    workers = min(_cpu_count(), len(starts))
     steps = np.arange(1, chunk + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-    # per worker: seeds, draws, scratch and a csp's second draws
-    buffers = np.empty((workers, 3 + csp, chunk), dtype=np.uint64)
-    counts = [0] * workers
-    errors: list[BaseException] = []
-
-    def work(w):  # every workers-th chunk from the w-th, until an error
-        try:
-            for start in starts[w::workers]:
-                if errors:
-                    return
-                n = min(chunk, sessions - start)
-                rows = buffers[w, :, :n]
-                _session_seeds_np(master_seed, start, steps[:n], rows[0],
-                                  rows[2])
-                cells = cells_np(*rows)
-                counts[w] += int(np.count_nonzero(
-                    table[cells.view(np.int64)]))
-        except BaseException as exc:  # an interrupt too: re-raised below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(w,))
-               for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return sum(counts)
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: the estimator's most workers."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    # seeds, draws, scratch and a csp's second draws
+    buffers = np.empty((3 + csp, chunk), dtype=np.uint64)
+    accepted = 0
+    for start in range(0, sessions, chunk):
+        n = min(chunk, sessions - start)
+        rows = buffers[:, :n]
+        _session_seeds_np(master_seed, start, steps[:n], rows[0], rows[2])
+        cells = cells_np(*rows)
+        accepted += int(np.count_nonzero(table[cells.view(np.int64)]))
+    return accepted
 
 
 def _session_seeds_np(master_seed: int, start: int, steps: np.ndarray,

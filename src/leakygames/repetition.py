@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (RUN_FALLBACK, BudgetExceededError, check_budget,
-                     check_range)
+from .errors import (RUN_FALLBACK, BudgetExceededError, InvalidInputError,
+                     check_budget, check_range)
 from .games import (DEFAULT_PAIR_BUDGET, Game, StrategyPair, _index_to_tuple,
                     _int_dtype, classical_value)
 from .leakage import (LeakageModel, LeakyStrategy, leaky_value_exact,
@@ -47,6 +47,9 @@ class RepeatedGame:
     copies: int
 
     def __post_init__(self):
+        if not isinstance(self.base, (Game, RepeatedGame)):
+            raise InvalidInputError(f"repeated game base must be a game, "
+                                    f"not {type(self.base).__name__}")
         check_range((self.copies,), math.inf, "copies", low=1)
 
     @property

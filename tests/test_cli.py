@@ -165,26 +165,44 @@ def test_missing_file_no_partial_artifacts(tmp_path):
 
 
 def test_files_past_the_character_cap_exit_invalid(monkeypatch, capsys):
-    # /dev/zero was read until memory ran out
-    size = len(Path(CHSH_PATH).read_text())
-    monkeypatch.setattr(cli, "FILE_CHARS", size)
+    # /dev/zero was read until memory ran out; the cap counts bytes
+    size = len(Path(CHSH_PATH).read_bytes())
+    monkeypatch.setattr(cli, "FILE_BYTES", size)
     assert main(["value", CHSH_PATH]) == EXIT_OK
     capsys.readouterr()
     for path, cap in ((CHSH_PATH, size - 1), ("/dev/zero", 1000)):
-        monkeypatch.setattr(cli, "FILE_CHARS", cap)
+        monkeypatch.setattr(cli, "FILE_BYTES", cap)
         assert main(["value", path]) == EXIT_INVALID
         out, err = capsys.readouterr()
         assert out == "" and err == (f"error (invalid input): cannot read "
-                                     f"{path}: more than {cap} characters\n")
+                                     f"{path}: more than {cap} bytes\n")
 
     # under a memory limit, reading up to the cap can run out first
-    class Unreadable(io.StringIO):
+    class Unreadable(io.BytesIO):
         def read(self, size=-1):
             raise MemoryError
-    monkeypatch.setattr(cli, "open", lambda path: Unreadable(), raising=False)
+    monkeypatch.setattr(cli, "open", lambda path, mode: Unreadable(),
+                        raising=False)
     assert main(["value", CHSH_PATH]) == EXIT_INVALID
     assert capsys.readouterr().err == (f"error (invalid input): cannot read "
                                        f"{CHSH_PATH}: out of memory\n")
+
+
+def test_invalid_utf8_is_refused_by_size_then_by_decoding(
+        monkeypatch, tmp_path, capsys):
+    # a file past the cap is refused before it is decoded, so invalid
+    # UTF-8 there reads as too long; under the cap it cannot be read
+    bad = tmp_path / "bad.game"
+    bad.write_bytes(b"\xff" * 101)
+    monkeypatch.setattr(cli, "FILE_BYTES", 100)
+    assert main(["value", str(bad)]) == EXIT_INVALID
+    assert capsys.readouterr().err == (f"error (invalid input): cannot read "
+                                       f"{bad}: more than 100 bytes\n")
+    monkeypatch.setattr(cli, "FILE_BYTES", 101)
+    assert main(["value", str(bad)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith(f"error (invalid input): cannot read {bad}: ")
+    assert "utf-8" in err and "Traceback" not in err
 
 
 def test_malformed_file_exit_code(tmp_path):

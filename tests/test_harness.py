@@ -5,10 +5,8 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
-import os
 import pickle
 import random
-import sys
 import threading
 import tracemalloc
 import warnings
@@ -530,32 +528,11 @@ def test_estimator_chunks_match_one_chunk(monkeypatch):
                                        17) == record
 
 
-def pin_workers(monkeypatch, workers):
-    """Run the estimator on ``workers`` workers, whatever the host."""
-    monkeypatch.setattr(harness, "_cpu_count", lambda: workers)
-
-
-def test_cpu_count_falls_back_without_affinity(monkeypatch):
-    # platforms with no sched_getaffinity size the workers by os.cpu_count,
-    # and a two-chunk estimate on them still counts as the scalar path
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert harness._cpu_count() == (os.cpu_count() or 1)
-    monkeypatch.setattr(harness, "SESSION_CHUNK", 64)
-    behaviors = best_chsh_behaviors()
-    fast = estimate_acceptance(chsh(), behaviors, NO_LEAK, 128, 31)
-    assert fast == estimate_acceptance(chsh(), behaviors, NO_LEAK, 128, 31,
-                                       fast=False)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3, 8])
-def test_estimator_workers_match_scalar(monkeypatch, workers):
-    # 16 chunks of 64 sessions, the last one cut short, dealt to 1-3
-    # workers and to more workers than CPUs, with threads switched as
-    # often as the interpreter allows: CHSH, a csp cheat (two draws per
-    # session), and weight totals 3 * 2^61 and 3 * 2^62 + 12345
-    # (searchsorted, a quarter rejected, a heavy cell lost); a lost count
-    # or a wrong redraw moves the record
-    pin_workers(monkeypatch, workers)
+def test_estimator_chunks_match_scalar(monkeypatch):
+    # 16 chunks of 64 sessions, the last one cut short: CHSH, a csp cheat
+    # (two draws per session), and weight totals 3 * 2^61 and
+    # 3 * 2^62 + 12345 (searchsorted, a quarter rejected, a heavy cell
+    # lost); a count lost at a chunk edge or a wrong redraw moves the record
     monkeypatch.setattr(harness, "SESSION_CHUNK", 64)
     c, _ = helpers.satisfiable_csp(random.Random(5))
     cases = [(chsh(), best_chsh_behaviors(), NO_LEAK),
@@ -564,54 +541,54 @@ def test_estimator_workers_match_scalar(monkeypatch, workers):
     for g in (heavy_chsh("heavy", [1, 2**61, 2**61, 2**61 - 1]),
               heavy_chsh("heavier", [2**62, 2**62, 2**62, 12345])):
         cases.append((g, LOSES_1_0, NO_LEAK))
-    samplers = set()
-    original = harness._below_np
-
-    def below(*args, **kwargs):
-        samplers.add(threading.current_thread())
-        return original(*args, **kwargs)
-    monkeypatch.setattr(harness, "_below_np", below)
-    threads = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for target, behaviors, model in cases:
-            samplers.clear()
-            fast = estimate_acceptance(target, behaviors, model, 1000, 29)
-            assert len(samplers) == workers
-            assert threading.active_count() == threads
-            assert fast == estimate_acceptance(target, behaviors, model,
-                                               1000, 29, fast=False)
-    finally:
-        sys.setswitchinterval(interval)
+    for target, behaviors, model in cases:
+        fast = estimate_acceptance(target, behaviors, model, 1000, 29)
+        assert fast == estimate_acceptance(target, behaviors, model,
+                                           1000, 29, fast=False)
 
 
-@pytest.mark.parametrize("failing", ["worker", "caller"])
-def test_estimator_sampling_errors_propagate(monkeypatch, failing):
-    # an error in any worker's sampling leaves estimate_acceptance, and
-    # every thread it started is joined first
-    pin_workers(monkeypatch, 3)
+def test_estimator_samples_in_the_calling_thread(monkeypatch):
+    # every chunk is drawn by the caller, and no thread is started
     monkeypatch.setattr(harness, "SESSION_CHUNK", 64)
-    caller = threading.get_ident()
+
+    def start(self):
+        raise AssertionError("the estimator started a thread")
+    monkeypatch.setattr(threading.Thread, "start", start)
+    samplers = []
     original = harness._below_np
 
     def below(*args, **kwargs):
-        if (threading.get_ident() == caller) == (failing == "caller"):
-            raise RuntimeError(f"{failing} failed")
+        samplers.append(threading.get_ident())
         return original(*args, **kwargs)
     monkeypatch.setattr(harness, "_below_np", below)
-    threads = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"{failing} failed"):
+    estimate_acceptance(chsh(), best_chsh_behaviors(), NO_LEAK, 1000, 3)
+    assert samplers == [threading.get_ident()] * 16
+
+
+def test_estimator_sampling_errors_propagate(monkeypatch):
+    # an error in the third chunk's sampling leaves estimate_acceptance,
+    # and no later chunk is drawn
+    monkeypatch.setattr(harness, "SESSION_CHUNK", 64)
+    calls = []
+    original = harness._below_np
+
+    def below(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("sampling failed")
+        return original(*args, **kwargs)
+    monkeypatch.setattr(harness, "_below_np", below)
+    with pytest.raises(RuntimeError, match="sampling failed"):
         estimate_acceptance(chsh(), best_chsh_behaviors(), NO_LEAK, 1000, 3)
-    assert threading.active_count() == threads
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("kind", ["game", "csp"])
-def test_estimator_memory_is_bounded_by_the_chunk(monkeypatch, kind):
-    # at 1-3 workers the traced peak stays within eight chunk-sized uint64
-    # arrays per worker, and sixteen chunks of sessions peak no higher than
-    # one chunk per worker; workers may hold their one-byte-per-session
-    # verdict gathers at the same moment, which 16 chunks do more often
+def test_estimator_memory_is_bounded_by_the_chunk(kind):
+    # the traced peak stays within one chunk's buffers (seeds, draws,
+    # scratch and a csp's second draws), the step table and one more
+    # chunk-sized uint64 array, and sixteen chunks of sessions peak no
+    # higher than one: every chunk reuses the same buffers
     if kind == "csp":
         target, _ = helpers.satisfiable_csp(random.Random(6))
         model = one_way_ab(1)
@@ -620,20 +597,17 @@ def test_estimator_memory_is_bounded_by_the_chunk(monkeypatch, kind):
     else:
         target, model, behaviors = chsh(), NO_LEAK, best_chsh_behaviors()
     estimate_acceptance(target, behaviors, model, 10, 0)  # warm the caches
-    for workers in (1, 2, 3):
-        pin_workers(monkeypatch, workers)
-        peaks = []
-        for chunks in (workers, 16):
-            tracemalloc.start()
-            try:
-                estimate_acceptance(target, behaviors, model,
-                                    chunks * harness.SESSION_CHUNK, 5)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert max(peaks) <= workers * 8 * 8 * harness.SESSION_CHUNK
-        assert peaks[1] <= (peaks[0] + (workers - 1) * harness.SESSION_CHUNK
-                            + 4096)
+    peaks = []
+    for chunks in (1, 16):
+        tracemalloc.start()
+        try:
+            estimate_acceptance(target, behaviors, model,
+                                chunks * harness.SESSION_CHUNK, 5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= (5 + (kind == "csp")) * 8 * harness.SESSION_CHUNK
+    assert peaks[1] <= peaks[0] + 4096
 
 
 def test_estimator_refuses_sessions_past_cap():
@@ -679,13 +653,11 @@ def test_estimator_pinned_counts():
 def test_estimator_samples_through_the_module_helpers(monkeypatch):
     # the traced benchmark rebinds these two names to time all sampling
     calls = {"_session_seeds_np": 0, "_below_np": 0}
-    lock = threading.Lock()  # the estimator's workers call them too
     for name in calls:
         original = getattr(harness, name)
 
         def counted(*args, name=name, original=original, **kwargs):
-            with lock:
-                calls[name] += 1
+            calls[name] += 1
             return original(*args, **kwargs)
         monkeypatch.setattr(harness, name, counted)
     targets = pinned_targets()

@@ -19,8 +19,8 @@ from leakygames.harness import behaviors_from_strategy_pair, run_session
 from leakygames.leakage import (LeakyStrategy, leaky_strategy_value,
                                 leaky_value_exact, leaky_value_upper_bound,
                                 one_way_ab, one_way_ba)
-from leakygames.repetition import (leaky_repetition_experiment, repeat_game,
-                                   repeated_exact_value)
+from leakygames.repetition import (RepeatedGame, leaky_repetition_experiment,
+                                   repeat_game, repeated_exact_value)
 
 ONES = make_game("ones", 2, 2, 2, 2, [1, 1, 1, 1], lambda *_: True)
 ZEROS = make_game("zeros", 2, 2, 2, 2, [1, 1, 1, 1], lambda *_: False)
@@ -179,6 +179,15 @@ def test_leaky_repetition_exact_chsh():
 def test_repeat_refuses_copies_below_one(copies):
     with pytest.raises(InvalidInputError, match="copies out of range"):
         repeat_game(chsh(), copies)
+
+
+# a csp base once got as far as instance_id, and a bare AttributeError there
+@pytest.mark.parametrize("kind", ["csp", "tuple"])
+def test_repeat_refuses_a_base_that_is_not_a_game(kind):
+    base = (helpers.satisfiable_csp(random.Random(0))[0] if kind == "csp"
+            else (chsh(),))
+    with pytest.raises(InvalidInputError, match="base must be a game"):
+        RepeatedGame(base, 2)
 
 
 def test_leaky_repetition_delegations():
