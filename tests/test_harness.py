@@ -7,6 +7,7 @@ import gc
 import json
 import pickle
 import random
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -545,6 +546,47 @@ def test_estimator_chunks_match_scalar(monkeypatch):
         fast = estimate_acceptance(target, behaviors, model, 1000, 29)
         assert fast == estimate_acceptance(target, behaviors, model,
                                            1000, 29, fast=False)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_estimator_workers_match_scalar(monkeypatch, workers):
+    # 1-3 and 8 caller threads estimate the same targets at once, with
+    # threads switched as often as the interpreter allows: every chunk's
+    # buffers and count belong to its call and the shared support cache is
+    # filled once, so each caller gets the scalar record
+    monkeypatch.setattr(harness, "SESSION_CHUNK", 64)
+    c, _ = helpers.satisfiable_csp(random.Random(5))
+    cases = [(chsh(), best_chsh_behaviors(), NO_LEAK),
+             (c, behaviors_from_cheat_profile(c, optimal_cheat(c, 1)[1]),
+              one_way_ab(1))]
+    for g in (heavy_chsh("heavy", [1, 2**61, 2**61, 2**61 - 1]),
+              heavy_chsh("heavier", [2**62, 2**62, 2**62, 12345])):
+        cases.append((g, LOSES_1_0, NO_LEAK))
+    reference = [estimate_acceptance(t, b, m, 1000, 29, fast=False)
+                 for t, b, m in cases]
+    results = [None] * workers
+    errors = []
+
+    def work(i):
+        try:
+            results[i] = [estimate_acceptance(t, b, m, 1000, 29)
+                          for t, b, m in cases]
+        except BaseException as exc:  # reported in the main thread
+            errors.append(exc)
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [reference] * workers
 
 
 def test_estimator_samples_in_the_calling_thread(monkeypatch):
