@@ -302,7 +302,7 @@ def cmd_run(args) -> dict:
     else:
         raise InvalidInputError("config kind must be 'game' or 'csp'")
     n, seed = harness._check_estimate(  # before the behaviors' solve
-        config["sessions"], config.get("seed", args.seed))
+        target, model, config["sessions"], config.get("seed", args.seed))
     behaviors, label = _behaviors_for_run(config, target, model,
                                           _budget(args))
     record = harness.estimate_acceptance(target, behaviors, model, n, seed)

@@ -86,37 +86,29 @@ def _mix_np(z: np.ndarray, tmp=None) -> np.ndarray:
     return z
 
 
-def _splitmix64_np(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64; bit-identical to the scalar version."""
-    return _mix_np((counters + np.uint64(1)) * np.uint64(_GOLDEN) + seeds)
-
-
-def _below_np(seeds: np.ndarray, draw: int, n: int, out=None, tmp=None,
-              extra=None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Each session's draw-th _below(seed, ., n), into ``out``, with the
-    same draws and rejections.  Streams sit at counter ``draw`` (one scalar
-    add) plus ``extra[i]``, session i's earlier rejected draws; ``extra`` is
-    None until a rejection and is returned with the residues.  A power of
-    two n rejects nothing and takes its residue as one mask."""
+def _below_np(seeds: np.ndarray, draw: int, n: int, out=None, tmp=None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Each session's _below(seed, draw, n)[0] into ``out``, and the indices
+    of the sessions it redrew: all still rejected at a pass were rejected
+    as often, so one counter steps them.  A power of two n rejects nothing
+    and takes its residue as one mask."""
     tmp = np.empty_like(seeds) if tmp is None else tmp
     step = np.uint64(_GOLDEN * (draw + 1) & _MASK64)
     draws = _mix_np(np.add(seeds, step, out=out), tmp)
-    if extra is not None:
-        late = np.flatnonzero(extra)
-        draws[late] = _splitmix64_np(seeds[late], draw + extra[late])
+    none = np.empty(0, dtype=np.intp)
     if n & (n - 1) == 0:
-        return np.bitwise_and(draws, np.uint64(n - 1), out=draws), extra
+        return np.bitwise_and(draws, np.uint64(n - 1), out=draws), none
     limit = np.uint64((1 << 64) - (1 << 64) % n)
-    redo = np.flatnonzero(draws >= limit) if draws.max() >= limit else []
-    if len(redo) and extra is None:
-        extra = np.zeros(len(draws), dtype=np.uint64)
+    redrawn = redo = (np.flatnonzero(draws >= limit)
+                      if draws.max() >= limit else none)
     while len(redo):
-        extra[redo] += np.uint64(1)
-        draws[redo] = _splitmix64_np(seeds[redo], draw + extra[redo])
+        draw += 1
+        step = np.uint64(_GOLDEN * (draw + 1) & _MASK64)
+        draws[redo] = _mix_np(seeds[redo] + step)
         redo = redo[draws[redo] >= limit]
     np.floor_divide(draws, np.uint64(n), out=tmp)  # faster than numpy's %
     tmp *= np.uint64(n)
-    return np.subtract(draws, tmp, out=draws), extra
+    return np.subtract(draws, tmp, out=draws), redrawn
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +360,24 @@ def _game_support(g) -> tuple[tuple, tuple, int]:
     return kept(g, "_support", build)
 
 
-def _check_session(target, behaviors, model: LeakageModel) -> None:
-    """Refuse, once per call, behaviors out of (first, second) order, a
-    label cover, which instance_id names but no session can play, and a
-    CSP under any leakage but one-way ab."""
-    if behaviors[0].role != "first" or behaviors[1].role != "second":
+def _check_pair(behaviors) -> tuple[ProverBehavior, ProverBehavior]:
+    """Refuse, once per call, behaviors that are not a (first, second)
+    pair; return the pair."""
+    try:
+        first, second = behaviors
+    except (TypeError, ValueError):  # not a pair, or not iterable
+        first = second = None
+    if not (type(first) is ProverBehavior and first.role == "first"
+            and type(second) is ProverBehavior and second.role == "second"):
         raise InvalidInputError("behaviors must be (first, second)")
+    return first, second
+
+
+def _check_target(target, model: LeakageModel) -> None:
+    """Refuse a target instance_id cannot name, a label cover, which it
+    names but no session can play, and a CSP under any leakage but one-way
+    ab."""
+    instance_id(target)
     if isinstance(target, LabelCover):
         raise InvalidInputError("a label cover plays as its games or to_csp()")
     if (isinstance(target, CspInstance) and model.total_bits
@@ -426,8 +430,17 @@ def run_session(target, behaviors, model: LeakageModel, seed: int
     if type(seed) is not int:  # an exact int pays one test, no call
         check_range((seed,), math.inf, "seed", low=-math.inf)
         seed = int(seed)  # numpy ints too
-    _check_session(target, behaviors, model)
+    first, second = _check_pair(behaviors)
     iid = instance_id(target)
+    # one record, ((instance id, second behavior, model), plays), replaced
+    # when any key part differs and made once the target is checked;
+    # plays[cell] holds the transcript's fields from leaks to verdict
+    key = iid, second, model
+    record = first.__dict__.get("_plays")
+    if record is None or record[0] != key:
+        _check_target(target, model)
+        record = (key, {})
+        object.__setattr__(first, "_plays", record)
     if isinstance(target, CspInstance):
         x, counter = _below(seed, 0, len(target.constraints))
         pos = _below(seed, counter, target.arity)[0]
@@ -437,16 +450,9 @@ def run_session(target, behaviors, model: LeakageModel, seed: int
         cells, cum, total = _game_support(target)
         cell = bisect_right(cum, _below(seed, 0, total)[0])
         (x, y), pos = cells[cell], None
-    # one record, ((instance id, second behavior, model), plays), replaced
-    # when any key part differs; plays[cell] holds the transcript's fields
-    # from leaks to verdict
-    first, key = behaviors[0], (iid, behaviors[1], model)
-    record = first.__dict__.get("_plays")
-    if record is None or record[0] != key:
-        record = (key, {})
-        object.__setattr__(first, "_plays", record)
     play = record[1].get(cell)
     if play is None:
+        behaviors = first, second
         a, b, channel, verdict = (
             _play_game(target, behaviors, model, x, y) if pos is None
             else _play_csp(target, behaviors, model, x, pos))
@@ -526,8 +532,9 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
     path must match count for count.  Counts above SESSION_CAP are refused
     before anything is allocated.  A negative master seed is read mod 2**64.
     """
-    sessions, master_seed = _check_estimate(sessions, master_seed)
-    _check_session(target, behaviors, model)
+    sessions, master_seed = _check_estimate(target, model, sessions,
+                                            master_seed)
+    behaviors = _check_pair(behaviors)
     config = {"protocol": "csp" if isinstance(target, CspInstance) else "game",
               "instance": instance_id(target), "model": model.kind.value,
               "bits_ab": model.bits_ab, "bits_ba": model.bits_ba,
@@ -544,13 +551,19 @@ def estimate_acceptance(target, behaviors, model: LeakageModel,
                             config, master_seed)
 
 
-def _check_estimate(sessions, master_seed) -> tuple[int, int]:
-    """Checked sessions and master seed as ints; CLI run calls it first."""
+def _check_estimate(target, model: LeakageModel, sessions, master_seed
+                    ) -> tuple[int, int]:
+    """Checked sessions and master seed as ints, after every refusal of
+    estimate_acceptance that needs no behaviors: CLI run calls it before it
+    solves for them."""
     check_range((sessions,), math.inf, "sessions", low=1)
     check_range((master_seed,), math.inf, "master_seed", low=-math.inf)
     sessions, master_seed = int(sessions), int(master_seed)  # numpy ints too
     if sessions > SESSION_CAP:
         raise BudgetExceededError(sessions, SESSION_CAP, "session sampling")
+    _check_target(target, model)
+    if not isinstance(target, CspInstance):
+        _game_support(target)  # refuses a weight total past 64 bits
     return sessions, master_seed
 
 
@@ -571,9 +584,12 @@ def _count_np(target, behaviors, model: LeakageModel, sessions: int,
                           for e in range(m) for pos in range(k)], dtype=bool)
 
         def cells_np(seeds, out, tmp, second):  # constraint, then position
-            cells, extra = _below_np(seeds, 0, m, out, tmp)
+            cells, late = _below_np(seeds, 0, m, out, tmp)
             cells *= np.uint64(k)
-            cells += _below_np(seeds, 1, k, second, tmp, extra)[0]
+            cells += _below_np(seeds, 1, k, second, tmp)[0]
+            for i in late.tolist():  # a rejected constraint: scalar draws
+                t = run_session(target, behaviors, model, int(seeds[i]))
+                cells[i] = t.question_first * k + t.position
             return cells
     else:
         support, cums, total = _game_support(target)

@@ -844,6 +844,35 @@ def test_run_refuses_bad_counts_before_the_solve(change, tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["csp-one-way-ba", "game-65-bit-total"])
+def test_run_refuses_unplayable_targets_before_the_solve(
+        kind, monkeypatch, tmp_path, capsys):
+    # both solves are over a budget of 3, and both once ran before the
+    # refusal: exit 3 there, and a full solve at the default budget
+    if kind == "csp-one-way-ba":
+        config = {"kind": "csp", "path": LOWVAL_PATH, "behavior": "cheat",
+                  "model": {"kind": "one-way-ba", "bits_ba": 1}}
+        message = "csp sessions support one-way ab leakage only"
+    else:
+        game = tmp_path / "big.game"
+        game.write_text("game big 2 2 2 2\ndist\n18446744073709551616 1\n"
+                        "1 1\npred\n1001\n1001\n1001\n0110\n")
+        config = {"kind": "game", "path": str(game)}
+        message = "question weight total needs 65 bits, over 64"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "sessions": 100}))
+
+    def solve(*_args, **_kwargs):
+        raise AssertionError("run solved for behaviors it then refused")
+    monkeypatch.setattr(cli, "_behaviors_for_run", solve)
+    out = tmp_path / "out"
+    for budget in (["--budget", "3"], []):
+        assert main(["--out", str(out), *budget, "run", str(cfg)]) \
+            == EXIT_INVALID
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("change", [
     {"seed": "x"}, {"seed": 1.5}, {"seed": True}, {"sessions": "abc"},
     {"sessions": 2.5}, {"model": {"kind": "bogus"}}, {"model": {"kind": []}},

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import json
 import pickle
 import random
@@ -20,8 +21,9 @@ import pytest
 
 import helpers
 from leakygames import cli, harness
-from leakygames.csp import (CheatProfile, cheat_acceptance, csp_value_exact,
-                            load_instance, optimal_cheat)
+from leakygames.csp import (CheatProfile, Constraint, CspInstance,
+                            cheat_acceptance, csp_value_exact, load_instance,
+                            optimal_cheat)
 from leakygames.errors import BudgetExceededError, InvalidInputError
 from leakygames.games import (Game, StrategyPair, chsh, classical_value,
                               make_game)
@@ -29,7 +31,6 @@ from leakygames.harness import (ChannelEvent, ExperimentRecord,
                                 IdentifierMismatchError,
                                 MalformedBehaviorError, MeteredChannel,
                                 ProverBehavior, _below, _below_np,
-                                _splitmix64_np,
                                 behaviors_from_cheat_profile,
                                 behaviors_from_leaky_strategy,
                                 behaviors_from_strategy_pair,
@@ -61,55 +62,87 @@ def test_splitmix64_reference_values():
 
 
 def test_vectorized_splitmix_matches_scalar():
+    # a modulus of 2^64 rejects nothing and keeps every bit of the draw
     seeds = np.array([0, 1, 42, 2**64 - 1], dtype=np.uint64)
-    counters = np.array([0, 5, 7, 3], dtype=np.uint64)
-    vec = _splitmix64_np(seeds, counters)
-    for s, c, v in zip(seeds, counters, vec):
-        assert splitmix64(int(s), int(c)) == int(v)
+    for draw in (0, 3, 7):
+        vec, redrawn = _below_np(seeds, draw, 2**64)
+        assert len(redrawn) == 0
+        assert vec.tolist() == [splitmix64(s, draw) for s in seeds.tolist()]
 
 
-def draw_both(master, count, moduli, out=None, tmp=None):
-    """Draw each modulus in turn for sessions 0..count-1 of ``master``,
-    through _below_np and through _below; residues and stream counters
-    agree.  Returns the last residues and extra counters."""
+def draw_both(master, count, n, draw, out=None, tmp=None):
+    """Draw modulus n at counter ``draw`` for sessions 0..count-1 of
+    ``master`` through _below_np and through _below: the residues agree,
+    and the redrawn sessions are those whose scalar draw read past
+    ``draw``.  Returns the residues and the redrawn sessions."""
     seeds = np.array([session_seed(master, i) for i in range(count)],
                      dtype=np.uint64)
-    counters = [0] * count
-    extra = None
-    for draw, n in enumerate(moduli):
-        vec, extra = _below_np(seeds, draw, n, out, tmp, extra)
-        for i, seed in enumerate(seeds.tolist()):
-            residue, counters[i] = _below(seed, counters[i], n)
-            assert residue == int(vec[i])
-            late = 0 if extra is None else int(extra[i])
-            assert counters[i] == draw + 1 + late
-    return vec, extra
+    vec, redrawn = _below_np(seeds, draw, n, out, tmp)
+    scalar = [_below(seed, draw, n) for seed in seeds.tolist()]
+    assert vec.tolist() == [residue for residue, _ in scalar]
+    assert redrawn.tolist() == [i for i, (_, counter) in enumerate(scalar)
+                                if counter > draw + 1]
+    return vec, redrawn
 
 
 def test_vectorized_below_matches_scalar():
-    # powers of two take the mask and never reject; the others need no
-    # extra counters unless a draw was rejected
+    # powers of two take the mask and never reject; the other moduli here
+    # reject with odds below 2^-50
     for n in (1, 2, 3, 4, 7, 1000, 2**16, 2**63):
-        _, extra = draw_both(9, 50, [n])
-        assert extra is None
+        for draw in (0, 1):
+            assert len(draw_both(9, 50, n, draw)[1]) == 0
 
 
 @pytest.mark.parametrize("n", [3 * 2**61, 2**63 + 1],
                          ids=["quarter", "half"])
 def test_vectorized_below_rejections_match_scalar(n):
-    # rejection chances 1/4 and about 1/2: the redrawn sessions keep
-    # their residues and counters in step with the scalar stream
+    # rejection chances 1/4 and about 1/2: the redrawn sessions keep their
+    # residues in step with the scalar stream, at draws 0 and 1, through
+    # repeated rejections
     out, tmp = np.empty((2, 3000), dtype=np.uint64)
-    vec, extra = draw_both(31, 3000, [n], out, tmp)
-    assert vec is out and extra.max() > 1
+    for draw in (0, 1):
+        vec, redrawn = draw_both(31, 3000, n, draw, out, tmp)
+        assert vec is out and len(redrawn) > 500
 
 
-def test_vectorized_below_consecutive_draws_share_counters():
-    # sessions rejected in an earlier draw read their own counter later,
-    # also when the later modulus is a power of two
-    for moduli in ([3 * 2**61, 5], [3 * 2**61, 4], [5, 3 * 2**61, 2**16]):
-        _, extra = draw_both(8, 2000, moduli)
-        assert extra.max() > 1
+def unmix(z):
+    """The seed s with splitmix64(s, 0) == z: the finalizer's xor-shifts
+    and odd multipliers are each invertible mod 2^64."""
+    mask = 2**64 - 1
+    for shift, mult in ((31, None), (27, 0x94D049BB133111EB),
+                        (30, 0xBF58476D1CE4E5B9)):
+        if mult is not None:
+            z = z * pow(mult, -1, 2**64) & mask
+        x = z
+        for _ in range(64 // shift + 1):
+            x = z ^ (x >> shift)
+        z = x
+    return (z - 0x9E3779B97F4A7C15) & mask
+
+
+def test_estimator_reads_a_rejected_constraint_draws_position_late():
+    # session 0's stream draws 2^64 - 1 first, the one value _below rejects
+    # for m = 3, so run_session reads the constraint at counter 1 and the
+    # position at counter 2; the behaviors accept at position 0 only, and
+    # the two counters give different positions, so an estimator reading
+    # the position at counter 1 counts that session wrongly
+    seed = unmix(2**64 - 1)
+    master = unmix(seed)
+    assert session_seed(master, 0) == seed
+    assert [_below(seed, 0, 3)[1], splitmix64(seed, 2) % 2,
+            splitmix64(seed, 1) % 2] == [2, 0, 1]
+    every = tuple(itertools.product(range(2), repeat=2))
+    c = CspInstance(3, 2, 2, tuple(Constraint(scope, every)
+                                   for scope in ((0, 1), (1, 2), (2, 0))))
+    behaviors = (ProverBehavior(lambda e, _m: (0, 1), silent_rule, "first"),
+                 ProverBehavior(lambda v, _m: 0, silent_rule, "second"))
+    t = run_session(c, behaviors, NO_LEAK, seed)
+    assert (t.position, t.verdict) == (0, True)
+    assert estimate_acceptance(c, behaviors, NO_LEAK, 1, master).accepted == 1
+    for sessions in (2, 1000):
+        assert (estimate_acceptance(c, behaviors, NO_LEAK, sessions, master)
+                == estimate_acceptance(c, behaviors, NO_LEAK, sessions,
+                                       master, fast=False))
 
 
 # -- sessions ----------------------------------------------------------------
@@ -353,6 +386,22 @@ def test_sessions_refuse_swapped_behaviors():
         run_session(chsh(), (second, first), NO_LEAK, 7)
     with pytest.raises(InvalidInputError, match="first, second"):
         estimate_acceptance(chsh(), (second, first), NO_LEAK, 1000, 7)
+
+
+@pytest.mark.parametrize("shape", [
+    "one", "three", "strings", "none", "not-a-behavior"])
+def test_sessions_refuse_behaviors_that_are_not_a_pair(shape):
+    # these ended in an IndexError, a ValueError, two AttributeErrors and a
+    # TypeError
+    first, second = best_chsh_behaviors()
+    behaviors = {"one": (first,), "three": (first, second, second),
+                 "strings": ("a", "b"), "none": None,
+                 "not-a-behavior": (first, second.answer_rule)}[shape]
+    with pytest.raises(InvalidInputError, match="^behaviors must be"):
+        run_session(chsh(), behaviors, NO_LEAK, 7)
+    for fast in (True, False):
+        with pytest.raises(InvalidInputError, match="^behaviors must be"):
+            estimate_acceptance(chsh(), behaviors, NO_LEAK, 100, 7, fast=fast)
 
 
 def test_sessions_refuse_a_label_cover():
@@ -1024,6 +1073,12 @@ def test_refuses_unknown_roles_empty_estimates_and_other_objects():
 
     with pytest.raises(InvalidInputError, match="cannot identify Thing"):
         instance_id(Thing())
+    # sessions and estimates name the target before they read its weights
+    for target in (Thing(), object(), 5):
+        with pytest.raises(InvalidInputError, match="cannot identify"):
+            run_session(target, best_chsh_behaviors(), NO_LEAK, 1)
+        with pytest.raises(InvalidInputError, match="cannot identify"):
+            estimate_acceptance(target, best_chsh_behaviors(), NO_LEAK, 10, 1)
 
 
 def test_dropped_targets_are_freed():
